@@ -155,7 +155,9 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     every ``ub_interval`` sweeps and may stop the loop early by returning
     True.
 
-    Returns ``(iterations_run, stopped_by_probe)``.
+    Returns ``(iterations_run, stopped_by_probe)``.  Affine projections
+    whose Dykstra loop hit ``dyk_max_cycles`` are counted, and a call
+    that had any logs one warning with the count.
     """
     eps = params.eps_admm_final if tightened else params.eps_admm
     cap = params.max_inner_iter_final if tightened else params.max_inner_iter
@@ -163,11 +165,15 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     gamma = params.gamma
     ibar = augmented_identity(fmap.n)
     it = 0
+    stopped = False
+    capouts = 0
     for it in range(1, cap + 1):
         target = state.Y + (ibar - state.L) / beta
-        x_new = project_affine_set(
+        affine = project_affine_set(
             target, fmap, state.k, clustered, params.eps_dyk, params.dyk_max_cycles
-        ).matrix
+        )
+        capouts += not affine.feasible
+        x_new = affine.matrix
         y_new = project_psd(x_new + state.L / beta, params.single_precision)
         if not np.isfinite(x_new).all() or not np.isfinite(y_new).all():
             raise ArithmeticError(
@@ -181,11 +187,18 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
         state.Y = y_new
         state.iterations += 1
         if max(primal, dual) <= eps:
-            return it, False
+            break
         if ub_probe is not None and ub_interval and it % ub_interval == 0:
             if ub_probe(state):
-                return it, True
-    return it, False
+                stopped = True
+                break
+    if capouts:
+        logger.warning(
+            "%d of %d affine projections stopped at the Dykstra cycle cap "
+            "(dyk_max_cycles=%d) before reaching eps_dyk=%g",
+            capouts, it, params.dyk_max_cycles, params.eps_dyk,
+        )
+    return it, stopped
 
 
 def valid_upper_bound(lam, fmap, k, cut_list=(), mode="box_only", lp_backend=None):

@@ -5,14 +5,18 @@ and the three-step matrix<->vector procedure tying them together."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 
-def project_box(x):
+def project_box(x, out=None):
     """Componentwise clamp to [0, 1]; the weighted and unweighted
-    projections coincide because the box is separable."""
-    return np.clip(x, 0.0, 1.0)
+    projections coincide because the box is separable.  Bitwise equal to
+    ``np.clip(x, 0.0, 1.0)``, signed zeros included, without its Python
+    wrapper; ``out`` may be ``x`` itself."""
+    out = np.maximum(0.0, x, out=out)
+    return np.minimum(out, 1.0, out=out)
 
 
 def project_halfspace_weighted(x, cut, w):
@@ -33,87 +37,107 @@ def project_halfspace_weighted(x, cut, w):
     return out
 
 
+class CutArrays(NamedTuple):
+    """Flat arrays of a list of cuts, each cut's coordinates sorted."""
+
+    idx: np.ndarray      # coordinates, cut after cut
+    a: np.ndarray        # coefficients at idx
+    winv_a: np.ndarray   # W^-1 a at idx
+    starts: np.ndarray   # first position of each cut in idx
+    lengths: np.ndarray  # support size of each cut
+    rhs: np.ndarray
+    denom: np.ndarray    # a' W^-1 a of each cut
+
+
+def _pack(cuts, order, w):
+    """``CutArrays`` of the cuts ``cuts[ci]`` for ``ci`` in ``order``."""
+    rhs = np.empty(len(order))
+    denom = np.empty(len(order))
+    idx_parts = []
+    a_parts = []
+    for pos, ci in enumerate(order):
+        cut = cuts[ci]
+        items = sorted(cut.coeffs.items())
+        idx = np.array([p for p, _ in items], dtype=np.intp)
+        a = np.array([v for _, v in items])
+        idx_parts.append(idx)
+        a_parts.append(a)
+        rhs[pos] = cut.rhs
+        denom[pos] = float(a @ (a / w[idx]))
+    idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.intp)
+    a = np.concatenate(a_parts) if a_parts else np.empty(0)
+    lengths = np.array([len(part) for part in idx_parts], dtype=np.intp)
+    starts = np.cumsum(lengths) - lengths
+    return CutArrays(idx, a, a / w[idx], starts, lengths, rhs, denom)
+
+
+def _excess(cuts, z):
+    """``a.z - rhs`` of every cut of the ``CutArrays`` ``cuts``, given the
+    values ``z`` at its coordinates ``idx``."""
+    _, a, _, starts, _, rhs, _ = cuts
+    viol = np.add.reduceat(a * z, starts)
+    viol -= rhs
+    return viol
+
+
+def _project_cluster(grp, z):
+    """Simultaneous weighted projection of ``z``, the values at a cluster's
+    coordinates, onto each of its halfspaces (their supports are
+    disjoint).  Returns the projected values as a new array, or None when
+    no cut is violated and ``z`` is its own projection."""
+    _, _, winv_a, _, lengths, _, denom = grp
+    viol = _excess(grp, z)
+    np.maximum(viol, 0.0, out=viol)
+    if not np.count_nonzero(viol):
+        return None
+    viol /= denom
+    return z - viol.repeat(lengths) * winv_a
+
+
 class ClusteredCuts:
     """Flat array view of cuts grouped into disjoint-support clusters.
 
     Within a cluster all member halfspace projections act on disjoint
-    coordinates, so one Dykstra pass applies them simultaneously.
+    coordinates, so one Dykstra pass applies them simultaneously.  The
+    cuts are packed once, cluster after cluster; ``groups[gid]`` holds
+    the ``CutArrays`` of cluster ``gid``, views into the packing of every
+    cut that ``max_violation`` reads.
     """
 
     def __init__(self, cuts, clusters, w):
         self.cuts = cuts
         self.clusters = clusters
+        self._all = _pack(cuts, [ci for members in clusters for ci in members], w)
+        idx, a, winv_a, starts, lengths, rhs, denom = self._all
         self.groups = []
-        all_idx = []
-        all_a = []
+        first = lo = 0
         for members in clusters:
-            idx_parts = []
-            a_parts = []
-            starts = [0]
-            rhs = np.empty(len(members))
-            denom = np.empty(len(members))
-            for pos, ci in enumerate(members):
-                cut = cuts[ci]
-                items = sorted(cut.coeffs.items())
-                idx = np.array([p for p, _ in items], dtype=np.intp)
-                a = np.array([v for _, v in items])
-                idx_parts.append(idx)
-                a_parts.append(a)
-                starts.append(starts[-1] + len(idx))
-                rhs[pos] = cut.rhs
-                denom[pos] = float(a @ (a / w[idx]))
-            idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.intp)
-            a = np.concatenate(a_parts) if a_parts else np.empty(0)
-            lengths = np.diff(starts)
-            self.groups.append(
-                {
-                    "idx": idx,
-                    "a": a,
-                    "winv_a": a / w[idx] if len(idx) else a,
-                    "starts": np.array(starts[:-1], dtype=np.intp),
-                    "lengths": lengths,
-                    "rhs": rhs,
-                    "denom": denom,
-                }
-            )
-            all_idx.append(idx)
-            all_a.append(a)
-        # flattened view over every cut, for the end-of-cycle violation check
-        self._chk_idx = np.concatenate(all_idx) if all_idx else np.empty(0, dtype=np.intp)
-        self._chk_a = np.concatenate(all_a) if all_a else np.empty(0)
-        starts = []
-        rhs = []
-        offset = 0
-        for grp in self.groups:
-            starts.extend(offset + int(s) for s in grp["starts"])
-            rhs.extend(grp["rhs"])
-            offset += len(grp["idx"])
-        self._chk_starts = np.array(starts, dtype=np.intp)
-        self._chk_rhs = np.array(rhs)
+            last = first + len(members)
+            hi = lo + int(lengths[first:last].sum())
+            self.groups.append(CutArrays(
+                idx[lo:hi], a[lo:hi], winv_a[lo:hi], starts[first:last] - lo,
+                lengths[first:last], rhs[first:last], denom[first:last],
+            ))
+            first, lo = last, hi
 
     def __len__(self):
         return len(self.cuts)
 
     def max_violation(self, x):
-        if len(self._chk_rhs) == 0:
+        if len(self._all.rhs) == 0:
             return 0.0
-        sums = np.add.reduceat(self._chk_a * x[self._chk_idx], self._chk_starts)
-        return float(np.max(sums - self._chk_rhs))
+        return float(_excess(self._all, x[self._all.idx]).max())
 
     def project_cluster(self, x, gid):
         """In-place simultaneous weighted projection onto every halfspace
         of one cluster (supports are disjoint)."""
         grp = self.groups[gid]
-        idx = grp["idx"]
+        idx = grp.idx
         if len(idx) == 0:
             return
-        vals = grp["a"] * x[idx]
-        viol = np.add.reduceat(vals, grp["starts"]) - grp["rhs"]
-        np.clip(viol, 0.0, None, out=viol)
-        if not viol.any():
-            return
-        scale = np.repeat(viol / grp["denom"], grp["lengths"])
-        x[idx] -= scale * grp["winv_a"]
+        z = _project_cluster(grp, x[idx])
+        if z is not None:
+            x[idx] = z
 
 
 @dataclass
@@ -136,29 +160,43 @@ def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
     the iterate settles near the projection); hitting ``max_cycles``
     returns the box-projected iterate flagged infeasible so downstream
     bounds stay meaningful.
+
+    Every iterate is bitwise the one of the textbook sequence that
+    projects onto the box and then onto each halfspace in turn, each with
+    its own correction.  The cycle only skips work that cannot change a
+    bit: a cluster's values are gathered once and scattered at most once,
+    and a zero correction is not stored, so a cluster that had none and
+    is not violated is not written at all.
     """
-    x = np.asarray(x0, dtype=np.float64).copy()
+    x = np.array(x0, dtype=np.float64)
+    y = np.empty_like(x)
+    step = np.empty_like(x)
     corr_box = np.zeros_like(x)
-    ngroups = len(clustered.groups)
-    corr = [np.zeros(len(g["idx"])) for g in clustered.groups]
+    groups = [grp for grp in clustered.groups if len(grp.idx)]
+    corr = [None] * len(groups)  # None: a zero correction
     for cycle in range(1, max_cycles + 1):
-        prev = x.copy()
-        y = x - corr_box
-        x = project_box(y)
-        corr_box = x - y
-        for gid in range(ngroups):
-            grp = clustered.groups[gid]
-            idx = grp["idx"]
-            if len(idx) == 0:
-                continue
-            x[idx] -= corr[gid]
-            before = x[idx].copy()
-            clustered.project_cluster(x, gid)
-            corr[gid] = x[idx] - before
-        box_viol = max(float(x.max()) - 1.0, -float(x.min()), 0.0)
-        drift = float(np.max(np.abs(x - prev)))
-        if max(clustered.max_violation(x), box_viol) <= eps and drift <= eps:
-            return DykstraResult(x, True, cycle, x)
+        np.subtract(x, corr_box, out=y)
+        np.copyto(step, x)
+        project_box(y, out=x)
+        np.subtract(x, y, out=corr_box)
+        for gid, grp in enumerate(groups):
+            idx = grp.idx
+            z = x[idx]
+            c = corr[gid]
+            if c is not None:
+                z -= c
+            z2 = _project_cluster(grp, z)
+            if z2 is not None:
+                x[idx] = z2
+                corr[gid] = z2 - z
+            elif c is not None:
+                x[idx] = z
+                corr[gid] = None
+        np.subtract(x, step, out=step)
+        if float(np.abs(step, out=step).max()) <= eps:
+            box_viol = max(float(x.max()) - 1.0, -float(x.min()), 0.0)
+            if max(clustered.max_violation(x), box_viol) <= eps:
+                return DykstraResult(x, True, cycle, x)
     return DykstraResult(project_box(x), False, max_cycles, x)
 
 

@@ -72,6 +72,38 @@ class TestInnerAdmm:
         )
         assert stopped and iters == 1 and calls == [1]
 
+    def test_dykstra_capouts_logged_once_per_call(self, caplog):
+        import logging
+
+        from mkcs.cuts import cluster_cuts
+        from mkcs.projection import ClusteredCuts
+
+        g = Graph(4)
+        fmap = FreeIndexMap(g)
+        cuts = [
+            Cut(0, CutFamily.CLIQUE_EXT,
+                {fmap.diag_coord(1): 1.0, fmap.diag_coord(2): 1.0}, 1.0),
+            Cut(1, CutFamily.CLIQUE_EXT,
+                {fmap.diag_coord(2): 1.0, fmap.diag_coord(3): 1.0}, 1.0),
+        ]
+        clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
+        params = AdmmParams(max_inner_iter=5, dyk_max_cycles=1, eps_dyk=1e-12)
+        with caplog.at_level(logging.WARNING, logger="mkcs.cpadmm"):
+            iters, _ = inner_admm(initial_state(g, 1), fmap, params, clustered)
+        records = [r for r in caplog.records if "Dykstra cycle cap" in r.message]
+        assert len(records) == 1
+        assert records[0].levelno == logging.WARNING
+        assert records[0].args[:2] == (iters, iters)
+        assert "dyk_max_cycles=1" in records[0].getMessage()
+
+    def test_no_capout_warning_without_capouts(self, caplog):
+        import logging
+
+        g = cycle_graph(5)
+        with caplog.at_level(logging.WARNING, logger="mkcs.cpadmm"):
+            inner_admm(initial_state(g, 2), FreeIndexMap(g), AdmmParams())
+        assert not [r for r in caplog.records if "Dykstra" in r.message]
+
     def test_gamma_validated(self):
         with pytest.raises(ValueError):
             AdmmParams(gamma=1.7)

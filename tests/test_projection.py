@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from dykstra_reference import ReferenceClusteredCuts, reference_dykstra
 from qp_oracle import weighted_projection_oracle
 from mkcs.cuts import Cut, CutFamily, cluster_cuts, separate_triangle, separate_clique_external
 from mkcs.graph import Graph, enumerate_cliques, random_graph
@@ -30,6 +31,21 @@ class TestProjectBox:
         x = rng.uniform(-2, 3, size=40)
         once = project_box(x)
         assert np.array_equal(project_box(once), once)
+
+    @pytest.mark.parametrize("size", [1, 7, 64, 1001])
+    def test_bitwise_equal_to_np_clip(self, rng, size):
+        # signed zeros, NaNs and infinities included: the box step of the
+        # Dykstra cycle must keep every bit of the np.clip it replaces
+        special = [-0.0, 0.0, 1.0, -1e-300, 1.0 + 2e-16, np.inf, -np.inf,
+                   np.nan, -np.nan]
+        x = rng.uniform(-1.5, 2.5, size=size)
+        x[rng.integers(0, size, size=size // 2 + 1)] = rng.choice(
+            special, size=size // 2 + 1)
+        ref = np.clip(x, 0.0, 1.0)
+        assert project_box(x).tobytes() == ref.tobytes()
+        out = x.copy()
+        assert project_box(out, out=out) is out
+        assert out.tobytes() == ref.tobytes()
 
 
 class TestProjectHalfspaceWeighted:
@@ -229,14 +245,18 @@ class TestProjectAffineSet:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_qp_oracle(self, seed):
-        rng = np.random.default_rng([5, seed])
-        n = int(rng.integers(3, 7))
-        g = random_graph(n, 0.35, seed)
-        fmap = FreeIndexMap(g)
-        k = int(rng.integers(1, 4))
-        cuts = self._instance_cuts(g, fmap, k, rng)
-        if not cuts:
-            pytest.skip("instance yielded no cuts")
+        # redraw until the instance yields cuts, as criterion 7 does, so
+        # that every seed checks a cut-constrained projection
+        for attempt in range(50):
+            rng = np.random.default_rng([5, seed, attempt] if attempt else [5, seed])
+            n = int(rng.integers(3, 7))
+            g = random_graph(n, 0.35, seed + 1000 * attempt)
+            fmap = FreeIndexMap(g)
+            k = int(rng.integers(1, 4))
+            cuts = self._instance_cuts(g, fmap, k, rng)
+            if cuts:
+                break
+        assert cuts, "no instance yielded cuts"
         clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
         u_vec = rng.uniform(-0.5, 1.5, fmap.m)
         out = project_affine_set(
@@ -247,3 +267,87 @@ class TestProjectAffineSet:
         got = fmap.mat_to_vec(out.matrix)
         dist = np.sqrt(np.sum(fmap.weights * (got - ref) ** 2))
         assert dist < 1e-3, dist
+
+
+def assert_same_bits(a, b):
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+class TestFusedKernelMatchesReference:
+    """The fused cycle against the per-cluster loop it replaced
+    (``tests/dykstra_reference.py``): every output bit, cycle count and
+    feasibility flag must agree."""
+
+    SETTINGS = [(1e-2, 100), (1e-9, 3000), (0.0, 1), (0.0, 2), (0.0, 3),
+                (0.0, 40)]
+
+    @staticmethod
+    def _separated_cuts(seed):
+        rng = np.random.default_rng([11, seed])
+        n = int(rng.integers(5, 10))
+        g = random_graph(n, [0.3, 0.5][seed % 2], 700 + seed)
+        fmap = FreeIndexMap(g)
+        k = int(rng.integers(1, 4))
+        x_sep = fmap.vec_to_mat(rng.uniform(0.2, 1.2, fmap.m), k)
+        cands = separate_triangle(x_sep, g, fmap, k, 1e-6).candidates
+        cands += separate_clique_external(
+            x_sep, g, fmap, enumerate_cliques(g), k, 1e-6,
+            rng=np.random.default_rng(0), id_base=len(cands),
+        ).candidates
+        return fmap, [c for c, _ in cands], rng
+
+    @staticmethod
+    def _start(fmap, rng):
+        x0 = rng.uniform(-0.5, 1.5, fmap.m)
+        x0[rng.integers(0, fmap.m, size=3)] = rng.choice([-0.0, 0.0, 1.0], 3)
+        return x0
+
+    def _assert_match(self, x0, w, cuts, clusters):
+        new = ClusteredCuts(cuts, clusters, w)
+        ref = ReferenceClusteredCuts(cuts, clusters, w)
+        assert new.max_violation(x0) == ref.max_violation(x0)
+        for gid in range(len(clusters)):
+            got, want = x0.copy(), x0.copy()
+            new.project_cluster(got, gid)
+            ref.project_cluster(want, gid)
+            assert_same_bits(got, want)
+        for eps, cap in self.SETTINGS:
+            got = dykstra(x0, w, new, eps=eps, max_cycles=cap)
+            want = reference_dykstra(x0, w, ref, eps=eps, max_cycles=cap)
+            assert_same_bits(got.x, want.x)
+            assert_same_bits(got.raw, want.raw)
+            assert (got.cycles, got.feasible) == (want.cycles, want.feasible)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_separator_pools(self, seed):
+        fmap, cuts, rng = self._separated_cuts(seed)
+        assert cuts
+        self._assert_match(self._start(fmap, rng), fmap.weights, cuts,
+                           cluster_cuts(cuts))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_inactive_clusters(self, seed):
+        # slack copies of real cuts, clustered on their own, are never
+        # violated inside the box; mixed in with the active clusters
+        fmap, cuts, rng = self._separated_cuts(seed)
+        slack = [Cut(len(cuts) + i, c.family, dict(c.coeffs), c.rhs + 50.0)
+                 for i, c in enumerate(cuts[:6])]
+        pool = cuts + slack
+        clusters = cluster_cuts(cuts)
+        inactive = [[len(cuts) + i] for i in range(len(slack))]
+        clusters = inactive[:3] + clusters + inactive[3:]
+        x0 = self._start(fmap, rng)
+        self._assert_match(x0, fmap.weights, pool, clusters)
+        self._assert_match(np.clip(x0, 0.0, 1.0), fmap.weights, slack,
+                           cluster_cuts(slack))
+
+    def test_cluster_turning_inactive_drops_its_correction(self):
+        # the first cut is violated in cycle 1 only: the second one pulls
+        # x1 down, so in cycle 2 the first cluster has a correction but no
+        # violation, and the correction must be written back and dropped
+        cuts = [make_cut(0, {0: 1.0, 1: 1.0}, 0.8),
+                make_cut(1, {1: 1.0, 2: 1.0}, 0.5)]
+        self._assert_match(np.array([-0.2, 0.9, 0.1]), np.full(3, 3.0), cuts,
+                           [[0], [1]])
