@@ -15,7 +15,6 @@ from pathlib import Path
 
 from .cpadmm import (
     AdmmParams,
-    ALL_FAMILIES,
     cp_admm,
     greedy_lower_bound,
     records_to_jsonl,
@@ -41,12 +40,15 @@ class CliError(Exception):
         self.code = code
 
 
-_ADMM_FIELD_NAMES = {
-    f.name
-    for f in dataclasses.fields(AdmmParams)
-    if f.name not in ("families", "lp_backend", "ub_mode")
-}
+# Every field of the two parameter tables is a config key and, except for
+# these, a generated flag: the seed is shared by both tables, the families
+# are given by name, and the LP backend is chosen by --lp-backend.
+_NOT_FLAGS = ("seed", "families", "lp_backend")
+_FLAG_TYPES = {"float": float, "int": int, "float | None": float, "int | None": int}
+_ADMM_FIELD_NAMES = {f.name for f in dataclasses.fields(AdmmParams)} - {"lp_backend"}
 _INT_FIELD_NAMES = {f.name for f in dataclasses.fields(IntAdmmParams)}
+_RUN_KEYS = ("time_limit", "lp_backend", "expensive_tests", "stable_timing",
+             "per_k_time_limit", "k", "out")
 
 
 @dataclass
@@ -64,8 +66,6 @@ class RunConfig:
     expensive_tests: bool = False
     stable_timing: bool = False
     per_k_time_limit: float = 600.0    # chromatic mode: budget per k value
-    int_max_iterations: int | None = None
-    families: tuple = tuple(f.name for f in ALL_FAMILIES)
     admm: AdmmParams = field(default_factory=AdmmParams)
     intp: IntAdmmParams = field(default_factory=IntAdmmParams)
 
@@ -74,16 +74,10 @@ class RunConfig:
         return self.admm.seed
 
     def admm_params(self):
-        fams = tuple(CutFamily[name] for name in self.families)
-        params = dataclasses.replace(self.admm, families=fams)
+        backend = None if self.lp_backend == "none" else scipy_linprog_backend
+        params = dataclasses.replace(self.admm, lp_backend=backend)
         if self.time_limit is not None:
             params = dataclasses.replace(params, time_limit_global=self.time_limit)
-        if self.lp_backend == "none":
-            params = dataclasses.replace(params, ub_mode="box_only", lp_backend=None)
-        else:
-            params = dataclasses.replace(
-                params, ub_mode="lp", lp_backend=scipy_linprog_backend
-            )
         return params
 
     def int_params(self):
@@ -96,11 +90,7 @@ def _apply_overrides(cfg, overrides, source):
     for key, value in overrides.items():
         if value is None:
             continue
-        if key in _ADMM_FIELD_NAMES:
-            admm_kwargs[key] = value
-        elif key in _INT_FIELD_NAMES:
-            int_kwargs[key] = value
-        elif key == "families":
+        if key == "families":
             names = value.split(",") if isinstance(value, str) else list(value)
             names = [s.strip().upper() for s in names if s.strip()]
             for name in names:
@@ -108,18 +98,18 @@ def _apply_overrides(cfg, overrides, source):
                     raise CliError(
                         f"{source}: unknown cut family {name!r}", EXIT_INVALID_ARGS
                     )
-            cfg.families = tuple(names)
-        elif key in ("time_limit", "lp_backend", "expensive_tests",
-                     "stable_timing", "per_k_time_limit", "int_max_iterations",
-                     "k", "out"):
+            admm_kwargs[key] = tuple(CutFamily[name] for name in names)
+        elif key in _ADMM_FIELD_NAMES:
+            admm_kwargs[key] = value
+        elif key in _INT_FIELD_NAMES:
+            int_kwargs[key] = value
+        elif key in _RUN_KEYS:
             if key == "lp_backend" and value not in ("none", "external"):
                 raise CliError(
                     f"{source}: lp_backend must be 'none' or 'external'",
                     EXIT_INVALID_ARGS,
                 )
             setattr(cfg, key, value)
-        elif key == "seed":
-            admm_kwargs["seed"] = value
         else:
             raise CliError(f"{source}: unknown configuration key {key!r}",
                            EXIT_INVALID_ARGS)
@@ -164,9 +154,9 @@ def _load_instance(cfg):
 def _require_k(cfg, g):
     if cfg.k is None:
         raise CliError("this mode requires --k", EXIT_INVALID_ARGS)
-    if not 1 <= cfg.k <= max(1, g.n - 1):
+    if not 1 <= cfg.k <= g.n:
         raise CliError(
-            f"k must lie in [1, {g.n - 1}] for this instance; got {cfg.k}",
+            f"k must lie in [1, {g.n}] for this instance; got {cfg.k}",
             EXIT_INVALID_ARGS,
         )
 
@@ -234,7 +224,6 @@ def run_solve(cfg):
         cfg.int_params(),
         warm=bound_res.matrix,
         known_ub=bound_res.ub,
-        max_iterations=cfg.int_max_iterations,
         time_limit=remaining,
     )
     report["mode"] = "solve"
@@ -341,8 +330,7 @@ def run_oracle(cfg):
     t0 = time.monotonic()
     try:
         if cfg.k is not None:
-            if not 1 <= cfg.k <= g.n:
-                raise CliError(f"k must lie in [1, {g.n}]", EXIT_INVALID_ARGS)
+            _require_k(cfg, g)
             lb_hint, _ = greedy_lower_bound(g, cfg.k, cfg.seed)
             report["alpha_k"] = alpha_k_exact(
                 g, cfg.k, max_vertices=guard, initial_lb=lb_hint
@@ -440,38 +428,13 @@ def build_parser():
                         help="write zeros for wall times so outputs are reproducible")
     parser.add_argument("--per-k-time-limit", type=float, default=None,
                         help="chromatic mode: budget per k value")
-    parser.add_argument("--int-max-iterations", type=int, default=None)
-    solver = parser.add_argument_group("solver parameters")
-    solver.add_argument("--beta", type=float, default=None)
-    solver.add_argument("--gamma", type=float, default=None)
-    solver.add_argument("--eps-admm", type=float, default=None)
-    solver.add_argument("--eps-admm-final", type=float, default=None)
-    solver.add_argument("--max-inner-iter", type=int, default=None)
-    solver.add_argument("--max-inner-iter-final", type=int, default=None)
-    solver.add_argument("--min-viol", type=float, default=None)
-    solver.add_argument("--min-ineq", type=float, default=None)
-    solver.add_argument("--min-ineq-phase1", type=float, default=None)
-    solver.add_argument("--max-ineq", type=int, default=None)
-    solver.add_argument("--max-cuts-per-var", type=int, default=None)
-    solver.add_argument("--min-impr", type=float, default=None)
-    solver.add_argument("--min-impr-phase1", type=float, default=None)
-    solver.add_argument("--time-limit-global", type=float, default=None)
-    solver.add_argument("--time-limit-cliques", type=float, default=None)
-    solver.add_argument("--time-limit-holes", type=float, default=None)
-    solver.add_argument("--max-cliques", type=int, default=None)
-    solver.add_argument("--max-clique-pairs", type=int, default=None)
-    solver.add_argument("--max-holes", type=int, default=None)
-    solver.add_argument("--eps-dyk", type=float, default=None)
-    solver.add_argument("--dyk-max-cycles", type=int, default=None)
-    integer = parser.add_argument_group("integer solver parameters")
-    integer.add_argument("--beta0", type=float, default=None)
-    integer.add_argument("--beta-incr", type=float, default=None)
-    integer.add_argument("--beta-decr", type=float, default=None)
-    integer.add_argument("--beta-min", type=float, default=None)
-    integer.add_argument("--eps-int", type=float, default=None)
-    integer.add_argument("--max-tries-without-impr", type=int, default=None)
-    integer.add_argument("--max-iterations", type=int, default=None,
-                         dest="max_iterations")
+    for title, table in (("solver parameters", AdmmParams),
+                         ("integer solver parameters", IntAdmmParams)):
+        group = parser.add_argument_group(title)
+        for f in dataclasses.fields(table):
+            if f.name not in _NOT_FLAGS:
+                group.add_argument("--" + f.name.replace("_", "-"),
+                                   type=_FLAG_TYPES[f.type], default=None)
     return parser
 
 
@@ -496,20 +459,15 @@ def _parse_k_values(raw):
 
 def resolve_config(args):
     """Defaults, then config-file entries, then explicit CLI flags."""
-    cfg = RunConfig(instance=args.instance, k=args.k, mode=args.mode,
-                    out=args.out)
+    cfg = RunConfig(instance=args.instance, mode=args.mode)
     if args.config:
         _apply_overrides(cfg, load_config_file(args.config), args.config)
     flag_overrides = {
         key: value
         for key, value in vars(args).items()
-        if key not in ("mode", "instance", "config", "k", "out")
+        if key not in ("mode", "instance", "config")
     }
     _apply_overrides(cfg, flag_overrides, "command line")
-    if args.k is not None:
-        cfg.k = args.k
-    if args.out is not None:
-        cfg.out = args.out
     return cfg
 
 
@@ -525,26 +483,34 @@ def _write_side_files(cfg, out, suffix, bound_res, int_res):
         trace.write_text(int_trace_to_jsonl(int_res.records))
 
 
-def _write_outputs(cfg, report, bound_res=None, int_res=None):
-    text = json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if cfg.out:
-        out = Path(cfg.out)
-        out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(text)
-        _write_side_files(cfg, out, "", bound_res, int_res)
+def _write_outputs(cfg, runs):
+    """Write the report of each ``(k, report, bound_res, int_res)`` run to
+    ``--out`` (or stdout) with its trace and cut side files.  One run
+    writes its report as is; a k-list writes a wrapper holding every
+    report, an aggregate CSV table, and side files with a ``.k<k>`` suffix.
+    """
+    single = len(runs) == 1
+    if single:
+        doc = runs[0][1]
     else:
+        doc = {
+            "schema": SCHEMA_VERSION,
+            "mode": cfg.mode,
+            "instance": str(cfg.instance),
+            "runs": [report for _, report, _, _ in runs],
+        }
+    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    if not cfg.out:
         sys.stdout.write(text)
-
-
-def _run_single(cfg):
-    """Dispatch one (instance, k) run; returns (report, bound_res, int_res)."""
-    if cfg.mode == "bound":
-        report, bound_res = run_bound(cfg)
-        return report, bound_res, None
-    if cfg.mode == "solve":
-        report, bound_res, int_res = run_solve(cfg)
-        return report, bound_res, int_res
-    return run_oracle(cfg), None, None
+        return
+    out = Path(cfg.out)
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(text)
+    if not single:
+        csv_text, _ = run_report(doc["runs"])
+        (out.parent / (out.stem + ".csv")).write_text(csv_text)
+    for k, _, bound_res, int_res in runs:
+        _write_side_files(cfg, out, "" if single else f".k{k}", bound_res, int_res)
 
 
 def main(argv=None):
@@ -552,41 +518,22 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        if cfg.mode == "chromatic":
-            _, report = chromatic_lower_bound(cfg)
-            _write_outputs(cfg, report)
-            return EXIT_OK
-        ks = _parse_k_values(cfg.k)
-        if ks is None or len(ks) == 1:
-            cfg.k = ks[0] if ks else None
-            report, bound_res, int_res = _run_single(cfg)
-            _write_outputs(cfg, report, bound_res, int_res)
-            return EXIT_OK
-        # a k-list produces one report per k plus an aggregate table
+        # the chromatic search picks its own k values
+        ks = [None] if cfg.mode == "chromatic" else _parse_k_values(cfg.k) or [None]
         runs = []
-        side = []
         for k in ks:
             cfg.k = k
-            report, bound_res, int_res = _run_single(cfg)
-            runs.append(report)
-            side.append((k, bound_res, int_res))
-        wrapper = {
-            "schema": SCHEMA_VERSION,
-            "mode": cfg.mode,
-            "instance": str(cfg.instance),
-            "runs": runs,
-        }
-        text = json.dumps(wrapper, indent=2, sort_keys=True) + "\n"
-        if cfg.out:
-            out = Path(cfg.out)
-            out.parent.mkdir(parents=True, exist_ok=True)
-            out.write_text(text)
-            csv_text, _ = run_report(runs)
-            (out.parent / (out.stem + ".csv")).write_text(csv_text)
-            for k, bound_res, int_res in side:
-                _write_side_files(cfg, out, f".k{k}", bound_res, int_res)
-        else:
-            sys.stdout.write(text)
+            bound_res = int_res = None
+            if cfg.mode == "bound":
+                report, bound_res = run_bound(cfg)
+            elif cfg.mode == "solve":
+                report, bound_res, int_res = run_solve(cfg)
+            elif cfg.mode == "oracle":
+                report = run_oracle(cfg)
+            else:
+                _, report = chromatic_lower_bound(cfg)
+            runs.append((k, report, bound_res, int_res))
+        _write_outputs(cfg, runs)
     except CliError as exc:
         print(f"mkcs: error: {exc}", file=sys.stderr)
         return exc.code

@@ -94,11 +94,10 @@ class AdmmParams:
     families: tuple = ALL_FAMILIES
     # The bound over the cut-free affine set has a closed form but cannot
     # certify anything below the cut-free optimum (it is a valid dual
-    # bound of that problem for every NSD dual matrix), so the default
-    # evaluates the dual bound exactly over the cut-constrained set.
-    ub_mode: str = "lp"                    # or "box_only"
+    # bound of that problem for every NSD dual matrix), so by default the
+    # dual bound is evaluated exactly over the cut-constrained set; None
+    # keeps the closed form.
     lp_backend: object = scipy_linprog_backend  # callable(c, cuts, m) -> float
-    single_precision: bool = False
     max_outer: int | None = None
 
     def __post_init__(self):
@@ -106,8 +105,6 @@ class AdmmParams:
             raise ValueError(
                 f"gamma must lie in (0, (1+sqrt(5))/2); got {self.gamma}"
             )
-        if self.ub_mode not in ("box_only", "lp"):
-            raise ValueError(f"unknown ub_mode {self.ub_mode!r}")
 
     def resolved(self, n):
         """Fill the n-dependent knobs for an n-vertex instance."""
@@ -135,11 +132,6 @@ class AdmmState:
 def initial_state(g, k):
     x0 = initial_iterate(g.n, k)
     return AdmmState(x0, x0.copy(), np.zeros_like(x0), k)
-
-
-def admm_objective(x):
-    """Objective value of a bordered iterate: the trace of the inner block."""
-    return float(np.trace(x[1:, 1:]))
 
 
 def inner_admm(state, fmap, params, clustered=None, tightened=False,
@@ -174,7 +166,7 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
         )
         capouts += not affine.feasible
         x_new = affine.matrix
-        y_new = project_psd(x_new + state.L / beta, params.single_precision)
+        y_new = project_psd(x_new + state.L / beta)
         if not np.isfinite(x_new).all() or not np.isfinite(y_new).all():
             raise ArithmeticError(
                 f"non-finite ADMM iterate at inner iteration {state.iterations + 1}"
@@ -201,28 +193,25 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     return it, stopped
 
 
-def valid_upper_bound(lam, fmap, k, cut_list=(), mode="box_only", lp_backend=None):
+def valid_upper_bound(lam, fmap, k, cut_list=(), lp_backend=None):
     """Weak-duality upper bound from any dual iterate.
 
     With ``C`` the bordered identity minus the NSD projection of the dual
     matrix, the bound maximizes ``<C, Xbar>`` over the cut-free affine
     set, whose linear program has a closed form: a diagonal entry is
     switched on when its diagonal-plus-border gain is positive, an
-    off-diagonal non-edge when its entry of C is positive.  In ``lp``
-    mode the maximization runs over the cut-constrained set through the
-    pluggable LP backend for a (weakly) tighter, still valid, bound;
-    without a backend it falls back to the closed form with a notice.
+    off-diagonal non-edge when its entry of C is positive.  Given an LP
+    backend and at least one cut, the maximization runs over the
+    cut-constrained set instead, for a (weakly) tighter, still valid,
+    bound.
     """
     c_mat = augmented_identity(fmap.n) - project_nsd(lam)
     diag_gain = np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:]
     off = c_mat[fmap.pair_rows, fmap.pair_cols]
     base = k * float(c_mat[0, 0])
-    if mode == "lp" and len(cut_list):
-        if lp_backend is None:
-            logger.info("lp mode requested without a backend; using box bound")
-        else:
-            c = np.concatenate([diag_gain, 2.0 * off])
-            return base + lp_backend(c, list(cut_list), fmap.m)
+    if lp_backend is not None and len(cut_list):
+        c = np.concatenate([diag_gain, 2.0 * off])
+        return base + lp_backend(c, list(cut_list), fmap.m)
     return (
         base
         + float(np.clip(diag_gain, 0.0, None).sum())
@@ -345,6 +334,18 @@ def _separate_families(families, state, g, fmap, k, params, clique_enum,
     return report, next_id
 
 
+def _unseen(candidates, seen):
+    """The candidates whose inequality is not in ``seen``, first
+    occurrence kept; their keys are added to ``seen``."""
+    out = []
+    for cand, viol in candidates:
+        key = cand.key()
+        if key not in seen:
+            seen.add(key)
+            out.append((cand, viol))
+    return out
+
+
 def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
             first_outer_ub_interval=None):
     """Cutting-plane outer loop around the inner ADMM.
@@ -401,11 +402,12 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
     termination = "max_outer"
     family_counts = {}
 
+    def bound(st):
+        return valid_upper_bound(st.L, fmap, k, cut_list, params.lp_backend)
+
     def probe(st):
         nonlocal best_ub
-        ub_now = valid_upper_bound(
-            st.L, fmap, k, cut_list, params.ub_mode, params.lp_backend
-        )
+        ub_now = bound(st)
         best_ub = min(best_ub, ub_now)
         return ub_stop_below is not None and ub_now < ub_stop_below - 1e-9
 
@@ -413,9 +415,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
         nonlocal tightened_total, best_ub
         iters, _ = inner_admm(state, fmap, params, clustered, tightened=True)
         tightened_total += iters
-        ub_t = valid_upper_bound(
-            state.L, fmap, k, cut_list, params.ub_mode, params.lp_backend
-        )
+        ub_t = bound(state)
         best_ub = min(best_ub, ub_t)
         records.append(
             OuterRecord(outer, iters, ub_t, 0, len(cut_list), phase,
@@ -433,9 +433,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
             ub_interval=first_outer_ub_interval if use_probe else None,
         )
         inner_total += iters
-        ub = valid_upper_bound(
-            state.L, fmap, k, cut_list, params.ub_mode, params.lp_backend
-        )
+        ub = bound(state)
         best_ub = min(best_ub, ub)
         improvement = math.inf if prev_best is None else prev_best - best_ub
         prev_best = best_ub
@@ -471,30 +469,17 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
             [f for f in families if phase == 2 or f == CutFamily.CLIQUE_EXT],
             state, g, fmap, k, params, clique_enum, hole_enum, rng, id_counter,
         )
-        fresh = []
-        fresh_keys = set()
-        for cand, viol in report.candidates:
-            key = cand.key()
-            if key in existing_keys or key in fresh_keys:
-                continue
-            fresh_keys.add(key)
-            fresh.append((cand, viol))
-        if phase == 1:
-            clique_viol = len(fresh)
-            if (improvement < params.min_impr_phase1
-                    or clique_viol < params.min_ineq_phase1):
-                phase = 2
-                extra, id_counter = _separate_families(
-                    [f for f in families if f != CutFamily.CLIQUE_EXT],
-                    state, g, fmap, k, params, clique_enum, hole_enum, rng,
-                    id_counter,
-                )
-                for cand, viol in extra.candidates:
-                    key = cand.key()
-                    if key in existing_keys or key in fresh_keys:
-                        continue
-                    fresh_keys.add(key)
-                    fresh.append((cand, viol))
+        seen = set(existing_keys)
+        fresh = _unseen(report.candidates, seen)
+        if phase == 1 and (improvement < params.min_impr_phase1
+                           or len(fresh) < params.min_ineq_phase1):
+            phase = 2
+            extra, id_counter = _separate_families(
+                [f for f in families if f != CutFamily.CLIQUE_EXT],
+                state, g, fmap, k, params, clique_enum, hole_enum, rng,
+                id_counter,
+            )
+            fresh += _unseen(extra.candidates, seen)
 
         if outer > 1 and improvement < params.min_impr:
             record(0)

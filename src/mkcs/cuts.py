@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import Clique, Hole5, extend_clique_greedy
+from .graph import extend_clique_greedy
 
 
 class CutFamily(enum.IntEnum):
@@ -62,38 +62,15 @@ class SeparationReport:
     """Violated-cut candidates found by one or more separators."""
 
     candidates: list = field(default_factory=list)  # (Cut, violation) pairs
-    family_counts: dict = field(default_factory=dict)
     truncated: bool = False
 
     def add(self, cut, violation):
         self.candidates.append((cut, violation))
-        self.family_counts[cut.family] = self.family_counts.get(cut.family, 0) + 1
 
     def merge(self, other):
         self.candidates.extend(other.candidates)
-        for fam, cnt in other.family_counts.items():
-            self.family_counts[fam] = self.family_counts.get(fam, 0) + cnt
         self.truncated = self.truncated or other.truncated
         return self
-
-    def count(self, family=None):
-        if family is None:
-            return len(self.candidates)
-        return self.family_counts.get(family, 0)
-
-
-def kappa_rank(structure, kappa):
-    """Largest number of vertices of the structure colorable with ``kappa``
-    colors: min(kappa, |Q|) for a clique, min(kappa*(|C|-1)/2, |C|) for an
-    odd hole, and 0 when kappa is 0."""
-    if kappa < 0:
-        raise ValueError("kappa must be nonnegative")
-    size = len(structure)
-    if isinstance(structure, Hole5) or (
-        not isinstance(structure, Clique) and isinstance(structure, tuple)
-    ):
-        return min(kappa * (size - 1) // 2, size)
-    return min(kappa, size)
 
 
 def _sanitize(X, fmap, k):

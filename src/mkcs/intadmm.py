@@ -220,8 +220,7 @@ class IntAdmmResult:
     elapsed_s: float = 0.0
 
 
-def int_admm(g, k, params=None, warm=None, known_ub=None,
-             max_iterations=None, time_limit=None):
+def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     """Search for large feasible partial k-colorings.
 
     Alternates projections of three coupled blocks (affine/box, PSD cone,
@@ -257,9 +256,8 @@ def int_admm(g, k, params=None, warm=None, known_ub=None,
     records = []
     termination = "iteration_cap"
     target = math.floor(known_ub + 1e-9) if known_ub is not None else None
-    cap = max_iterations if max_iterations is not None else params.max_iterations
     t = 0
-    for t in range(1, cap + 1):
+    for t in range(1, params.max_iterations + 1):
         x = project_affine_set(
             (beta * y + beta * z + ibar - lam - mu) / (2.0 * beta), fmap, k
         ).matrix

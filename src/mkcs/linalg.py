@@ -31,25 +31,21 @@ def symmetrize(a):
     return (a + a.T) / 2.0
 
 
-def project_psd(a, single_precision=False):
+def project_psd(a):
     """Project a symmetric matrix onto the positive-semidefinite cone.
 
     Spectral decomposition with negative eigenvalues clipped to zero.
-    ``single_precision`` runs the eigensolve in float32 (a speed knob,
-    off by default; correctness tests run in double).
     """
     if not np.isfinite(a).all():
         raise ValueError("cannot eigendecompose a matrix with non-finite entries")
-    work = a.astype(np.float32) if single_precision else a
-    vals, vecs = np.linalg.eigh(work)
+    vals, vecs = np.linalg.eigh(a)
     np.clip(vals, 0.0, None, out=vals)
-    out = (vecs * vals) @ vecs.T
-    return symmetrize(np.asarray(out, dtype=np.float64))
+    return symmetrize((vecs * vals) @ vecs.T)
 
 
-def project_nsd(a, single_precision=False):
+def project_nsd(a):
     """Project onto the negative-semidefinite cone: -PSD projection of -A."""
-    return -project_psd(-a, single_precision=single_precision)
+    return -project_psd(-a)
 
 
 class FreeIndexMap:

@@ -19,24 +19,6 @@ def project_box(x, out=None):
     return np.minimum(out, 1.0, out=out)
 
 
-def project_halfspace_weighted(x, cut, w):
-    """Weighted projection onto the halfspace ``a.x <= b`` of one cut:
-    ``x - (a.x - b)_+ / (a' W^-1 a) * W^-1 a``.  Coordinates outside the
-    cut's support are untouched; feasible inputs are returned unchanged.
-    """
-    if not cut.coeffs:
-        raise ValueError("cannot project onto a cut with empty support")
-    idx = np.fromiter(cut.coeffs.keys(), dtype=np.intp, count=len(cut.coeffs))
-    a = np.fromiter(cut.coeffs.values(), dtype=np.float64, count=len(cut.coeffs))
-    viol = float(a @ x[idx]) - cut.rhs
-    if viol <= 0.0:
-        return x
-    winv_a = a / w[idx]
-    out = x.copy()
-    out[idx] -= (viol / float(a @ winv_a)) * winv_a
-    return out
-
-
 class CutArrays(NamedTuple):
     """Flat arrays of a list of cuts, each cut's coordinates sorted."""
 

@@ -16,10 +16,10 @@ from bench_instances import (
     queen6_6,
 )
 from qp_oracle import weighted_projection_oracle
+from reference_helpers import admm_objective, project_halfspace_weighted
 from mkcs.cli import RunConfig, chromatic_search, main
 from mkcs.cpadmm import (
     AdmmParams,
-    admm_objective,
     cp_admm,
     initial_state,
     inner_admm,
@@ -32,10 +32,10 @@ from mkcs.cuts import (
     separate_triangle,
 )
 from mkcs.graph import enumerate_5holes, enumerate_cliques, random_graph, write_dimacs
-from mkcs.intadmm import int_admm, round_and_verify
+from mkcs.intadmm import IntAdmmParams, int_admm, round_and_verify
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact, chi_exact, enumerate_Dnk
-from mkcs.projection import ClusteredCuts, project_affine_set, project_halfspace_weighted
+from mkcs.projection import ClusteredCuts, project_affine_set
 import mkcs.linalg as linalg
 
 
@@ -195,8 +195,8 @@ def test_criterion_5_sandwich_property():
             # every intermediate bound must already be valid
             for rec in res.records:
                 assert math.floor(rec.ub + 1e-6) >= alpha, (case, rec.ub, alpha)
-            ir = int_admm(g, k, warm=res.matrix, known_ub=res.ub,
-                          max_iterations=12000)
+            ir = int_admm(g, k, IntAdmmParams(max_iterations=12000),
+                          warm=res.matrix, known_ub=res.ub)
             assert ir.value <= alpha, (case, ir.value, alpha)
             if ir.feasible_found:
                 assert ir.coloring.check(g, k)
@@ -322,7 +322,7 @@ def test_criterion_9_determinism(tmp_path):
             code = main([
                 "solve", str(inst), "--k", "2", "--seed", "11",
                 "--out", str(out), "--stable-timing",
-                "--int-max-iterations", "4000",
+                "--max-iterations", "4000",
             ])
             assert code == 0
             files = sorted(p.name for p in out.parent.iterdir())

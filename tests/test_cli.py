@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import pytest
@@ -17,7 +18,29 @@ from mkcs.cli import (
     run_report,
     run_solve,
 )
+from mkcs.cpadmm import AdmmParams
+from mkcs.cuts import CutFamily
 from mkcs.graph import write_dimacs
+from mkcs.intadmm import IntAdmmParams
+
+# every parameter-table field with a generated flag, as (table, field)
+SOLVER_SETTINGS = [
+    (table, f)
+    for table, cls in (("admm", AdmmParams), ("intp", IntAdmmParams))
+    for f in dataclasses.fields(cls)
+    if f.name not in ("seed", "families", "lp_backend")
+]
+# values that pass the tables' checks where default + 1 would not
+SETTING_SAMPLES = {"gamma": 1.5, "beta_decr": 0.25}
+
+
+def sample_value(f):
+    """A valid value of the field's type that differs from its default."""
+    if f.name in SETTING_SAMPLES:
+        return SETTING_SAMPLES[f.name]
+    if f.default is None:
+        return 7 if f.type.startswith("int") else 2.5
+    return f.default + 1
 
 
 @pytest.fixture
@@ -54,6 +77,11 @@ class TestExitCodes:
 
     def test_out_of_range_k_invalid_args(self, c5_file):
         assert main(["bound", str(c5_file), "--k", "7"]) == EXIT_INVALID_ARGS
+
+    def test_k_equal_to_n_accepted(self, c5_file, capsys):
+        assert main(["bound", str(c5_file), "--k", "5"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["ub"] == pytest.approx(5.0, abs=1e-6)
+        assert main(["bound", str(c5_file), "--k", "6"]) == EXIT_INVALID_ARGS
 
     def test_unknown_mode_invalid_args(self, c5_file):
         with pytest.raises(SystemExit) as exc:
@@ -114,6 +142,40 @@ class TestConfigResolution:
         assert cfg.admm.seed == 7        # from file
         assert cfg.admm.beta == 1.5      # flag wins
         assert cfg.admm.gamma == 1.617   # default preserved
+
+    @pytest.mark.parametrize(
+        "table, f", SOLVER_SETTINGS, ids=[f.name for _, f in SOLVER_SETTINGS]
+    )
+    def test_flag_and_config_key_set_the_same_value(self, table, f, tmp_path,
+                                                     c5_file):
+        value = sample_value(f)
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({f.name: value}))
+        parser = build_parser()
+        flag = "--" + f.name.replace("_", "-")
+        by_flag = resolve_config(
+            parser.parse_args(["bound", str(c5_file), flag, str(value)])
+        )
+        by_file = resolve_config(
+            parser.parse_args(["bound", str(c5_file), "--config", str(cfgfile)])
+        )
+        for cfg in (by_flag, by_file):
+            got = getattr(getattr(cfg, table), f.name)
+            assert got == value and type(got) is type(value)
+
+    def test_families_by_name(self, c5_file):
+        args = build_parser().parse_args(
+            ["bound", str(c5_file), "--families", "hole5,T1"]
+        )
+        families = resolve_config(args).admm_params().families
+        assert families == (CutFamily.HOLE5, CutFamily.T1)
+
+    def test_lp_backend_choice(self):
+        import mkcs.cli
+
+        assert RunConfig(lp_backend="none").admm_params().lp_backend is None
+        external = RunConfig(lp_backend="external").admm_params().lp_backend
+        assert external is mkcs.cli.scipy_linprog_backend
 
     def test_int_params_inherit_seed(self):
         cfg = RunConfig()

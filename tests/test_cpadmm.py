@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph
+from reference_helpers import admm_objective
 from mkcs.cpadmm import (
     AdmmParams,
-    admm_objective,
     cp_admm,
     greedy_lower_bound,
     initial_state,
@@ -130,7 +130,7 @@ class TestValidUpperBound:
         fmap = FreeIndexMap(g)
         lam = rng.normal(size=(5, 5))
         lam = (lam + lam.T) / 2
-        got = valid_upper_bound(lam, fmap, 2, mode="box_only")
+        got = valid_upper_bound(lam, fmap, 2)
         from mkcs.linalg import augmented_identity, project_nsd
 
         c = augmented_identity(4) - project_nsd(lam)
@@ -147,21 +147,17 @@ class TestValidUpperBound:
         lam = (lam + lam.T) / 2
         cut = Cut(0, CutFamily.CLIQUE_EXT,
                   {fmap.diag_coord(1): 1.0, fmap.diag_coord(2): 1.0}, 1.0)
-        box = valid_upper_bound(lam, fmap, 2, [cut], mode="box_only")
-        lp = valid_upper_bound(lam, fmap, 2, [cut], mode="lp",
+        box = valid_upper_bound(lam, fmap, 2, [cut])
+        lp = valid_upper_bound(lam, fmap, 2, [cut],
                                lp_backend=scipy_linprog_backend)
         assert lp <= box + 1e-9
 
-    def test_lp_mode_without_backend_falls_back(self, caplog):
-        import logging
-
+    def test_lp_mode_without_backend_falls_back(self):
         g = Graph(3)
         fmap = FreeIndexMap(g)
         cut = Cut(0, CutFamily.T1, {0: 1.0}, 0.5)
-        with caplog.at_level(logging.INFO, logger="mkcs.cpadmm"):
-            got = valid_upper_bound(np.zeros((4, 4)), fmap, 1, [cut], mode="lp")
+        got = valid_upper_bound(np.zeros((4, 4)), fmap, 1, [cut])
         assert got == pytest.approx(3.0)
-        assert any("backend" in r.message for r in caplog.records)
 
 
 class TestGreedyLowerBound:

@@ -174,14 +174,14 @@ class TestIntAdmm:
 
     def test_iteration_cap_respected(self):
         g = random_graph(10, 0.5, 1)
-        res = int_admm(g, 2, max_iterations=25)
+        res = int_admm(g, 2, IntAdmmParams(max_iterations=25))
         assert res.iterations <= 25
 
     @pytest.mark.parametrize("seed", range(5))
     def test_value_is_sound(self, seed):
         g = random_graph(9, 0.5, seed)
         k = 2
-        res = int_admm(g, k, max_iterations=20000)
+        res = int_admm(g, k, IntAdmmParams(max_iterations=20000))
         assert res.value <= alpha_k_exact(g, k)
         if res.feasible_found:
             assert res.coloring.check(g, k)
@@ -191,7 +191,7 @@ class TestIntAdmm:
         # the inner block of any accepted coloring is PSD of rank <= k
         g = random_graph(10, 0.4, seed)
         k = 3
-        res = int_admm(g, k, max_iterations=20000)
+        res = int_admm(g, k, IntAdmmParams(max_iterations=20000))
         if not res.feasible_found:
             pytest.skip("no feasible rounding within the cap")
         x = coloring_to_matrix(g, res.coloring.assignment, k)[1:, 1:]
@@ -201,20 +201,21 @@ class TestIntAdmm:
 
     def test_beta_floor_respected(self):
         g = cycle_graph(6)
-        params = IntAdmmParams(beta0=0.002, beta_decr=0.1, beta_min=0.001)
-        res = int_admm(g, 2, params=params, max_iterations=5000)
+        params = IntAdmmParams(beta0=0.002, beta_decr=0.1, beta_min=0.001,
+                               max_iterations=5000)
+        res = int_admm(g, 2, params=params)
         assert all(r.beta >= params.beta_min for r in res.records)
 
     def test_deterministic(self):
         g = random_graph(8, 0.4, 7)
-        a = int_admm(g, 2, max_iterations=4000)
-        b = int_admm(g, 2, max_iterations=4000)
+        a = int_admm(g, 2, IntAdmmParams(max_iterations=4000))
+        b = int_admm(g, 2, IntAdmmParams(max_iterations=4000))
         assert a.value == b.value and a.iterations == b.iterations
         assert a.coloring.assignment == b.coloring.assignment
 
     def test_empty_result_reported_distinctly(self):
         g = complete_graph(4)
-        res = int_admm(g, 1, max_iterations=3)
+        res = int_admm(g, 1, IntAdmmParams(max_iterations=3))
         assert not res.feasible_found
         assert res.value == 0
         assert res.coloring.assignment == {}

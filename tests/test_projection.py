@@ -3,6 +3,7 @@ import pytest
 
 from dykstra_reference import ReferenceClusteredCuts, reference_dykstra
 from qp_oracle import weighted_projection_oracle
+from reference_helpers import project_halfspace_weighted
 from mkcs.cuts import Cut, CutFamily, cluster_cuts, separate_triangle, separate_clique_external
 from mkcs.graph import Graph, enumerate_cliques, random_graph
 from mkcs.linalg import FreeIndexMap
@@ -11,7 +12,6 @@ from mkcs.projection import (
     dykstra,
     project_affine_set,
     project_box,
-    project_halfspace_weighted,
 )
 
 
