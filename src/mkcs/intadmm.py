@@ -8,6 +8,7 @@ import json
 import math
 import time
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -85,7 +86,24 @@ def sphere_center(n, k):
     return c
 
 
-def project_sphere(a, k, fix_corner=False):
+class Sphere(NamedTuple):
+    center: np.ndarray
+    radius: float
+
+
+def integrality_sphere(n, k, fix_corner=False):
+    """Center and radius of the sphere that ``project_sphere`` targets."""
+    radius = math.sqrt((n + 1) ** 2 - 1) / 2.0 if fix_corner else (n + 1) / 2.0
+    return Sphere(sphere_center(n, k), radius)
+
+
+def _norm(a):
+    """Frobenius norm, bitwise ``np.linalg.norm(a)`` for a float64 array."""
+    r = a.ravel()
+    return math.sqrt(r.dot(r))
+
+
+def project_sphere(a, k, fix_corner=False, sphere=None, out=None):
     """Project a bordered symmetric matrix onto the integrality sphere.
 
     Without ``fix_corner`` the target is the sphere of radius (n+1)/2
@@ -93,27 +111,26 @@ def project_sphere(a, k, fix_corner=False):
     whose projection rescales the corner-corrected offset to radius
     sqrt((n+1)^2 - 1)/2.  A matrix sitting exactly at the center is
     nudged along the bordered-identity direction so the result is
-    deterministic.
+    deterministic.  ``sphere`` is ``integrality_sphere(n, k, fix_corner)``,
+    passed by callers that project repeatedly; the result is written into
+    ``out`` when given, which may be ``a`` itself.
     """
     n = a.shape[0] - 1
-    center = sphere_center(n, k)
+    if sphere is None:
+        sphere = integrality_sphere(n, k, fix_corner)
+    center, radius = sphere
+    offset = np.subtract(a, center, out=out)
     if fix_corner:
-        offset = a - center
         offset[0, 0] = 0.0  # corner replaced by the pinned value
-        radius = math.sqrt((n + 1) ** 2 - 1) / 2.0
-        norm = float(np.linalg.norm(offset))
-        if norm < 1e-12:
-            offset = augmented_identity(n)
-            norm = math.sqrt(n)
-        out = (radius / norm) * offset + center
-        out[0, 0] = float(k)
-        return out
-    offset = a - center
-    norm = float(np.linalg.norm(offset))
+    norm = _norm(offset)
     if norm < 1e-12:
-        offset = augmented_identity(n)
+        offset[...] = augmented_identity(n)
         norm = math.sqrt(n)
-    return ((n + 1) / 2.0 / norm) * offset + center
+    np.multiply(offset, radius / norm, out=offset)
+    offset += center
+    if fix_corner:
+        offset[0, 0] = float(k)
+    return offset
 
 
 @dataclass
@@ -241,14 +258,18 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     t0 = time.monotonic()
     fmap = FreeIndexMap(g)
     ibar = augmented_identity(g.n)
+    sphere = integrality_sphere(g.n, k, fix_corner=True)
     if warm is None:
         warm = initial_iterate(g.n, k)
     beta = params.beta0
     x = project_affine_set(warm, fmap, k).matrix
     y = project_psd(warm)
-    z = project_sphere(warm, k, fix_corner=True)
+    z = project_sphere(warm, k, fix_corner=True, sphere=sphere)
     lam = beta * (x - y)
     mu = beta * (x - z)
+    # sweep buffers: the affine target and x - z, the PSD input and x - y
+    work = np.empty_like(x)
+    diff = np.empty_like(x)
     best = None
     tries = 0
     suppress = 0
@@ -258,20 +279,38 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     target = math.floor(known_ub + 1e-9) if known_ub is not None else None
     t = 0
     for t in range(1, params.max_iterations + 1):
-        x = project_affine_set(
-            (beta * y + beta * z + ibar - lam - mu) / (2.0 * beta), fmap, k
-        ).matrix
-        y = project_psd(x + lam / beta)
-        z = project_sphere(x + mu / beta, k, fix_corner=True)
-        lam = lam + beta * (x - y)
-        mu = mu + beta * (x - z)
-        beta *= params.beta_incr
-        if not np.isfinite(x).all():
+        # x = affine((beta y + beta z + ibar - lam - mu) / (2 beta))
+        np.multiply(y, beta, out=work)
+        np.multiply(z, beta, out=diff)
+        work += diff
+        work += ibar
+        work -= lam
+        work -= mu
+        work /= 2.0 * beta
+        project_affine_set(work, fmap, k, out=x)
+        # y = psd(x + lam / beta), once its input is known to be finite
+        np.divide(lam, beta, out=work)
+        np.add(x, work, out=work)
+        if not np.isfinite(work).all():
             termination = "non_finite"
             break
-        scale = 1.0 + float(np.linalg.norm(x))
-        res_y = float(np.linalg.norm(x - y)) / scale
-        res_z = float(np.linalg.norm(x - z)) / scale
+        y = project_psd(work)
+        # z = sphere(x + mu / beta), in place
+        np.divide(mu, beta, out=z)
+        np.add(x, z, out=z)
+        project_sphere(z, k, fix_corner=True, sphere=sphere, out=z)
+        np.subtract(x, y, out=diff)
+        dist_y = _norm(diff)
+        diff *= beta
+        lam += diff
+        np.subtract(x, z, out=work)
+        dist_z = _norm(work)
+        work *= beta
+        mu += work
+        beta *= params.beta_incr
+        scale = 1.0 + _norm(x)
+        res_y = dist_y / scale
+        res_z = dist_z / scale
         if suppress > 0:
             suppress -= 1
         elif max(res_y, res_z) <= params.eps_int:

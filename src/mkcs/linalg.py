@@ -77,6 +77,23 @@ class FreeIndexMap:
         self.weights = np.concatenate(
             [np.full(n, 3.0), np.full(len(pairs), 2.0)]
         )
+        # Flat positions in the bordered matrix: ``free_flat[i]`` is the
+        # entry that coordinate i reads (diagonal or upper triangle), and
+        # ``vec_to_mat`` writes coordinate ``fill_src[j]`` to ``fill_dst[j]``
+        # (each diagonal coordinate to its diagonal entry and both border
+        # copies, each pair coordinate to both triangles).
+        order = n + 1
+        verts = np.arange(1, n + 1)
+        diag = verts * (order + 1)
+        upper = self.pair_rows * order + self.pair_cols
+        lower = self.pair_cols * order + self.pair_rows
+        self.free_flat = np.concatenate([diag, upper])
+        self.fill_dst = np.concatenate([diag, verts, verts * order, upper, lower])
+        diag_src = np.arange(n)
+        pair_src = np.arange(n, self.m)
+        self.fill_src = np.concatenate(
+            [diag_src, diag_src, diag_src, pair_src, pair_src]
+        )
 
     def diag_coord(self, i):
         """Coordinate of the diagonal entry of vertex i."""
@@ -95,23 +112,21 @@ class FreeIndexMap:
         1/3 * A[i,i] + 2/3 * A[0,i], so that the weighted projection of
         the vector reproduces the Frobenius projection of the matrix.
         """
-        n = self.n
-        v = np.empty(self.m)
-        v[:n] = np.diagonal(a)[1:] / 3.0 + a[0, 1:] * (2.0 / 3.0)
-        v[n:] = a[self.pair_rows, self.pair_cols]
+        a = np.asarray(a, dtype=np.float64)
+        v = a.take(self.free_flat)
+        d = v[: self.n]
+        d /= 3.0
+        d += a[0, 1:] * (2.0 / 3.0)
         return v
 
-    def vec_to_mat(self, v, k):
+    def vec_to_mat(self, v, k, out=None):
         """Bordered matrix of a free-entry vector: corner k, border equal to
-        the diagonal, edges exactly zero."""
-        n = self.n
-        a = np.zeros((n + 1, n + 1))
-        a[0, 0] = float(k)
-        d = v[:n]
-        idx = np.arange(1, n + 1)
-        a[idx, idx] = d
-        a[0, 1:] = d
-        a[1:, 0] = d
-        a[self.pair_rows, self.pair_cols] = v[n:]
-        a[self.pair_cols, self.pair_rows] = v[n:]
-        return a
+        the diagonal, edges exactly zero.  Written into ``out`` when given,
+        a C-contiguous ``(n+1) x (n+1)`` array that is overwritten whole."""
+        if out is None:
+            out = np.zeros((self.n + 1, self.n + 1))
+        else:
+            out.fill(0.0)
+        out[0, 0] = float(k)
+        out.put(self.fill_dst, np.take(v, self.fill_src))
+        return out

@@ -189,16 +189,18 @@ class AffineProjection:
     cycles: int
 
 
-def project_affine_set(u, fmap, k, clustered=None, eps_dyk=1e-2, max_cycles=100):
+def project_affine_set(u, fmap, k, clustered=None, eps_dyk=1e-2, max_cycles=100,
+                       out=None):
     """Frobenius projection of a bordered symmetric matrix onto the affine
     set (zero edges, border = diagonal, corner = k, unit box, cuts).
 
     Three steps: extract the weighted free-entry vector, project it onto
     the box (exactly, when there are no cuts) or the box-and-halfspace
-    intersection via Dykstra, and rebuild the bordered matrix.
+    intersection via Dykstra, and rebuild the bordered matrix, into
+    ``out`` when given (see ``FreeIndexMap.vec_to_mat``).
     """
     v = fmap.mat_to_vec(u)
     if clustered is None or len(clustered) == 0:
-        return AffineProjection(fmap.vec_to_mat(project_box(v), k), True, 0)
+        return AffineProjection(fmap.vec_to_mat(project_box(v, out=v), k, out), True, 0)
     res = dykstra(v, fmap.weights, clustered, eps=eps_dyk, max_cycles=max_cycles)
-    return AffineProjection(fmap.vec_to_mat(res.x, k), res.feasible, res.cycles)
+    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible, res.cycles)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from bench_instances import complete_graph, cycle_graph
+from bench_instances import complete_graph, cycle_graph, myciel_graph
+from reference_helpers import project_sphere_reference
 from mkcs.cpadmm import AdmmParams, cp_admm
 from mkcs.graph import Graph, random_graph
 from mkcs.intadmm import (
@@ -11,6 +12,7 @@ from mkcs.intadmm import (
     IntAdmmParams,
     int_admm,
     int_trace_to_jsonl,
+    integrality_sphere,
     project_sphere,
     round_and_verify,
     sphere_center,
@@ -79,6 +81,51 @@ class TestProjectSphere:
         b = project_sphere(c.copy(), k)
         assert np.array_equal(a, b)
         assert np.linalg.norm(a - c) == pytest.approx((n + 1) / 2.0)
+
+
+class TestProjectSphereMatchesReference:
+    """``project_sphere`` with a precomputed sphere and an output buffer
+    against the version that rebuilt the center on every call
+    (``tests/reference_helpers.py``): every output bit must agree."""
+
+    @staticmethod
+    def _same_bits(a, b):
+        assert a.shape == b.shape and a.tobytes() == b.tobytes()
+
+    @pytest.mark.parametrize("fix_corner", [False, True])
+    @pytest.mark.parametrize("seed", range(8))
+    def test_bitwise(self, seed, fix_corner):
+        rng = np.random.default_rng([17, seed])
+        n = int(rng.integers(1, 10))
+        k = int(rng.integers(1, n + 1))
+        sphere = integrality_sphere(n, k, fix_corner)
+        for _ in range(5):
+            a = symmetrize(rng.normal(size=(n + 1, n + 1)) * 2.0)
+            mask = rng.random(a.shape) < 0.3
+            a[mask] = rng.choice([0.0, -0.0, 0.5, 1.0], size=int(mask.sum()))
+            ref = project_sphere_reference(a, k, fix_corner)
+            self._same_bits(project_sphere(a, k, fix_corner), ref)
+            self._same_bits(project_sphere(a, k, fix_corner, sphere=sphere), ref)
+            buf = np.full_like(a, np.nan)
+            got = project_sphere(a, k, fix_corner, sphere=sphere, out=buf)
+            assert got is buf
+            self._same_bits(got, ref)
+            inplace = a.copy()
+            project_sphere(inplace, k, fix_corner, sphere=sphere, out=inplace)
+            self._same_bits(inplace, ref)
+
+    @pytest.mark.parametrize("fix_corner", [False, True])
+    def test_center_input(self, fix_corner):
+        n, k = 4, 2
+        a = sphere_center(n, k)
+        if fix_corner:
+            a[0, 0] = -0.0
+        ref = project_sphere_reference(a, k, fix_corner)
+        sphere = integrality_sphere(n, k, fix_corner)
+        self._same_bits(project_sphere(a.copy(), k, fix_corner, sphere, a.copy()), ref)
+        inplace = a.copy()
+        project_sphere(inplace, k, fix_corner, sphere, out=inplace)
+        self._same_bits(inplace, ref)
 
 
 class TestRoundAndVerify:
@@ -232,6 +279,19 @@ class TestIntAdmm:
             "t", "beta", "primal_res_Y", "primal_res_Z", "converged_event",
             "feasible_value",
         }
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+    def test_non_finite_iterate_ends_the_run(self):
+        # beta overflows to inf after a few dozen sweeps, and the iterate
+        # turns NaN before any convergence event
+        g = myciel_graph(3)
+        params = IntAdmmParams(beta_incr=1e10, eps_int=1e-300)
+        res = int_admm(g, 2, params)
+        assert res.termination == "non_finite"
+        assert res.iterations < 100
+        assert not res.feasible_found and res.value == 0
+        assert res.coloring.check(g, 2)
 
     def test_param_validation(self):
         with pytest.raises(ValueError):

@@ -3,7 +3,7 @@ import pytest
 
 from dykstra_reference import ReferenceClusteredCuts, reference_dykstra
 from qp_oracle import weighted_projection_oracle
-from reference_helpers import project_halfspace_weighted
+from reference_helpers import affine_box_reference, project_halfspace_weighted
 from mkcs.cuts import Cut, CutFamily, cluster_cuts, separate_triangle, separate_clique_external
 from mkcs.graph import Graph, enumerate_cliques, random_graph
 from mkcs.linalg import FreeIndexMap
@@ -351,3 +351,44 @@ class TestFusedKernelMatchesReference:
                 make_cut(1, {1: 1.0, 2: 1.0}, 0.5)]
         self._assert_match(np.array([-0.2, 0.9, 0.1]), np.full(3, 3.0), cuts,
                            [[0], [1]])
+
+
+def bordered_with_signed_zeros(rng, order):
+    """A random non-symmetric matrix mixing ±0.0, exact box ends and values
+    inside and outside [0, 1]."""
+    pool = np.array([0.0, -0.0, 1.0, -1e-300, 1.0 + 1e-15, 0.5])
+    a = rng.uniform(-0.7, 1.7, size=(order, order))
+    mask = rng.random((order, order)) < 0.4
+    a[mask] = rng.choice(pool, size=int(mask.sum()))
+    return a
+
+
+class TestCutFreeAffineMatchesReference:
+    """The cut-free affine projection through the flat index sets against
+    the matrix -> vector -> box -> matrix round trip it replaced
+    (``tests/reference_helpers.py``): every output bit must agree."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_bitwise(self, seed):
+        rng = np.random.default_rng([13, seed])
+        n = int(rng.integers(1, 12))
+        g = random_graph(n, [0.0, 0.3, 0.6, 1.0][seed % 4], 900 + seed)
+        fmap = FreeIndexMap(g)
+        k = int(rng.integers(1, n + 1))
+        out = np.full((n + 1, n + 1), np.nan)  # a dirty buffer is overwritten whole
+        for _ in range(5):
+            u = bordered_with_signed_zeros(rng, n + 1)
+            ref = affine_box_reference(u, fmap, k)
+            assert_same_bits(project_affine_set(u, fmap, k).matrix, ref)
+            got = project_affine_set(u, fmap, k, out=out).matrix
+            assert got is out
+            assert_same_bits(got, ref)
+
+    def test_empty_clustering_takes_the_box_path(self, rng):
+        g = random_graph(6, 0.4, 3)
+        fmap = FreeIndexMap(g)
+        u = bordered_with_signed_zeros(rng, 7)
+        clustered = ClusteredCuts([], [], fmap.weights)
+        out = project_affine_set(u, fmap, 2, clustered)
+        assert_same_bits(out.matrix, affine_box_reference(u, fmap, 2))
+        assert out.feasible and out.cycles == 0
