@@ -242,14 +242,18 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
 
     Alternates projections of three coupled blocks (affine/box, PSD cone,
     integrality sphere with pinned corner) with dual updates, increasing
-    the penalty every sweep.  Whenever the two primal residuals drop
-    below tolerance the iterate is rounded and verified; improvements are
-    kept, the penalty is halved (never below the floor) to escape the
-    local optimum, and the convergence check is suppressed for the next
-    few sweeps.  Stops after three consecutive non-improving convergence
-    events, when the best value matches the floor of ``known_ub``, or at
-    the iteration/time caps; the best verified coloring found is always
-    returned (possibly the empty one, flagged by ``feasible_found``).
+    the penalty every sweep.  The PSD step gets the rank of the previous
+    sweep's result as a hint, so that low-rank sweeps, the common case
+    near a coloring, compute only the positive eigenpairs.  Whenever the
+    two primal residuals drop below tolerance the iterate is rounded and
+    verified; improvements are kept, the penalty is halved (never below
+    the floor) to escape the local optimum, and the convergence check is
+    suppressed for the next few sweeps.  Stops after three consecutive
+    non-improving convergence events, when the best value matches the
+    floor of ``known_ub``, when the PSD step's input is not finite
+    (``non_finite``), or at the iteration/time caps; the best verified
+    coloring found is always returned (possibly the empty one, flagged
+    by ``feasible_found``).
     """
     if params is None:
         params = IntAdmmParams()
@@ -269,6 +273,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     mu = beta * (x - z)
     # sweep buffers: the affine target and x - z, the PSD input and x - y
     work = np.empty_like(x)
+    rank = x.shape[0]  # no rank observed yet: the first sweep solves in full
     diff = np.empty_like(x)
     best = None
     tries = 0
@@ -294,7 +299,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
         if not np.isfinite(work).all():
             termination = "non_finite"
             break
-        y = project_psd(work)
+        y, rank = project_psd(work, rank_hint=rank)
         # z = sphere(x + mu / beta), in place
         np.divide(mu, beta, out=z)
         np.add(x, z, out=z)

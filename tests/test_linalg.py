@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
+import mkcs.linalg
 from mkcs.graph import Graph, random_graph
 from mkcs.linalg import (
     FreeIndexMap,
@@ -60,6 +61,98 @@ class TestProjectPsd:
         a[0, 1] = a[1, 0] = np.nan
         with pytest.raises(ValueError):
             project_psd(a)
+
+
+def with_positive_eigenvalues(rng, order, count):
+    """A random symmetric matrix with ``count`` eigenvalues in [0.5, 3] and
+    the others in [-3, -0.5]."""
+    q, _ = np.linalg.qr(rng.normal(size=(order, order)))
+    vals = np.concatenate([
+        rng.uniform(0.5, 3.0, count), -rng.uniform(0.5, 3.0, order - count)
+    ])
+    return symmetrize((q * vals) @ q.T)
+
+
+class TestRankHint:
+    """``project_psd(a, rank_hint)``: the partial eigensolve below the
+    threshold (5 * hint < order), the full one above it."""
+
+    N, K = 47, 4  # a bordered matrix of order N + 1 = 48, k colours
+    ORDER = N + 1
+
+    @pytest.fixture
+    def paths(self, monkeypatch):
+        """Counts the calls of the partial solve."""
+        calls = []
+        partial = mkcs.linalg._project_psd_positive_part
+
+        def spy(a):
+            calls.append(a.shape[0])
+            return partial(a)
+
+        monkeypatch.setattr(mkcs.linalg, "_project_psd_positive_part", spy)
+        return calls
+
+    @pytest.mark.parametrize("count", [0, 1, K, N, N + 1])
+    @pytest.mark.parametrize("hint", [0, 2, 9, 10, ORDER])
+    def test_matches_full_projection(self, rng, paths, count, hint):
+        for _ in range(3):
+            a = with_positive_eigenvalues(rng, self.ORDER, count)
+            full = project_psd(a)
+            got, rank = project_psd(a, rank_hint=hint)
+            assert rank == count
+            assert np.max(np.abs(got - full)) < 1e-10
+            assert np.array_equal(got, got.T)
+        assert len(paths) == (3 if 5 * hint < self.ORDER else 0)
+
+    def test_above_threshold_is_the_full_projection_bit_for_bit(self, rng, paths):
+        for count in (3, 20, 48):
+            a = with_positive_eigenvalues(rng, self.ORDER, count)
+            got, _ = project_psd(a, rank_hint=10)
+            assert got.tobytes() == project_psd(a).tobytes()
+        assert not paths
+
+    def test_stale_hint(self, rng, paths):
+        # the previous rank was 2, the actual one is 40
+        a = with_positive_eigenvalues(rng, self.ORDER, 40)
+        got, rank = project_psd(a, rank_hint=2)
+        assert paths == [self.ORDER] and rank == 40
+        assert np.max(np.abs(got - project_psd(a))) < 1e-10
+
+    @pytest.mark.parametrize("hint", [0, ORDER])
+    def test_zero_matrix(self, hint):
+        got, rank = project_psd(np.zeros((self.ORDER, self.ORDER)), rank_hint=hint)
+        assert rank == 0
+        assert np.array_equal(got, np.zeros((self.ORDER, self.ORDER)))
+
+    def test_rank_near_a_colouring_matrix(self, paths):
+        # a colouring matrix with k classes has rank k; shifted by -0.01 I
+        # its other eigenvalues are -0.01, not rounding noise around 0
+        x = -0.01 * np.eye(self.ORDER)
+        for colour in range(self.K):
+            members = np.arange(1 + colour, self.ORDER, self.K)
+            x[np.ix_(members, members)] += 1.0
+        got, rank = project_psd(x, rank_hint=self.K)
+        assert rank == self.K and paths
+        assert np.max(np.abs(got - project_psd(x))) < 1e-10
+
+    @pytest.mark.parametrize("hint", [None, 0, ORDER])
+    def test_nonfinite_rejected(self, hint):
+        a = np.eye(self.ORDER)
+        a[0, 1] = a[1, 0] = np.inf
+        with pytest.raises(ValueError):
+            project_psd(a, rank_hint=hint)
+
+    def test_solver_failure_raises(self, monkeypatch):
+        from scipy.linalg import lapack
+
+        def failing(a, **kwargs):
+            n = a.shape[0]
+            return np.zeros(n), np.zeros((n, n)), 0, None, 3
+
+        monkeypatch.setattr(lapack, "dsyevr", failing)
+        with pytest.raises(np.linalg.LinAlgError):
+            project_psd(np.eye(self.ORDER), rank_hint=0)
 
 
 class TestProjectNsd:
