@@ -84,14 +84,48 @@ class RunConfig:
         return dataclasses.replace(self.intp, seed=self.admm.seed)
 
 
+# the type of every numeric config key but k, which may also be a list
+_KEY_TYPES = {
+    f.name: _FLAG_TYPES[f.type]
+    for table in (AdmmParams, IntAdmmParams, RunConfig)
+    for f in dataclasses.fields(table)
+    if f.type in _FLAG_TYPES and f.name != "k"
+}
+
+
+def _check_type(key, value, source):
+    """Reject a value of the wrong type for a numeric config key: an
+    int is a valid float, a bool is neither."""
+    expected = _KEY_TYPES.get(key)
+    if expected is None:
+        return
+    allowed = (int, float) if expected is float else expected
+    if isinstance(value, bool) or not isinstance(value, allowed):
+        kind = "a number" if expected is float else "an integer"
+        raise CliError(f"{source}: {key} must be {kind}; got {value!r}",
+                       EXIT_INVALID_ARGS)
+
+
 def _apply_overrides(cfg, overrides, source):
     admm_kwargs = {}
     int_kwargs = {}
     for key, value in overrides.items():
         if value is None:
             continue
+        _check_type(key, value, source)
         if key == "families":
-            names = value.split(",") if isinstance(value, str) else list(value)
+            if isinstance(value, str):
+                names = value.split(",")
+            elif isinstance(value, (list, tuple)) and all(
+                isinstance(v, str) for v in value
+            ):
+                names = value
+            else:
+                raise CliError(
+                    f"{source}: families must be a string or a list of strings; "
+                    f"got {value!r}",
+                    EXIT_INVALID_ARGS,
+                )
             names = [s.strip().upper() for s in names if s.strip()]
             for name in names:
                 if name not in CutFamily.__members__:

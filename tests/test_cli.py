@@ -1,8 +1,13 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import mkcs
 from bench_instances import complete_graph, cycle_graph
 from mkcs.cli import (
     EXIT_INVALID_ARGS,
@@ -108,6 +113,24 @@ class TestExitCodes:
         )
 
 
+    @pytest.mark.parametrize("config, key", [
+        ({"max_inner_iter": "50"}, "max_inner_iter"),
+        ({"families": [1]}, "families"),
+        ({"beta": True}, "beta"),
+        ({"max_iterations": 2.5}, "max_iterations"),
+        ({"time_limit": "5"}, "time_limit"),
+    ])
+    def test_mistyped_config_value_invalid_args(self, c5_file, tmp_path, capsys,
+                                                config, key):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        assert (
+            main(["bound", str(c5_file), "--k", "2", "--config", str(cfgfile)])
+            == EXIT_INVALID_ARGS
+        )
+        assert key in capsys.readouterr().err
+
+
 class TestConfigResolution:
     def test_defaults_match_parameter_tables(self):
         cfg = RunConfig()
@@ -162,6 +185,16 @@ class TestConfigResolution:
         for cfg in (by_flag, by_file):
             got = getattr(getattr(cfg, table), f.name)
             assert got == value and type(got) is type(value)
+
+    def test_int_config_value_accepted_for_a_float(self, tmp_path, c5_file):
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"beta": 2, "families": ["t1"]}))
+        args = build_parser().parse_args(
+            ["bound", str(c5_file), "--config", str(cfgfile)]
+        )
+        cfg = resolve_config(args)
+        assert cfg.admm.beta == 2
+        assert cfg.admm.families == (CutFamily.T1,)
 
     def test_families_by_name(self, c5_file):
         args = build_parser().parse_args(
@@ -335,3 +368,17 @@ class TestRunReport:
         report, _ = run_bound(cfg)
         rows = report_rows([report])
         assert rows[0]["lb"] == report["lb_hint"]
+
+
+def test_importing_the_cli_loads_no_scipy():
+    # scipy costs about 0.3 s of start-up; only the LP bound and the
+    # low-rank PSD step load it, on first use
+    src = Path(mkcs.__file__).resolve().parents[1]
+    code = (
+        "import sys, mkcs.cli; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
