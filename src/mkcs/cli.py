@@ -84,25 +84,27 @@ class RunConfig:
         return dataclasses.replace(self.intp, seed=self.admm.seed)
 
 
-# the type of every numeric config key but k, which may also be a list
+# the type of every numeric or boolean config key but k, which may also
+# be a list
+_VALUE_TYPES = {**_FLAG_TYPES, "bool": bool}
 _KEY_TYPES = {
-    f.name: _FLAG_TYPES[f.type]
+    f.name: _VALUE_TYPES[f.type]
     for table in (AdmmParams, IntAdmmParams, RunConfig)
     for f in dataclasses.fields(table)
-    if f.type in _FLAG_TYPES and f.name != "k"
+    if f.type in _VALUE_TYPES and f.name != "k"
 }
+_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
 
 
 def _check_type(key, value, source):
-    """Reject a value of the wrong type for a numeric config key: an
-    int is a valid float, a bool is neither."""
+    """Reject a config value of the wrong type: an int is a valid float,
+    and a bool is valid only where a bool is expected."""
     expected = _KEY_TYPES.get(key)
     if expected is None:
         return
     allowed = (int, float) if expected is float else expected
-    if isinstance(value, bool) or not isinstance(value, allowed):
-        kind = "a number" if expected is float else "an integer"
-        raise CliError(f"{source}: {key} must be {kind}; got {value!r}",
+    if isinstance(value, bool) != (expected is bool) or not isinstance(value, allowed):
+        raise CliError(f"{source}: {key} must be {_KINDS[expected]}; got {value!r}",
                        EXIT_INVALID_ARGS)
 
 
@@ -476,12 +478,14 @@ def _parse_k_values(raw):
     """Normalize the k setting: None, an int, or a comma-separated list."""
     if raw is None:
         return None
-    if isinstance(raw, int):
+    if isinstance(raw, int) and not isinstance(raw, bool):
         return [raw]
     if isinstance(raw, (list, tuple)):
         items = list(raw)
     else:
         items = str(raw).split(",")
+    if any(isinstance(item, (bool, float)) for item in items):
+        raise CliError(f"malformed k value {raw!r}", EXIT_INVALID_ARGS)
     try:
         values = [int(item) for item in items]
     except (TypeError, ValueError):

@@ -119,16 +119,20 @@ class TestExitCodes:
         ({"beta": True}, "beta"),
         ({"max_iterations": 2.5}, "max_iterations"),
         ({"time_limit": "5"}, "time_limit"),
+        ({"stable_timing": "no"}, "stable_timing"),
+        ({"k": [2.7]}, "k"),
+        ({"k": True}, "k"),
     ])
     def test_mistyped_config_value_invalid_args(self, c5_file, tmp_path, capsys,
                                                 config, key):
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
+        k_flag = [] if key == "k" else ["--k", "2"]
         assert (
-            main(["bound", str(c5_file), "--k", "2", "--config", str(cfgfile)])
+            main(["bound", str(c5_file), "--config", str(cfgfile), *k_flag])
             == EXIT_INVALID_ARGS
         )
-        assert key in capsys.readouterr().err
+        assert f"{key} " in capsys.readouterr().err
 
 
 class TestConfigResolution:
