@@ -271,10 +271,11 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     z = project_sphere(warm, k, fix_corner=True, sphere=sphere)
     lam = beta * (x - y)
     mu = beta * (x - z)
-    # sweep buffers: the affine target and x - z, the PSD input and x - y
+    # sweep buffers: work holds the affine target, then the PSD input,
+    # then x - z; diff holds beta z, then x - y
     work = np.empty_like(x)
-    rank = x.shape[0]  # no rank observed yet: the first sweep solves in full
     diff = np.empty_like(x)
+    rank = x.shape[0]  # no rank observed yet: the first sweep solves in full
     best = None
     tries = 0
     suppress = 0

@@ -43,9 +43,8 @@ def project_psd(a, rank_hint=None):
     ``(projection, rank)``, the rank being the number of eigenvalues
     above zero.  While the hint is below a fifth of the order only those
     eigenpairs are computed, which is cheaper at low rank and dearer at
-    high rank (at order 37-48: 0.6x the time of the full solve at rank
-    7, 1.9x at rank 16); otherwise the full solve runs, bit for bit the
-    one without a hint.
+    high rank; otherwise the full solve runs, bit for bit the one
+    without a hint.
     """
     if not np.isfinite(a).all():
         raise ValueError("cannot eigendecompose a matrix with non-finite entries")
