@@ -17,7 +17,6 @@ from .graph import (
     Clique,
     DimacsError,
     Graph,
-    Hole5,
     complement,
     enumerate_5holes,
     enumerate_cliques,
@@ -39,7 +38,6 @@ __all__ = [
     "DimacsError",
     "FreeIndexMap",
     "Graph",
-    "Hole5",
     "IntAdmmParams",
     "IntAdmmResult",
     "SeparationReport",

@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import extend_clique_greedy
+from .graph import HoleEnumeration, extend_clique_greedy
 
 
 class CutFamily(enum.IntEnum):
@@ -80,17 +80,10 @@ def _sanitize(X, fmap, k):
     return fmap.vec_to_mat(fmap.mat_to_vec(X), k)
 
 
-def _pair_coeff(fmap, coeffs, i, j, value):
-    """Accumulate a coefficient on the (i, j) entry, dropping edge-pinned
-    positions (their entries are identically zero)."""
-    if i == j:
-        p = fmap.diag_coord(i)
-    else:
-        a, b = (i, j) if i < j else (j, i)
-        p = fmap.pair_index.get((a, b))
-        if p is None:
-            return
-    coeffs[p] = coeffs.get(p, 0.0) + value
+def _coeffs(coords, value):
+    """Coefficient dict giving ``value`` to each coordinate in order,
+    skipping the -1 of edge-pinned entries."""
+    return {p: value for p in coords if p >= 0}
 
 
 def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
@@ -101,72 +94,152 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     family ``sum X[ii] <= sum X[ij] + k`` over the triple is emitted only
     for k <= 2 (it is implied by the bound constraints otherwise) and
     never for triangles, where it is implied by the relaxation itself.
+    Cuts come apex by apex, each apex's pairs (i, j) in lexicographic
+    order, then the second family by lexicographic triple.
     """
     Xs = _sanitize(X, fmap, k)
     n = g.n
     report = SeparationReport()
     next_id = id_base
     diag = np.diagonal(Xs)
-    emit_t2 = k <= 2
+    coord = fmap.coord
+    pairs = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)
+    pairs[0] = False  # the pairs 1 <= i < j <= n
     for ell in range(1, n + 1):
         col = Xs[:, ell]
         # violation of the apex-ell cut for every pair (i, j)
         viol = col[:, None] + col[None, :] - diag[ell] - Xs
-        for i in range(1, n):
-            row = viol[i]
-            for j in range(i + 1, n + 1):
-                if i == ell or j == ell:
-                    continue
-                if row[j] >= min_viol:
-                    coeffs = {}
-                    _pair_coeff(fmap, coeffs, i, ell, 1.0)
-                    _pair_coeff(fmap, coeffs, j, ell, 1.0)
-                    _pair_coeff(fmap, coeffs, ell, ell, -1.0)
-                    _pair_coeff(fmap, coeffs, i, j, -1.0)
-                    coeffs = {p: a for p, a in coeffs.items() if a != 0.0}
-                    if coeffs:
-                        report.add(Cut(next_id, CutFamily.T1, coeffs, 0.0), row[j])
-                        next_id += 1
-    if emit_t2:
+        hit = viol >= min_viol
+        hit &= pairs
+        hit[ell] = False
+        hit[:, ell] = False
+        ii, jj = np.nonzero(hit)
+        rows = np.stack(
+            [coord[ii, ell], coord[jj, ell], coord[ii, jj]], axis=1
+        ).tolist()
+        d = fmap.diag_coord(ell)
+        for (il, jl, ij), v in zip(rows, viol[ii, jj]):
+            coeffs = _coeffs((il, jl), 1.0)
+            coeffs[d] = -1.0
+            if ij >= 0:
+                coeffs[ij] = -1.0
+            report.add(Cut(next_id, CutFamily.T1, coeffs, 0.0), v)
+            next_id += 1
+    if k <= 2:
+        adj = coord < 0  # edges, and the border, which no triple uses
         for i in range(1, n - 1):
-            for j in range(i + 1, n + 1):
-                for ell in range(j + 1, n + 1):
-                    if g.has_edge(i, j) and g.has_edge(i, ell) and g.has_edge(j, ell):
-                        continue
-                    v = (
-                        diag[i] + diag[j] + diag[ell]
-                        - Xs[i, j] - Xs[i, ell] - Xs[j, ell] - k
-                    )
-                    if v >= min_viol:
-                        coeffs = {}
-                        for u in (i, j, ell):
-                            _pair_coeff(fmap, coeffs, u, u, 1.0)
-                        _pair_coeff(fmap, coeffs, i, j, -1.0)
-                        _pair_coeff(fmap, coeffs, i, ell, -1.0)
-                        _pair_coeff(fmap, coeffs, j, ell, -1.0)
-                        report.add(
-                            Cut(next_id, CutFamily.T2, coeffs, float(k)), v
-                        )
-                        next_id += 1
+            # v[j, l] for the triple (i, j, l), summed left to right
+            row = Xs[i]
+            v = (diag[i] + diag[:, None]) + diag[None, :]
+            v -= row[:, None]
+            v -= row[None, :]
+            v -= Xs
+            v -= k
+            hit = v >= min_viol
+            hit &= pairs
+            hit[: i + 1] = False  # i < j < l
+            hit &= ~(adj[i][:, None] & adj[i][None, :] & adj)  # triangles
+            jj, ll = np.nonzero(hit)
+            rows = np.stack(
+                [fmap.diag_coord(jj), fmap.diag_coord(ll),
+                 coord[i, jj], coord[i, ll], coord[jj, ll]], axis=1
+            ).tolist()
+            for (dj, dl, ij, il, jl), val in zip(rows, v[jj, ll]):
+                coeffs = {fmap.diag_coord(i): 1.0, dj: 1.0, dl: 1.0}
+                coeffs.update(_coeffs((ij, il, jl), -1.0))
+                report.add(Cut(next_id, CutFamily.T2, coeffs, float(k)), val)
+                next_id += 1
     return report
 
 
 def _subset(items, limit, rng):
-    """Seeded uniform subset of at most ``limit`` items, order preserved."""
+    """Seeded uniform subset of at most ``limit`` items (a list, or the
+    rows of an array), order preserved."""
     if len(items) <= limit:
         return items, False
     chosen = rng.choice(len(items), size=limit, replace=False)
     chosen.sort()
+    if isinstance(items, np.ndarray):
+        return items[chosen], True
     return [items[i] for i in chosen], True
 
 
-def _clique_external_cut(fmap, g, clique_vertices, ell, cut_id):
-    coeffs = {}
-    for i in clique_vertices:
-        _pair_coeff(fmap, coeffs, i, ell, 1.0)
+# Each float64 temporary of one chunk of an array separator stays near
+# this many bytes.
+_CHUNK_BYTES = 1 << 19
+
+
+def _chunk_rows(width, per_row=1):
+    """Rows per chunk for temporaries of ``width * per_row`` floats a row."""
+    return max(1, _CHUNK_BYTES // (8 * width * per_row))
+
+
+def _padded(Xs):
+    """``Xs`` bordered by one more row and column of -0.0: index n + 1
+    pads a vertex list, and adding -0.0 leaves every float sum bit for
+    bit as it is."""
+    order = Xs.shape[0]
+    out = np.full((order + 1, order + 1), -0.0)
+    out[:order, :order] = Xs
+    return out
+
+
+def _member_array(structures, pad):
+    """The sorted vertices of each clique (or vertex collection) as the
+    rows of one array, padded with ``pad`` to the largest size, and the
+    sizes."""
+    sizes = np.fromiter((len(s) for s in structures), dtype=np.intp,
+                        count=len(structures))
+    width = int(sizes.max()) if len(structures) else 1
+    out = np.full((len(structures), width), pad, dtype=np.intp)
+    flat = [v for s in structures for v in sorted(s.vertices)]
+    mask = np.arange(width) < sizes[:, None]
+    out[mask] = flat
+    return out, sizes
+
+
+def _apex_hits(Xp, members, subtract, min_viol):
+    """The pool rows and apexes whose violation
+    ``Xp[members[r]].sum(axis=0)[l] - subtract[l]`` is not below
+    ``min_viol``, for each apex l in 1..n outside the row, in row-major
+    order, with those violations.
+
+    The member rows are added left to right, which is what numpy's
+    axis-0 sum does, so each violation is bit for bit that expression.
+    As in a loop that skips ``v < min_viol``, a NaN is a hit.
+    """
+    width = Xp.shape[1]
+    step = _chunk_rows(width)
+    acc = np.empty((min(step, len(members)), width))
+    buf = np.empty_like(acc)
+    rows, apexes, viols = [], [], []
+    for start in range(0, len(members), step):
+        block = members[start:start + step]
+        s = acc[: len(block)]
+        t = buf[: len(block)]
+        np.take(Xp, block[:, 0], axis=0, out=s)
+        for col in range(1, block.shape[1]):
+            np.take(Xp, block[:, col], axis=0, out=t)
+            s += t
+        s -= subtract
+        hit = ~(s < min_viol)
+        hit[:, 0] = False
+        hit[:, -1] = False
+        np.put_along_axis(hit, block, False, axis=1)
+        r, c = np.nonzero(hit)
+        rows.append(r + start)
+        apexes.append(c)
+        viols.append(s[r, c])
+    if not rows:
+        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
+    return np.concatenate(rows), np.concatenate(apexes), np.concatenate(viols)
+
+
+def _clique_external_cut(fmap, clique_vertices, ell, cut_id):
+    coeffs = _coeffs(fmap.coord[list(clique_vertices), ell].tolist(), 1.0)
     if not coeffs:
         return None
-    _pair_coeff(fmap, coeffs, ell, ell, -1.0)
+    coeffs[fmap.diag_coord(ell)] = -1.0
     return Cut(cut_id, CutFamily.CLIQUE_EXT, coeffs, 0.0)
 
 
@@ -177,7 +250,9 @@ def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
 
     When the clique pool exceeds ``max_cliques`` a seeded uniform subset
     is drawn.  A violated cut on a non-maximal size-6 clique is first
-    strengthened by greedy extension before being reported.
+    strengthened by greedy extension before being reported.  The
+    violations of a chunk of cliques are computed at once; cuts are built
+    clique by clique, apex by apex.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
@@ -185,33 +260,47 @@ def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
     report = SeparationReport()
     pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
     pool, report.truncated = _subset(pool, max_cliques, rng)
+    Xp = _padded(Xs)
+    members, _ = _member_array(pool, g.n + 1)
+    rows, apexes, _ = _apex_hits(Xp, members, np.diagonal(Xp), min_viol)
     next_id = id_base
-    diag = np.diagonal(Xs)
-    for clique in pool:
-        members = sorted(clique.vertices)
-        colsum = Xs[members, :].sum(axis=0)
-        viol = colsum - diag
-        for ell in range(1, g.n + 1):
-            if ell in clique.vertices or viol[ell] < min_viol:
-                continue
-            target = clique
-            if len(clique) == 6 and not clique.maximal:
-                target = extend_clique_greedy(g, clique, ell, Xs)
-            cut = _clique_external_cut(fmap, g, target.vertices, ell, next_id)
-            if cut is None:
-                continue
-            v = cut.violation(xvec)
-            if v >= min_viol:
-                report.add(cut, v)
-                next_id += 1
+    for r, ell in zip(rows.tolist(), apexes.tolist()):
+        target = clique = pool[r]
+        if len(clique) == 6 and not clique.maximal:
+            target = extend_clique_greedy(g, clique, ell, Xs)
+        cut = _clique_external_cut(fmap, target.vertices, ell, next_id)
+        if cut is None:
+            continue
+        v = cut.violation(xvec)
+        if v >= min_viol:
+            report.add(cut, v)
+            next_id += 1
     return report
+
+
+def _distinct_pairs(rng, npool, count):
+    """The first ``count`` distinct unordered pairs (a < b) in a seeded
+    stream of ``4 * count`` draws, in order of first appearance."""
+    draws = rng.integers(0, npool, size=(4 * count, 2))
+    lo = draws.min(axis=1)
+    hi = draws.max(axis=1)
+    proper = np.flatnonzero(lo != hi)
+    _, first = np.unique(lo[proper] * npool + hi[proper], return_index=True)
+    keep = np.sort(proper[first])[:count]
+    return lo[keep], hi[keep]
 
 
 def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
                           max_pairs=100000, rng=None, id_base=0):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
-    pairs of maximal cliques whose sizes sum to more than k."""
+    pairs of maximal cliques whose sizes sum to more than k.
+
+    A chunk of pairs is screened at once with sums that may round
+    differently from the per-pair expression.  The screen keeps every
+    pair within a margin far wider than that rounding, and the per-pair
+    expression then decides and gives the violation.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     report = SeparationReport()
@@ -223,71 +312,69 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
     total_pairs = npool * (npool - 1) // 2
     if total_pairs > max_pairs:
         report.truncated = True
-        seen = set()
-        pairs = []
         # rejection-sample distinct unordered pairs; generous retry budget
-        draws = rng.integers(0, npool, size=(4 * max_pairs, 2))
-        for a, b in draws:
-            if a == b:
-                continue
-            pair = (min(a, b), max(a, b))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pairs.append(pair)
-            if len(pairs) >= max_pairs:
-                break
+        first, second = _distinct_pairs(rng, npool, max_pairs)
     else:
-        pairs = [(a, b) for a in range(npool) for b in range(a + 1, npool)]
-    for a, b in pairs:
-        qa, qb = pool[a], pool[b]
-        if qa.vertices & qb.vertices:
-            continue
-        if len(qa) + len(qb) <= k:
-            continue
-        va = sorted(qa.vertices)
-        vb = sorted(qb.vertices)
-        cross = Xs[np.ix_(va, vb)].sum()
-        v = diag[va].sum() + diag[vb].sum() - cross - k
-        if v < min_viol:
-            continue
-        coeffs = {}
-        for u in va + vb:
-            _pair_coeff(fmap, coeffs, u, u, 1.0)
-        for i in va:
-            for j in vb:
-                _pair_coeff(fmap, coeffs, i, j, -1.0)
-        report.add(Cut(next_id, CutFamily.CLIQUE_UNION, coeffs, float(k)), v)
-        next_id += 1
+        first, second = np.triu_indices(npool, 1)
+    n = g.n
+    members, sizes = _member_array(pool, n + 1)
+    large = sizes[first] + sizes[second] > k
+    first, second = first[large], second[large]
+    Xp = _padded(Xs)
+    diag_sums = np.diagonal(Xp)[members].sum(axis=1)
+    # screen margin: the two sums differ by far less than 1e-9 * max|term|
+    margin = 1e-9 * max(1.0, float(k), float(np.abs(Xs).max()))
+    width = members.shape[1]
+    step = _chunk_rows(width, width)
+    for start in range(0, len(first), step):
+        ca = first[start:start + step]
+        cb = second[start:start + step]
+        ma = members[ca][:, :, None]
+        mb = members[cb][:, None, :]
+        shared = ((ma == mb) & (ma <= n)).any(axis=(1, 2))
+        cross = Xp[ma, mb].sum(axis=(1, 2))
+        approx = diag_sums[ca] + diag_sums[cb] - cross - k
+        keep = ~shared & ~(approx < min_viol - margin)
+        for a, b in zip(ca[keep].tolist(), cb[keep].tolist()):
+            va = sorted(pool[a].vertices)
+            vb = sorted(pool[b].vertices)
+            cross = Xs[np.ix_(va, vb)].sum()
+            v = diag[va].sum() + diag[vb].sum() - cross - k
+            if v < min_viol:
+                continue
+            coeffs = {fmap.diag_coord(u): 1.0 for u in va + vb}
+            coeffs.update(_coeffs(fmap.coord[va][:, vb].ravel().tolist(), -1.0))
+            report.add(Cut(next_id, CutFamily.CLIQUE_UNION, coeffs, float(k)), v)
+            next_id += 1
     return report
 
 
 def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2,
                       max_holes=100000, rng=None, id_base=0):
     """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over 5-holes and
-    external vertices."""
+    external vertices.
+
+    ``holes`` is a :class:`HoleEnumeration` or the rows it accepts.  The
+    violations of a chunk of holes are computed at once; cuts are built
+    hole by hole, apex by apex.
+    """
     rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     report = SeparationReport()
-    pool = holes.holes if hasattr(holes, "holes") else list(holes)
-    pool, report.truncated = _subset(pool, max_holes, rng)
+    if not isinstance(holes, HoleEnumeration):
+        holes = HoleEnumeration(holes)
+    pool, report.truncated = _subset(holes.holes, max_holes, rng)
+    Xp = _padded(Xs)
+    rows, apexes, viols = _apex_hits(Xp, pool, 2.0 * np.diagonal(Xp), min_viol)
+    coords = fmap.coord[pool[rows], apexes[:, None]].tolist()
     next_id = id_base
-    diag = np.diagonal(Xs)
-    for hole in pool:
-        members = list(hole.vertices)
-        colsum = Xs[members, :].sum(axis=0)
-        viol = colsum - 2.0 * diag
-        for ell in range(1, g.n + 1):
-            if ell in hole.vertices or viol[ell] < min_viol:
-                continue
-            coeffs = {}
-            for i in members:
-                _pair_coeff(fmap, coeffs, i, ell, 1.0)
-            if not coeffs:
-                continue
-            _pair_coeff(fmap, coeffs, ell, ell, -2.0)
-            report.add(Cut(next_id, CutFamily.HOLE5, coeffs, 0.0), viol[ell])
-            next_id += 1
+    for member_coords, ell, v in zip(coords, apexes.tolist(), viols):
+        coeffs = _coeffs(member_coords, 1.0)
+        if not coeffs:
+            continue
+        coeffs[fmap.diag_coord(ell)] = -2.0
+        report.add(Cut(next_id, CutFamily.HOLE5, coeffs, 0.0), v)
+        next_id += 1
     return report
 
 

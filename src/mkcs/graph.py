@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import logging
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -87,17 +87,6 @@ class Clique:
         return len(self.vertices)
 
 
-@dataclass(frozen=True)
-class Hole5:
-    """A chordless 5-cycle, stored in canonical cyclic order: the least
-    vertex first, then the smaller of the two traversal directions."""
-
-    vertices: tuple
-
-    def __len__(self):
-        return 5
-
-
 @dataclass
 class CliqueEnumeration:
     maximal: list          # maximal cliques of size 2..5
@@ -110,8 +99,16 @@ class CliqueEnumeration:
 
 @dataclass
 class HoleEnumeration:
-    holes: list
-    complete: bool = True
+    """The chordless 5-cycles of a graph as the rows of an ``(H, 5)`` intp
+    array, each in canonical cyclic order: the least vertex first, then
+    the smaller of the two traversal directions.  Any sequence of
+    5-vertex rows is accepted and stored in that array form."""
+
+    holes: np.ndarray = field(default_factory=lambda: np.empty((0, 5), np.intp))
+    complete: bool = True  # False when the time limit truncated the search
+
+    def __post_init__(self):
+        self.holes = np.asarray(self.holes, dtype=np.intp).reshape(-1, 5)
 
 
 def parse_dimacs(data, name=""):
@@ -258,9 +255,9 @@ def extend_clique_greedy(g, clique, ell, X):
         members.add(best)
         common &= g.adj[best]
         common.discard(ell)
-    still_extendable = any(
-        all(u in g.adj[v] for v in members) for u in g.vertices if u not in members
-    )
+    # no common neighbour but ell is left, so the result is maximal
+    # unless ell is adjacent to every member
+    still_extendable = all(ell in g.adj[v] for v in members)
     return Clique(frozenset(members), maximal=not still_extendable)
 
 
@@ -270,11 +267,17 @@ def enumerate_5holes(g, time_limit=10.0):
     DFS over paths of length four anchored at the least vertex of the
     cycle, with chordlessness checked incrementally.  The canonical form
     anchors at the least id and takes the direction whose second vertex
-    is smaller than its last.
+    is smaller than its last.  The pool is one ``(H, 5)`` array, rows in
+    the order found.
     """
-    deadline = time.monotonic() + time_limit
-    holes = []
-    result = HoleEnumeration(holes)
+    flat = []  # five vertex ids per hole
+    complete = _walk_5holes(g, time.monotonic() + time_limit, flat)
+    return HoleEnumeration(np.array(flat, dtype=np.intp), complete)
+
+
+def _walk_5holes(g, deadline, flat):
+    """Append the vertices of each canonical 5-hole of ``g`` to ``flat``;
+    False when the deadline cut the search short."""
     adj = g.adj
     counter = 0
     for a in g.vertices:
@@ -285,8 +288,7 @@ def enumerate_5holes(g, time_limit=10.0):
             for v2 in sorted(adj[v1]):
                 counter += 1
                 if counter % 512 == 0 and time.monotonic() > deadline:
-                    result.complete = False
-                    return result
+                    return False
                 if v2 <= a or v2 in na:
                     continue
                 for v3 in sorted(adj[v2]):
@@ -297,8 +299,8 @@ def enumerate_5holes(g, time_limit=10.0):
                     for v4 in sorted(adj[v3] & na):
                         if v4 <= v1 or v4 == v2 or v4 in adj[v1] or v4 in adj[v2]:
                             continue
-                        holes.append(Hole5((a, v1, v2, v3, v4)))
-    return result
+                        flat.extend((a, v1, v2, v3, v4))
+    return True
 
 
 def random_graph(n, edge_prob, seed):

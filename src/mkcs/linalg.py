@@ -127,6 +127,13 @@ class FreeIndexMap:
         self.fill_src = np.concatenate(
             [diag_src, diag_src, diag_src, pair_src, pair_src]
         )
+        # ``coord[i, j]`` is the coordinate of entry (i, j) of the inner
+        # block, in either triangle, and -1 where an edge pins it to zero
+        # (and on the border)
+        self.coord = np.full((order, order), -1, dtype=np.intp)
+        self.coord[verts, verts] = diag_src
+        self.coord[self.pair_rows, self.pair_cols] = pair_src
+        self.coord[self.pair_cols, self.pair_rows] = pair_src
 
     def diag_coord(self, i):
         """Coordinate of the diagonal entry of vertex i."""

@@ -1,5 +1,6 @@
-"""Reference code that only the tests use: the rank of a clique or odd
-hole under a colour budget, the weighted projection onto one cut's
+"""Reference code that only the tests use: the ``Hole5`` object that once
+held each enumerated 5-hole, the rank of a clique or odd hole under a
+colour budget, the weighted projection onto one cut's
 halfspace, the objective of a bordered iterate, and the cut-free affine
 projection and sphere projection as they were written before their
 buffered rewrites.  The solver never calls these; the tests check the
@@ -8,12 +9,25 @@ production code against them."""
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
-from mkcs.graph import Clique, Hole5
+from mkcs.graph import Clique
 from mkcs.intadmm import sphere_center
 from mkcs.linalg import augmented_identity
+
+
+@dataclass(frozen=True)
+class Hole5:
+    """A chordless 5-cycle, stored in canonical cyclic order: the least
+    vertex first, then the smaller of the two traversal directions.  The
+    enumeration now returns these as the rows of an ``(H, 5)`` array."""
+
+    vertices: tuple
+
+    def __len__(self):
+        return 5
 
 
 def kappa_rank(structure, kappa):

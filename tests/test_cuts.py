@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph
-from reference_helpers import kappa_rank
+import separation_reference as ref
+from reference_helpers import Hole5, kappa_rank
 from mkcs.cuts import (
     Cut,
     CutFamily,
@@ -17,7 +18,16 @@ from mkcs.cuts import (
     separate_triangle,
     SeparationReport,
 )
-from mkcs.graph import Clique, Graph, Hole5, enumerate_5holes, enumerate_cliques, random_graph
+from mkcs.graph import (
+    Clique,
+    CliqueEnumeration,
+    Graph,
+    HoleEnumeration,
+    enumerate_5holes,
+    enumerate_cliques,
+    extend_clique_greedy,
+    random_graph,
+)
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import enumerate_Dnk
 from mkcs.projection import ClusteredCuts, dykstra
@@ -248,6 +258,140 @@ class TestSeparateOddHole:
         X = coloring_matrix(g, {1: 1, 3: 1, 2: 2, 4: 2, 6: 1})
         rep = separate_odd_hole(X, g, fmap, enumerate_5holes(g), 2)
         assert not rep.candidates
+
+
+def reference_iterates(g, fmap, k, rng):
+    """Iterates for the reference comparison: inside the box, an
+    adversarial unstructured matrix, all ones, a near-colouring with
+    signed zeros, and one with a NaN entry."""
+    n = g.n
+    colours = {}
+    for v in rng.permutation(np.arange(1, n + 1)).tolist():
+        used = {colours[u] for u in g.neighbors(v) if u in colours}
+        free = [c for c in range(k) if c not in used]
+        if free:
+            colours[v] = free[0]
+    near = coloring_matrix(g, colours)
+    near += rng.uniform(-0.05, 0.05, near.shape)
+    near[np.abs(near) < 0.01] = -0.0
+    nan = fmap.vec_to_mat(rng.uniform(0, 1, fmap.m), k)
+    nan[1, 2] = nan[2, 1] = np.nan
+    return [
+        fmap.vec_to_mat(rng.uniform(0, 1, fmap.m), k),
+        rng.normal(0.3, 1.0, (n + 1, n + 1)),
+        fmap.vec_to_mat(np.ones(fmap.m), k),
+        near,
+        nan,
+    ]
+
+
+class TestSeparatorsMatchReference:
+    """The array separators return exactly the candidates of the loop
+    separators kept in ``tests/separation_reference.py``."""
+
+    @staticmethod
+    def compare(X, g, fmap, ce, he, k, min_viol, limit, seed):
+        ref.assert_same_candidates(
+            separate_triangle(X, g, fmap, k, min_viol, 7),
+            ref.separate_triangle(X, g, fmap, k, min_viol, 7),
+        )
+        truncated = False
+        for new, old, pool in (
+            (separate_clique_external, ref.separate_clique_external, ce),
+            (separate_clique_union, ref.separate_clique_union, ce),
+            (separate_odd_hole, ref.separate_odd_hole, he),
+        ):
+            ref_pool = ref.hole_objects(pool.holes) if pool is he else pool
+            got = new(X, g, fmap, pool, k, min_viol, limit,
+                      np.random.default_rng(seed), 11)
+            ref.assert_same_candidates(
+                got,
+                old(X, g, fmap, ref_pool, k, min_viol, limit,
+                    np.random.default_rng(seed), 11),
+            )
+            truncated |= got.truncated
+        return truncated
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_random_graphs(self, seed):
+        rng = np.random.default_rng([7, seed])
+        n = int(rng.integers(6, 15))
+        g = random_graph(n, [0.3, 0.5, 0.7][seed % 3], 500 + seed)
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        he = enumerate_5holes(g)
+        for k in (1, 2, 3, 5):
+            for X in reference_iterates(g, fmap, k, rng):
+                for min_viol in (1e-2, 1e-9, 0.0):
+                    self.compare(X, g, fmap, ce, he, k, min_viol, 100000, seed)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_truncated_pools(self, seed):
+        # pools above max_cliques / max_clique_pairs / max_holes draw a
+        # seeded subset, the same draws on both sides
+        g = random_graph(14, 0.5, 900 + seed)
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        he = enumerate_5holes(g)
+        assert len(he.holes) > 6 and len(ce.all_cliques()) > 6
+        rng = np.random.default_rng([8, seed])
+        for k in (2, 3):
+            for X in reference_iterates(g, fmap, k, rng):
+                for limit in (1, 6):
+                    assert self.compare(X, g, fmap, ce, he, k, 0.0, limit, seed)
+
+    def test_sampled_pairs_keep_the_draw_order(self):
+        # many repeated draws: only 15 distinct pairs among 6 cliques
+        g = Graph(12, [(2 * i + 1, 2 * i + 2) for i in range(6)])
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        x = np.zeros(fmap.m)
+        x[: g.n] = 1.0  # every pair of cliques violated by 3
+        X = fmap.vec_to_mat(x, 1)
+        for limit in (3, 14):
+            got = separate_clique_union(X, g, fmap, ce, 1, 0.0, limit,
+                                        np.random.default_rng(5))
+            assert got.truncated and len(got.candidates) == limit
+            ref.assert_same_candidates(
+                got,
+                ref.separate_clique_union(X, g, fmap, ce, 1, 0.0, limit,
+                                          np.random.default_rng(5)),
+            )
+
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    def test_empty_pools(self, k):
+        g = cycle_graph(6)
+        fmap = FreeIndexMap(g)
+        X = fmap.vec_to_mat(np.ones(fmap.m), k)
+        for cliques in (CliqueEnumeration([], []), []):
+            for new, old in ((separate_clique_external, ref.separate_clique_external),
+                             (separate_clique_union, ref.separate_clique_union)):
+                got = new(X, g, fmap, cliques, k, 0.0)
+                assert not got.candidates and not got.truncated
+                ref.assert_same_candidates(got, old(X, g, fmap, cliques, k, 0.0))
+        for holes in (HoleEnumeration(), enumerate_5holes(g), []):
+            got = separate_odd_hole(X, g, fmap, holes, k, 0.0)
+            assert not got.candidates and not got.truncated
+
+    def test_hole_rows_as_a_list(self):
+        g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
+        fmap = FreeIndexMap(g)
+        X = fmap.vec_to_mat(np.full(fmap.m, 0.5), 2)
+        ref.assert_same_candidates(
+            separate_odd_hole(X, g, fmap, [(1, 2, 3, 4, 5)], 2, 0.0),
+            ref.separate_odd_hole(X, g, fmap, [Hole5((1, 2, 3, 4, 5))], 2, 0.0),
+        )
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_greedy_extension(self, seed):
+        g = random_graph(12, 0.6, 300 + seed)
+        rng = np.random.default_rng(seed)
+        X = rng.uniform(0, 1, (13, 13))
+        for clique in enumerate_cliques(g).all_cliques():
+            for ell in g.vertices:
+                if ell not in clique.vertices:
+                    assert extend_clique_greedy(g, clique, ell, X) == \
+                        ref.extend_clique_greedy(g, clique, ell, X)
 
 
 class TestCutValidity:

@@ -1,19 +1,25 @@
 """Long-running optional reproductions, enabled with MKCS_EXPENSIVE=1.
 
 These are not part of the acceptance gate: the exact queen6_6 optimum
-takes a long branch-and-bound run, and the chromatic-number improvements
+takes a long branch-and-bound run, the chromatic-number improvements
 on the DSJC125 graphs need the original DIMACS files, which are not
-shipped with the repository (see README for where to fetch them)."""
+shipped with the repository (see README for where to fetch them), and
+the loop separators that the scale check compares against take about
+20 s on a G(125, 0.5) pool."""
 
 import os
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import separation_reference as ref
 from bench_instances import queen6_6
 from mkcs.cli import RunConfig, chromatic_search
-from mkcs.cpadmm import greedy_lower_bound
-from mkcs.graph import parse_dimacs
+from mkcs.cpadmm import AdmmParams, greedy_lower_bound, initial_state, inner_admm
+from mkcs.cuts import separate_clique_external, separate_odd_hole
+from mkcs.graph import enumerate_5holes, enumerate_cliques, parse_dimacs, random_graph
+from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
 
 expensive = pytest.mark.skipif(
@@ -41,3 +47,28 @@ def test_dsjc125_chromatic_lower_bounds(name, target):
     cfg = RunConfig(time_limit=3600.0)
     value, _ = chromatic_search(g, cfg)
     assert value >= target
+
+
+@expensive
+def test_g125_separators_match_reference():
+    # the first relaxation iterate of G(125, 0.5) at k = 8, against one
+    # enumerated pool: 113 k cliques, and the holes found in 3 s (over a
+    # million), of which 100,000 are sampled
+    g = random_graph(125, 0.5, 1)
+    k = 8
+    fmap = FreeIndexMap(g)
+    state = initial_state(g, k)
+    inner_admm(state, fmap, AdmmParams(seed=0).resolved(g.n))
+    cliques = enumerate_cliques(g)
+    holes = enumerate_5holes(g, time_limit=3.0)
+    ref.assert_same_candidates(
+        separate_odd_hole(state.X, g, fmap, holes, k, rng=np.random.default_rng(1)),
+        ref.separate_odd_hole(state.X, g, fmap, ref.hole_objects(holes.holes), k,
+                              rng=np.random.default_rng(1)),
+    )
+    ref.assert_same_candidates(
+        separate_clique_external(state.X, g, fmap, cliques, k,
+                                 rng=np.random.default_rng(1)),
+        ref.separate_clique_external(state.X, g, fmap, cliques, k,
+                                     rng=np.random.default_rng(1)),
+    )

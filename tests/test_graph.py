@@ -8,6 +8,7 @@ from mkcs.graph import (
     Clique,
     DimacsError,
     Graph,
+    HoleEnumeration,
     complement,
     enumerate_5holes,
     enumerate_cliques,
@@ -187,10 +188,10 @@ class TestEnumerate5Holes:
     def test_c5(self):
         holes = enumerate_5holes(cycle_graph(5)).holes
         assert len(holes) == 1
-        assert holes[0].vertices == (1, 2, 3, 4, 5)
+        assert holes[0].tolist() == [1, 2, 3, 4, 5]
 
     def test_c6_has_none(self):
-        assert enumerate_5holes(cycle_graph(6)).holes == []
+        assert enumerate_5holes(cycle_graph(6)).holes.shape == (0, 5)
 
     def test_petersen_has_twelve(self):
         assert len(enumerate_5holes(petersen()).holes) == 12
@@ -198,24 +199,36 @@ class TestEnumerate5Holes:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_naive_scan(self, seed):
         g = random_graph(10, 0.45, seed)
-        got = enumerate_5holes(g).holes
-        assert len({frozenset(h.vertices) for h in got}) == len(got)
-        assert {frozenset(h.vertices) for h in got} == naive_5holes(g)
+        got = enumerate_5holes(g).holes.tolist()
+        assert len({frozenset(h) for h in got}) == len(got)
+        assert {frozenset(h) for h in got} == naive_5holes(g)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_hole_structure(self, seed):
         g = random_graph(10, 0.45, seed)
-        for h in enumerate_5holes(g).holes:
-            vs = h.vertices
+        for vs in enumerate_5holes(g).holes.tolist():
             for i in range(5):
                 assert g.has_edge(vs[i], vs[(i + 1) % 5])
                 assert not g.has_edge(vs[i], vs[(i + 2) % 5])
 
     def test_canonical_form(self):
-        for h in enumerate_5holes(petersen()).holes:
-            vs = h.vertices
+        for vs in enumerate_5holes(petersen()).holes.tolist():
             assert vs[0] == min(vs)
             assert vs[1] < vs[4]
+
+    def test_pool_is_one_intp_array(self):
+        holes = enumerate_5holes(petersen()).holes
+        assert holes.dtype == np.intp and holes.shape == (12, 5)
+        assert HoleEnumeration().holes.shape == (0, 5)
+        rows = HoleEnumeration([(1, 2, 3, 4, 5)]).holes
+        assert rows.dtype == np.intp and rows.tolist() == [[1, 2, 3, 4, 5]]
+
+    def test_truncated_pool_is_an_array(self):
+        # the deadline is checked every 512 path steps, so a graph this
+        # size stops at the first check
+        he = enumerate_5holes(random_graph(60, 0.5, 0), time_limit=0.0)
+        assert not he.complete
+        assert he.holes.dtype == np.intp and he.holes.shape[1] == 5
 
 
 class TestGraphBasics:
