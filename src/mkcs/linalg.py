@@ -41,10 +41,10 @@ def project_psd(a, rank_hint=None):
     ``rank_hint`` is for callers that project a slowly moving iterate:
     the rank of the previous projection.  With it the call returns
     ``(projection, rank)``, the rank being the number of eigenvalues
-    above zero.  While the hint is below a fifth of the order only those
-    eigenpairs are computed, which is cheaper at low rank and dearer at
-    high rank; otherwise the full solve runs, bit for bit the one
-    without a hint.
+    above the rounding noise ``order * eps * ||a||_F``.  While the hint is
+    below a fifth of the order only the eigenpairs above zero are
+    computed, which is cheaper at low rank and dearer at high rank;
+    otherwise the full solve runs, bit for bit the one without a hint.
     """
     if not np.isfinite(a).all():
         raise ValueError("cannot eigendecompose a matrix with non-finite entries")
@@ -55,7 +55,15 @@ def project_psd(a, rank_hint=None):
     out = symmetrize((vecs * vals) @ vecs.T)
     if rank_hint is None:
         return out
-    return out, int(np.count_nonzero(vals))
+    return out, _rank(vals, a)
+
+
+def _rank(vals, a):
+    """The number of eigenvalues in ``vals`` above the rounding noise of
+    an eigensolve of ``a``."""
+    flat = a.ravel()
+    noise = a.shape[0] * np.finfo(np.float64).eps * math.sqrt(flat.dot(flat))
+    return int(np.count_nonzero(vals > noise))
 
 
 def _project_psd_positive_part(a):
@@ -66,14 +74,14 @@ def _project_psd_positive_part(a):
 
     flat = a.ravel()
     vu = 2.0 * math.sqrt(flat.dot(flat)) + 1.0  # the Frobenius norm bounds them
-    vals, vecs, rank, _, info = lapack.dsyevr(
+    vals, vecs, count, _, info = lapack.dsyevr(
         a, compute_v=1, range="V", lower=1, vl=0.0, vu=vu
     )
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
-    half = vecs[:, :rank] * np.sqrt(vals[:rank])
+    half = vecs[:, :count] * np.sqrt(vals[:count])
     # a product with its own transpose is computed as an exactly symmetric one
-    return half @ half.T, rank
+    return half @ half.T, _rank(vals[:count], a)
 
 
 def project_nsd(a):

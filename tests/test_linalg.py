@@ -136,6 +136,23 @@ class TestRankHint:
         assert rank == self.K and paths
         assert np.max(np.abs(got - project_psd(x))) < 1e-10
 
+    @pytest.mark.parametrize("hint", [0, 2, ORDER])
+    def test_rank_of_an_exact_colouring_matrix(self, paths, hint):
+        # the bordered matrix of a colouring of all N vertices with K
+        # colours is the sum of K outer products (e_0 + 1_c)(e_0 + 1_c)',
+        # rank K exactly; its other eigenvalues are rounding noise
+        x = np.zeros((self.ORDER, self.ORDER))
+        for colour in range(self.K):
+            v = np.zeros(self.ORDER)
+            v[0] = 1.0
+            v[1 + colour::self.K] = 1.0
+            x += np.outer(v, v)
+        assert x[0, 0] == self.K
+        got, rank = project_psd(x, rank_hint=hint)
+        assert rank == self.K
+        assert len(paths) == (1 if 5 * hint < self.ORDER else 0)
+        assert np.max(np.abs(got - x)) < 1e-10
+
     @pytest.mark.parametrize("hint", [None, 0, ORDER])
     def test_nonfinite_rejected(self, hint):
         a = np.eye(self.ORDER)
