@@ -284,65 +284,68 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     termination = "iteration_cap"
     target = math.floor(known_ub + 1e-9) if known_ub is not None else None
     t = 0
-    for t in range(1, params.max_iterations + 1):
-        # x = affine((beta y + beta z + ibar - lam - mu) / (2 beta))
-        np.multiply(y, beta, out=work)
-        np.multiply(z, beta, out=diff)
-        work += diff
-        work += ibar
-        work -= lam
-        work -= mu
-        work /= 2.0 * beta
-        project_affine_set(work, fmap, k, out=x)
-        # y = psd(x + lam / beta), once its input is known to be finite
-        np.divide(lam, beta, out=work)
-        np.add(x, work, out=work)
-        if not np.isfinite(work).all():
-            termination = "non_finite"
-            break
-        y, rank = project_psd(work, rank_hint=rank)
-        # z = sphere(x + mu / beta), in place
-        np.divide(mu, beta, out=z)
-        np.add(x, z, out=z)
-        project_sphere(z, k, fix_corner=True, sphere=sphere, out=z)
-        np.subtract(x, y, out=diff)
-        dist_y = _norm(diff)
-        diff *= beta
-        lam += diff
-        np.subtract(x, z, out=work)
-        dist_z = _norm(work)
-        work *= beta
-        mu += work
-        beta *= params.beta_incr
-        scale = 1.0 + _norm(x)
-        res_y = dist_y / scale
-        res_z = dist_z / scale
-        if suppress > 0:
-            suppress -= 1
-        elif max(res_y, res_z) <= params.eps_int:
-            events += 1
-            rounded = round_and_verify(x, g, k)
-            value = rounded.coloring.value if rounded.feasible else None
-            records.append(IntTraceRecord(t, beta, res_y, res_z, True, value))
-            if rounded.feasible and (best is None or value > best.value):
-                best = rounded.coloring
-                tries = 0
-            else:
-                tries += 1
-            if best is not None and target is not None and best.value >= target:
-                termination = "ub_match"
+    # a sweep that turns non-finite ends the run as ``non_finite``; numpy's
+    # warnings about it on the way would only be noise
+    with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+        for t in range(1, params.max_iterations + 1):
+            # x = affine((beta y + beta z + ibar - lam - mu) / (2 beta))
+            np.multiply(y, beta, out=work)
+            np.multiply(z, beta, out=diff)
+            work += diff
+            work += ibar
+            work -= lam
+            work -= mu
+            work /= 2.0 * beta
+            project_affine_set(work, fmap, k, out=x)
+            # y = psd(x + lam / beta), once its input is known to be finite
+            np.divide(lam, beta, out=work)
+            np.add(x, work, out=work)
+            if not np.isfinite(work).all():
+                termination = "non_finite"
                 break
-            if best is not None and best.value == g.n:
-                termination = "complete"
+            y, rank = project_psd(work, rank_hint=rank)
+            # z = sphere(x + mu / beta), in place
+            np.divide(mu, beta, out=z)
+            np.add(x, z, out=z)
+            project_sphere(z, k, fix_corner=True, sphere=sphere, out=z)
+            np.subtract(x, y, out=diff)
+            dist_y = _norm(diff)
+            diff *= beta
+            lam += diff
+            np.subtract(x, z, out=work)
+            dist_z = _norm(work)
+            work *= beta
+            mu += work
+            beta *= params.beta_incr
+            scale = 1.0 + _norm(x)
+            res_y = dist_y / scale
+            res_z = dist_z / scale
+            if suppress > 0:
+                suppress -= 1
+            elif max(res_y, res_z) <= params.eps_int:
+                events += 1
+                rounded = round_and_verify(x, g, k)
+                value = rounded.coloring.value if rounded.feasible else None
+                records.append(IntTraceRecord(t, beta, res_y, res_z, True, value))
+                if rounded.feasible and (best is None or value > best.value):
+                    best = rounded.coloring
+                    tries = 0
+                else:
+                    tries += 1
+                if best is not None and target is not None and best.value >= target:
+                    termination = "ub_match"
+                    break
+                if best is not None and best.value == g.n:
+                    termination = "complete"
+                    break
+                if tries >= params.max_tries_without_impr:
+                    termination = "no_improvement"
+                    break
+                beta = max(beta * params.beta_decr, params.beta_min)
+                suppress = params.min_iters_after_reset
+            if time_limit is not None and time.monotonic() - t0 > time_limit:
+                termination = "time_limit"
                 break
-            if tries >= params.max_tries_without_impr:
-                termination = "no_improvement"
-                break
-            beta = max(beta * params.beta_decr, params.beta_min)
-            suppress = params.min_iters_after_reset
-        if time_limit is not None and time.monotonic() - t0 > time_limit:
-            termination = "time_limit"
-            break
     coloring = best if best is not None else Coloring({})
     return IntAdmmResult(
         coloring=coloring,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -280,14 +281,14 @@ class TestIntAdmm:
             "feasible_value",
         }
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
-    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
     def test_non_finite_iterate_ends_the_run(self):
         # beta overflows to inf after a few dozen sweeps, and the iterate
-        # turns NaN before any convergence event
+        # turns NaN before any convergence event; no numpy warning escapes
         g = myciel_graph(3)
         params = IntAdmmParams(beta_incr=1e10, eps_int=1e-300)
-        res = int_admm(g, 2, params)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = int_admm(g, 2, params)
         assert res.termination == "non_finite"
         assert res.iterations < 100
         assert not res.feasible_found and res.value == 0
