@@ -340,6 +340,27 @@ class TestSeparatorsMatchReference:
                 for limit in (1, 6):
                     assert self.compare(X, g, fmap, ce, he, k, 0.0, limit, seed)
 
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_at_a_candidate_violation(self, seed):
+        # min_viol equal to a reference violation keeps that candidate,
+        # however the array code's own sums round around it
+        rng = np.random.default_rng([9, seed])
+        g = random_graph(12, 0.4, 700 + seed)
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        he = enumerate_5holes(g)
+        k = 2
+        for X in reference_iterates(g, fmap, k, rng)[:2]:
+            found = ref.separate_triangle(X, g, fmap, k, 0.0).candidates
+            for old, pool in ((ref.separate_clique_external, ce),
+                              (ref.separate_clique_union, ce),
+                              (ref.separate_odd_hole, ref.hole_objects(he.holes))):
+                found += old(X, g, fmap, pool, k, 0.0).candidates
+            values = sorted({float(v) for _, v in found})
+            assert len(values) > 20
+            for min_viol in values[:: len(values) // 20]:
+                self.compare(X, g, fmap, ce, he, k, min_viol, 100000, seed)
+
     def test_sampled_pairs_keep_the_draw_order(self):
         # many repeated draws: only 15 distinct pairs among 6 cliques
         g = Graph(12, [(2 * i + 1, 2 * i + 2) for i in range(6)])
