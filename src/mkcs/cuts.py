@@ -190,7 +190,7 @@ def _member_array(structures, pad):
     sizes."""
     sizes = np.fromiter((len(s) for s in structures), dtype=np.intp,
                         count=len(structures))
-    width = int(sizes.max()) if len(structures) else 1
+    width = int(sizes.max(initial=1))
     out = np.full((len(structures), width), pad, dtype=np.intp)
     flat = [v for s in structures for v in sorted(s.vertices)]
     mask = np.arange(width) < sizes[:, None]
