@@ -12,7 +12,7 @@ from .cpadmm import (
     initial_state,
     valid_upper_bound,
 )
-from .cuts import Cut, CutFamily, SeparationReport, cluster_cuts, select_cuts
+from .cuts import CutFamily, CutPool, SeparationReport, cluster_cuts, select_cuts
 from .graph import (
     Clique,
     DimacsError,
@@ -33,8 +33,8 @@ __all__ = [
     "Clique",
     "Coloring",
     "CpAdmmResult",
-    "Cut",
     "CutFamily",
+    "CutPool",
     "DimacsError",
     "FreeIndexMap",
     "Graph",

@@ -20,7 +20,7 @@ from .cpadmm import (
     records_to_jsonl,
     scipy_linprog_backend,
 )
-from .cuts import CutFamily, cuts_to_jsonl
+from .cuts import CutFamily
 from .graph import DimacsError, parse_dimacs
 from .intadmm import IntAdmmParams, int_admm, int_trace_to_jsonl
 from .oracle import OracleSizeError, alpha_k_exact, chi_exact
@@ -515,7 +515,7 @@ def _write_side_files(cfg, out, suffix, bound_res, int_res):
         trace = out.parent / (out.stem + suffix + ".trace.jsonl")
         trace.write_text(records_to_jsonl(bound_res.records, timing=timing))
         cuts = out.parent / (out.stem + suffix + ".cuts.jsonl")
-        cuts.write_text(cuts_to_jsonl(bound_res.cuts))
+        cuts.write_text(bound_res.cuts.to_jsonl())
     if int_res is not None:
         trace = out.parent / (out.stem + suffix + ".int_trace.jsonl")
         trace.write_text(int_trace_to_jsonl(int_res.records))

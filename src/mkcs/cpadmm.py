@@ -14,6 +14,7 @@ import numpy as np
 
 from .cuts import (
     CutFamily,
+    CutPool,
     SeparationReport,
     cluster_cuts,
     select_cuts,
@@ -46,20 +47,14 @@ ALL_FAMILIES = (
 _GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def scipy_linprog_backend(c, cut_list, m):
-    """Exact LP maximization of ``c . x`` over the box and the cut
-    halfspaces, via scipy's HiGHS solver."""
+def scipy_linprog_backend(c, cuts, m):
+    """Exact LP maximization of ``c . x`` over the box and the halfspaces
+    of the :class:`CutPool` ``cuts``, via scipy's HiGHS solver."""
     from scipy.optimize import linprog
+    from scipy.sparse import csr_array
 
-    a_ub = np.zeros((len(cut_list), m))
-    b_ub = np.empty(len(cut_list))
-    for row, cut in enumerate(cut_list):
-        for p, a in cut.coeffs.items():
-            a_ub[row, p] = a
-        b_ub[row] = cut.rhs
-    res = linprog(-c, A_ub=a_ub if len(cut_list) else None,
-                  b_ub=b_ub if len(cut_list) else None,
-                  bounds=(0.0, 1.0), method="highs")
+    a_ub = csr_array((cuts.data, cuts.indices, cuts.indptr), shape=(len(cuts), m))
+    res = linprog(-c, A_ub=a_ub, b_ub=cuts.rhs, bounds=(0.0, 1.0), method="highs")
     if not res.success:
         raise RuntimeError(f"LP backend failed: {res.message}")
     return float(-res.fun)
@@ -97,7 +92,7 @@ class AdmmParams:
     # bound of that problem for every NSD dual matrix), so by default the
     # dual bound is evaluated exactly over the cut-constrained set; None
     # keeps the closed form.
-    lp_backend: object = scipy_linprog_backend  # callable(c, cuts, m) -> float
+    lp_backend: object = scipy_linprog_backend  # callable(c, CutPool, m) -> float
     max_outer: int | None = None
 
     def __post_init__(self):
@@ -211,7 +206,7 @@ def valid_upper_bound(lam, fmap, k, cut_list=(), lp_backend=None):
     base = k * float(c_mat[0, 0])
     if lp_backend is not None and len(cut_list):
         c = np.concatenate([diag_gain, 2.0 * off])
-        return base + lp_backend(c, list(cut_list), fmap.m)
+        return base + lp_backend(c, cut_list, fmap.m)
     return (
         base
         + float(np.clip(diag_gain, 0.0, None).sum())
@@ -286,7 +281,7 @@ class CpAdmmResult:
     outer_iterations: int
     inner_iterations: int
     tightened_iterations: int
-    cuts: list
+    cuts: CutPool
     records: list = field(default_factory=list)
     family_counts: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
@@ -296,54 +291,26 @@ class CpAdmmResult:
 def _separate_families(families, state, g, fmap, k, params, clique_enum,
                        hole_enum, rng, id_base):
     """Run the separators of the requested families against the current
-    primal iterate and merge their reports."""
+    primal iterate and merge their reports; returns the report and the
+    next free cut id."""
     report = SeparationReport()
     next_id = id_base
     if CutFamily.T1 in families or CutFamily.T2 in families:
         tri = separate_triangle(state.X, g, fmap, k, params.min_viol, next_id)
         next_id += len(tri.candidates)
-        if CutFamily.T1 not in families or CutFamily.T2 not in families:
-            pruned = SeparationReport()
-            for c, v in tri.candidates:
-                if c.family in families:
-                    pruned.add(c, v)
-            pruned.truncated = tri.truncated
-            tri = pruned
-        report.merge(tri)
-    if CutFamily.CLIQUE_EXT in families:
-        rep = separate_clique_external(
-            state.X, g, fmap, clique_enum, k, params.min_viol,
-            params.max_cliques, rng, next_id,
-        )
-        next_id += len(rep.candidates)
-        report.merge(rep)
-    if CutFamily.CLIQUE_UNION in families:
-        rep = separate_clique_union(
-            state.X, g, fmap, clique_enum, k, params.min_viol,
-            params.max_clique_pairs, rng, next_id,
-        )
-        next_id += len(rep.candidates)
-        report.merge(rep)
-    if CutFamily.HOLE5 in families:
-        rep = separate_odd_hole(
-            state.X, g, fmap, hole_enum, k, params.min_viol,
-            params.max_holes, rng, next_id,
-        )
-        next_id += len(rep.candidates)
-        report.merge(rep)
+        report.merge(tri.take(np.isin(tri.candidates.family, families)))
+    for family, separate, pool, limit in (
+        (CutFamily.CLIQUE_EXT, separate_clique_external, clique_enum, params.max_cliques),
+        (CutFamily.CLIQUE_UNION, separate_clique_union, clique_enum,
+         params.max_clique_pairs),
+        (CutFamily.HOLE5, separate_odd_hole, hole_enum, params.max_holes),
+    ):
+        if family in families:
+            rep = separate(state.X, g, fmap, pool, k, params.min_viol, limit, rng,
+                           next_id)
+            next_id += len(rep.candidates)
+            report.merge(rep)
     return report, next_id
-
-
-def _unseen(candidates, seen):
-    """The candidates whose inequality is not in ``seen``, first
-    occurrence kept; their keys are added to ``seen``."""
-    out = []
-    for cand, viol in candidates:
-        key = cand.key()
-        if key not in seen:
-            seen.add(key)
-            out.append((cand, viol))
-    return out
 
 
 def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
@@ -388,9 +355,8 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
     enum_complete = clique_enum.complete and hole_enum.complete
 
     state = initial_state(g, k)
-    cut_list = []
+    cut_list = CutPool()
     clustered = None
-    existing_keys = set()
     phase = 1 if CutFamily.CLIQUE_EXT in families else 2
     best_ub = math.inf
     prev_best = None
@@ -400,7 +366,6 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
     tightened_total = 0
     id_counter = 0
     termination = "max_outer"
-    family_counts = {}
 
     def bound(st):
         return valid_upper_bound(st.L, fmap, k, cut_list, params.lp_backend)
@@ -465,45 +430,41 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
             break
 
         rng = np.random.default_rng([params.seed, outer])
-        report, id_counter = _separate_families(
-            [f for f in families if phase == 2 or f == CutFamily.CLIQUE_EXT],
-            state, g, fmap, k, params, clique_enum, hole_enum, rng, id_counter,
-        )
-        seen = set(existing_keys)
-        fresh = _unseen(report.candidates, seen)
-        if phase == 1 and (improvement < params.min_impr_phase1
-                           or len(fresh) < params.min_ineq_phase1):
-            phase = 2
-            extra, id_counter = _separate_families(
-                [f for f in families if f != CutFamily.CLIQUE_EXT],
-                state, g, fmap, k, params, clique_enum, hole_enum, rng,
+
+        def separate(fams):
+            nonlocal id_counter
+            rep, id_counter = _separate_families(
+                fams, state, g, fmap, k, params, clique_enum, hole_enum, rng,
                 id_counter,
             )
-            fresh += _unseen(extra.candidates, seen)
+            return rep
+
+        report = separate(
+            [f for f in families if phase == 2 or f == CutFamily.CLIQUE_EXT])
+        fresh = cut_list.novel(report.candidates)
+        if phase == 1 and (improvement < params.min_impr_phase1
+                           or fresh.sum() < params.min_ineq_phase1):
+            phase = 2
+            report.merge(separate(
+                [f for f in families if f != CutFamily.CLIQUE_EXT]))
+            fresh = cut_list.novel(report.candidates)
 
         if outer > 1 and improvement < params.min_impr:
             record(0)
             run_tightened()
             termination = "min_impr"
             break
-        if len(fresh) < params.min_ineq:
+        accepted = CutPool()
+        if fresh.sum() >= params.min_ineq:
+            accepted = select_cuts(
+                report.take(fresh), phase, params.max_ineq, params.max_cuts_per_var
+            )
+        if not len(accepted):
             record(0)
             run_tightened()
             termination = "min_ineq"
             break
-
-        accepted = select_cuts(
-            fresh, phase, params.max_ineq, params.max_cuts_per_var, existing_keys
-        )
-        if not accepted:
-            record(0)
-            run_tightened()
-            termination = "min_ineq"
-            break
-        for cut in accepted:
-            existing_keys.add(cut.key())
-            family_counts[cut.family.name] = family_counts.get(cut.family.name, 0) + 1
-        cut_list.extend(accepted)
+        cut_list.append(accepted)
         clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)
         record(len(accepted))
 
@@ -517,7 +478,8 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
         tightened_iterations=tightened_total,
         cuts=cut_list,
         records=records,
-        family_counts=family_counts,
+        family_counts={CutFamily(f).name: int(n) for f, n in
+                       zip(*np.unique(cut_list.family, return_counts=True))},
         elapsed_s=time.monotonic() - t0,
         enumeration_complete=enum_complete,
     )

@@ -1,5 +1,5 @@
-"""Valid inequalities for the k-colorable-subgraph relaxation:
-representation, separation, selection, and clustering."""
+"""Valid inequalities for the k-colorable-subgraph relaxation: the
+array-backed cut pool, separation, selection, and clustering."""
 
 from __future__ import annotations
 
@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import HoleEnumeration, extend_clique_greedy
+from .graph import extend_clique_greedy, pad_rows
 
 
 class CutFamily(enum.IntEnum):
@@ -22,55 +22,126 @@ class CutFamily(enum.IntEnum):
     T2 = 4
 
 
-@dataclass
-class Cut:
-    """One linear inequality ``sum_p a_p x_p <= rhs`` over free entries."""
+class CutPool:
+    """Cut rows ``sum_p data[p] x[indices[p]] <= rhs[r]`` over free-entry
+    coordinates, in CSR form: row r holds the positions
+    ``indptr[r]:indptr[r + 1]`` of ``indices``/``data``, its coordinates
+    ascending, and ``family[r]``/``id[r]`` name it.
 
-    id: int
-    family: CutFamily
-    coeffs: dict          # free-entry coordinate -> coefficient
-    rhs: float
+    Two rows are the same inequality when their coordinates, coefficients
+    and right-hand sides are equal, whatever their family or id; the pool
+    compares rows by those bytes, and holds the set of its own once
+    ``novel`` has been asked.  Every coefficient (+-1, -2) and right-hand
+    side (0, k) a separator emits is a small integer, so equal bytes mean
+    equal inequalities.
+    """
 
-    @property
-    def support(self):
-        return frozenset(self.coeffs)
+    def __init__(self, indptr=(0,), indices=(), data=(), rhs=(), family=(), id=()):
+        self.indptr = np.asarray(indptr, dtype=np.intp)
+        self.indices = np.asarray(indices, dtype=np.intp)
+        self.data = np.asarray(data, dtype=np.float64)
+        self.rhs = np.asarray(rhs, dtype=np.float64)
+        self.family = np.asarray(family, dtype=np.int8)
+        self.id = np.asarray(id, dtype=np.intp)
+        self._keys = None
 
-    def violation(self, x):
-        return sum(a * x[p] for p, a in self.coeffs.items()) - self.rhs
+    @classmethod
+    def from_padded(cls, coords, coeffs, rhs, family, ids):
+        """Rows from the columns of ``coords`` (negative where a row has no
+        entry) and the coefficients ``coeffs`` broadcast against them; one
+        ``rhs`` and ``family`` for every row."""
+        order = np.argsort(coords, axis=1)  # the missing entries first
+        coords = np.take_along_axis(np.asarray(coords, dtype=np.intp), order, axis=1)
+        coeffs = np.take_along_axis(
+            np.broadcast_to(np.asarray(coeffs, dtype=np.float64), coords.shape),
+            order, axis=1)
+        keep = coords >= 0
+        indptr = np.zeros(len(coords) + 1, dtype=np.intp)
+        np.cumsum(keep.sum(axis=1), out=indptr[1:])
+        return cls(indptr, coords[keep], coeffs[keep], np.full(len(coords), rhs),
+                   np.full(len(coords), family), ids)
 
-    def key(self):
-        """Canonical identity of the inequality, independent of family/id."""
-        items = tuple(sorted((p, round(a, 9)) for p, a in self.coeffs.items()))
-        return (round(self.rhs, 9), items)
+    def __len__(self):
+        return len(self.rhs)
 
-    def to_json(self):
-        coeffs = sorted((int(p), float(a)) for p, a in self.coeffs.items())
-        return json.dumps(
-            {"id": self.id, "family": self.family.name, "rhs": self.rhs,
-             "coeffs": coeffs},
-            separators=(",", ":"),
+    def append(self, rows):
+        """Add the rows of the pool ``rows`` after this pool's own."""
+        self.indptr = np.r_[self.indptr, rows.indptr[1:] + len(self.indices)]
+        for name in ("indices", "data", "rhs", "family", "id"):
+            setattr(self, name, np.r_[getattr(self, name), getattr(rows, name)])
+        if self._keys is not None:
+            self._keys.update(rows.row_keys())
+
+    def take(self, rows):
+        """The pool of the rows ``rows`` (indices or a boolean mask), in
+        that order."""
+        rows = np.arange(len(self))[rows]
+        lengths = np.diff(self.indptr)[rows]
+        indptr = np.zeros(len(rows) + 1, dtype=np.intp)
+        np.cumsum(lengths, out=indptr[1:])
+        pos = np.repeat(self.indptr[rows] - indptr[:-1], lengths)
+        pos += np.arange(indptr[-1])
+        return CutPool(indptr, self.indices[pos], self.data[pos], self.rhs[rows],
+                       self.family[rows], self.id[rows])
+
+    def rows(self):
+        """``(coordinates, coefficients)`` of each row, as Python lists."""
+        ptr = self.indptr.tolist()
+        indices = self.indices.tolist()
+        data = self.data.tolist()
+        return [(indices[lo:hi], data[lo:hi]) for lo, hi in zip(ptr, ptr[1:])]
+
+    def row_keys(self):
+        """The canonical bytes of each row: right-hand side, coordinates
+        and coefficients."""
+        ptr = self.indptr.tolist()
+        return [rhs.tobytes() + self.indices[lo:hi].tobytes()
+                + self.data[lo:hi].tobytes()
+                for rhs, lo, hi in zip(self.rhs, ptr, ptr[1:])]
+
+    def novel(self, rows):
+        """Boolean mask of the rows of the pool ``rows`` that repeat no row
+        of this pool and no earlier row of ``rows``."""
+        if self._keys is None:
+            self._keys = set(self.row_keys())
+        seen = set(self._keys)
+        mask = np.zeros(len(rows), dtype=bool)
+        for r, key in enumerate(rows.row_keys()):
+            mask[r] = key not in seen
+            seen.add(key)
+        return mask
+
+    def to_jsonl(self):
+        """One JSON object per row, for reproducibility audits."""
+        return "".join(
+            json.dumps(
+                {"id": cid, "family": CutFamily(fam).name, "rhs": rhs,
+                 "coeffs": [list(pa) for pa in zip(idx, coeffs)]},
+                separators=(",", ":"),
+            ) + "\n"
+            for cid, fam, rhs, (idx, coeffs) in zip(
+                self.id.tolist(), self.family.tolist(), self.rhs.tolist(), self.rows())
         )
-
-
-def cuts_to_jsonl(cuts):
-    """JSON-lines dump of a cut list, for reproducibility audits."""
-    return "".join(c.to_json() + "\n" for c in cuts)
 
 
 @dataclass
 class SeparationReport:
-    """Violated-cut candidates found by one or more separators."""
+    """Violated-cut candidates found by one or more separators: a pool
+    and the violation of each of its rows."""
 
-    candidates: list = field(default_factory=list)  # (Cut, violation) pairs
+    candidates: CutPool = field(default_factory=CutPool)
+    violation: np.ndarray = field(default_factory=lambda: np.empty(0))
     truncated: bool = False
 
-    def add(self, cut, violation):
-        self.candidates.append((cut, violation))
-
     def merge(self, other):
-        self.candidates.extend(other.candidates)
+        self.candidates.append(other.candidates)
+        self.violation = np.concatenate([self.violation, other.violation])
         self.truncated = self.truncated or other.truncated
         return self
+
+    def take(self, rows):
+        return SeparationReport(self.candidates.take(rows), self.violation[rows],
+                                self.truncated)
 
 
 def _sanitize(X, fmap, k):
@@ -80,10 +151,15 @@ def _sanitize(X, fmap, k):
     return fmap.vec_to_mat(fmap.mat_to_vec(X), k)
 
 
-def _coeffs(coords, value):
-    """Coefficient dict giving ``value`` to each coordinate in order,
-    skipping the -1 of edge-pinned entries."""
-    return {p: value for p in coords if p >= 0}
+def _report(coords, coeffs, rhs, family, violation, id_base, truncated=False):
+    """The candidates with the coordinates in the rows of ``coords``
+    (negative where a row has no entry) and ``coeffs`` in its columns,
+    their violations, and ids from ``id_base`` on."""
+    ids = np.arange(id_base, id_base + len(coords))
+    return SeparationReport(
+        CutPool.from_padded(coords, coeffs, rhs, family, ids),
+        np.asarray(violation, dtype=np.float64), truncated,
+    )
 
 
 def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
@@ -99,12 +175,12 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     """
     Xs = _sanitize(X, fmap, k)
     n = g.n
-    report = SeparationReport()
-    next_id = id_base
     diag = np.diagonal(Xs)
     coord = fmap.coord
     pairs = np.triu(np.ones((n + 1, n + 1), dtype=bool), 1)
     pairs[0] = False  # the pairs 1 <= i < j <= n
+    t1 = [np.empty((0, 4), dtype=np.intp)]
+    t1_viol = [np.empty(0)]
     for ell in range(1, n + 1):
         col = Xs[:, ell]
         # violation of the apex-ell cut for every pair (i, j)
@@ -114,54 +190,47 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
         hit[ell] = False
         hit[:, ell] = False
         ii, jj = np.nonzero(hit)
-        rows = np.stack(
-            [coord[ii, ell], coord[jj, ell], coord[ii, jj]], axis=1
-        ).tolist()
-        d = fmap.diag_coord(ell)
-        for (il, jl, ij), v in zip(rows, viol[ii, jj]):
-            coeffs = _coeffs((il, jl), 1.0)
-            coeffs[d] = -1.0
-            if ij >= 0:
-                coeffs[ij] = -1.0
-            report.add(Cut(next_id, CutFamily.T1, coeffs, 0.0), v)
-            next_id += 1
-    if k <= 2:
-        adj = coord < 0  # edges, and the border, which no triple uses
-        for i in range(1, n - 1):
-            # v[j, l] for the triple (i, j, l), summed left to right
-            row = Xs[i]
-            v = (diag[i] + diag[:, None]) + diag[None, :]
-            v -= row[:, None]
-            v -= row[None, :]
-            v -= Xs
-            v -= k
-            hit = v >= min_viol
-            hit &= pairs
-            hit[: i + 1] = False  # i < j < l
-            hit &= ~(adj[i][:, None] & adj[i][None, :] & adj)  # triangles
-            jj, ll = np.nonzero(hit)
-            rows = np.stack(
-                [fmap.diag_coord(jj), fmap.diag_coord(ll),
-                 coord[i, jj], coord[i, ll], coord[jj, ll]], axis=1
-            ).tolist()
-            for (dj, dl, ij, il, jl), val in zip(rows, v[jj, ll]):
-                coeffs = {fmap.diag_coord(i): 1.0, dj: 1.0, dl: 1.0}
-                coeffs.update(_coeffs((ij, il, jl), -1.0))
-                report.add(Cut(next_id, CutFamily.T2, coeffs, float(k)), val)
-                next_id += 1
-    return report
+        t1.append(np.stack([coord[ii, ell], coord[jj, ell], coord[ii, jj],
+                            np.full(len(ii), fmap.diag_coord(ell))], axis=1))
+        t1_viol.append(viol[ii, jj])
+    report = _report(np.concatenate(t1), (1.0, 1.0, -1.0, -1.0), 0.0,
+                     CutFamily.T1, np.concatenate(t1_viol), id_base)
+    if k > 2:
+        return report
+    t2 = [np.empty((0, 6), dtype=np.intp)]
+    t2_viol = [np.empty(0)]
+    adj = coord < 0  # edges, and the border, which no triple uses
+    for i in range(1, n - 1):
+        # v[j, l] for the triple (i, j, l), summed left to right
+        row = Xs[i]
+        v = (diag[i] + diag[:, None]) + diag[None, :]
+        v -= row[:, None]
+        v -= row[None, :]
+        v -= Xs
+        v -= k
+        hit = v >= min_viol
+        hit &= pairs
+        hit[: i + 1] = False  # i < j < l
+        hit &= ~(adj[i][:, None] & adj[i][None, :] & adj)  # triangles
+        jj, ll = np.nonzero(hit)
+        t2.append(np.stack([np.full(len(jj), fmap.diag_coord(i)),
+                            fmap.diag_coord(jj), fmap.diag_coord(ll),
+                            coord[i, jj], coord[i, ll], coord[jj, ll]], axis=1))
+        t2_viol.append(v[jj, ll])
+    return report.merge(_report(
+        np.concatenate(t2), (1.0, 1.0, 1.0, -1.0, -1.0, -1.0), float(k),
+        CutFamily.T2, np.concatenate(t2_viol), id_base + len(report.candidates),
+    ))
 
 
-def _subset(items, limit, rng):
-    """Seeded uniform subset of at most ``limit`` items (a list, or the
-    rows of an array), order preserved."""
-    if len(items) <= limit:
-        return items, False
-    chosen = rng.choice(len(items), size=limit, replace=False)
+def _subset(size, limit, rng):
+    """Sorted indices of a seeded uniform subset of at most ``limit`` of
+    ``size`` items, and whether it leaves any out."""
+    if size <= limit:
+        return np.arange(size), False
+    chosen = rng.choice(size, size=limit, replace=False)
     chosen.sort()
-    if isinstance(items, np.ndarray):
-        return items[chosen], True
-    return [items[i] for i in chosen], True
+    return chosen, True
 
 
 # Each float64 temporary of one chunk of an array separator stays near
@@ -174,28 +243,11 @@ def _chunk_rows(width, per_row=1):
     return max(1, _CHUNK_BYTES // (8 * width * per_row))
 
 
-def _padded(Xs):
-    """``Xs`` bordered by one more row and column of -0.0: index n + 1
-    pads a vertex list, and adding -0.0 leaves every float sum bit for
-    bit as it is."""
-    order = Xs.shape[0]
-    out = np.full((order + 1, order + 1), -0.0)
-    out[:order, :order] = Xs
-    return out
-
-
-def _member_array(structures, pad):
-    """The sorted vertices of each clique (or vertex collection) as the
-    rows of one array, padded with ``pad`` to the largest size, and the
-    sizes."""
-    sizes = np.fromiter((len(s) for s in structures), dtype=np.intp,
-                        count=len(structures))
-    width = int(sizes.max(initial=1))
-    out = np.full((len(structures), width), pad, dtype=np.intp)
-    flat = [v for s in structures for v in sorted(s.vertices)]
-    mask = np.arange(width) < sizes[:, None]
-    out[mask] = flat
-    return out, sizes
+def _padded(a, pad):
+    """``a`` bordered by one more row and column of ``pad``, so that index
+    -1 pads a vertex list: with -0.0, which leaves every float sum bit for
+    bit as it is, or with the -1 of a missing coordinate."""
+    return np.pad(a, (0, 1), constant_values=pad)
 
 
 def _apex_hits(Xp, members, subtract, min_viol):
@@ -235,47 +287,45 @@ def _apex_hits(Xp, members, subtract, min_viol):
     return np.concatenate(rows), np.concatenate(apexes), np.concatenate(viols)
 
 
-def _clique_external_cut(fmap, clique_vertices, ell, cut_id):
-    coeffs = _coeffs(fmap.coord[list(clique_vertices), ell].tolist(), 1.0)
-    if not coeffs:
-        return None
-    coeffs[fmap.diag_coord(ell)] = -1.0
-    return Cut(cut_id, CutFamily.CLIQUE_EXT, coeffs, 0.0)
-
-
 def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
                              max_cliques=100000, rng=None, id_base=0):
-    """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the enumerated
-    cliques and every external vertex.
+    """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the cliques of the
+    :class:`CliqueEnumeration` ``cliques`` and every external vertex.
 
     When the clique pool exceeds ``max_cliques`` a seeded uniform subset
     is drawn.  A violated cut on a non-maximal size-6 clique is first
     strengthened by greedy extension before being reported.  The
-    violations of a chunk of cliques are computed at once; cuts are built
+    violations of a chunk of cliques are computed at once; cuts come
     clique by clique, apex by apex.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     xvec = fmap.mat_to_vec(Xs)
-    report = SeparationReport()
-    pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
-    pool, report.truncated = _subset(pool, max_cliques, rng)
-    Xp = _padded(Xs)
-    members, _ = _member_array(pool, g.n + 1)
-    rows, apexes, _ = _apex_hits(Xp, members, np.diagonal(Xp), min_viol)
-    next_id = id_base
-    for r, ell in zip(rows.tolist(), apexes.tolist()):
-        target = clique = pool[r]
+    chosen, truncated = _subset(len(cliques.members), max_cliques, rng)
+    Xp = _padded(Xs, -0.0)
+    rows, apexes, _ = _apex_hits(Xp, cliques.members[chosen], np.diagonal(Xp),
+                                 min_viol)
+    pool = cliques.all_cliques()
+    targets = []
+    for r, ell in zip(chosen[rows].tolist(), apexes.tolist()):
+        clique = pool[r]
         if len(clique) == 6 and not clique.maximal:
-            target = extend_clique_greedy(g, clique, ell, Xs)
-        cut = _clique_external_cut(fmap, target.vertices, ell, next_id)
-        if cut is None:
-            continue
-        v = cut.violation(xvec)
-        if v >= min_viol:
-            report.add(cut, v)
-            next_id += 1
-    return report
+            clique = extend_clique_greedy(g, clique, ell, Xs)
+        targets.append(list(clique.vertices))
+    coords = _padded(fmap.coord, -1)[pad_rows(targets), apexes[:, None]]
+    # the violation summed term by term in each clique's own (frozenset)
+    # vertex order, bit for bit the per-cut sum the selection order was
+    # first ranked by; -0.0 leaves a sum as it is
+    viol = np.zeros(len(coords))
+    for col in coords.T:
+        viol += np.where(col >= 0, xvec[col], -0.0)
+    diag = fmap.diag_coord(apexes)
+    viol -= xvec[diag]
+    viol -= 0.0  # the right-hand side
+    keep = (coords >= 0).any(axis=1) & (viol >= min_viol)
+    return _report(np.column_stack([coords, diag])[keep],
+                   np.r_[np.ones(coords.shape[1]), -1.0], 0.0,
+                   CutFamily.CLIQUE_EXT, viol[keep], id_base, truncated)
 
 
 def _distinct_pairs(rng, npool, count):
@@ -294,7 +344,8 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
                           max_pairs=100000, rng=None, id_base=0):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
-    pairs of maximal cliques whose sizes sum to more than k.
+    pairs of maximal cliques of ``cliques`` whose sizes sum to more
+    than k.
 
     A chunk of pairs is screened at once with sums that may round
     differently from the per-pair expression.  The screen keeps every
@@ -303,135 +354,123 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
-    report = SeparationReport()
-    pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
-    pool = [c for c in pool if c.maximal]
-    next_id = id_base
+    members = cliques.members[cliques.maximal_rows]
+    sizes = (members >= 0).sum(axis=1)
     diag = np.diagonal(Xs)
-    npool = len(pool)
-    total_pairs = npool * (npool - 1) // 2
-    if total_pairs > max_pairs:
-        report.truncated = True
+    npool = len(members)
+    truncated = npool * (npool - 1) // 2 > max_pairs
+    if truncated:
         # rejection-sample distinct unordered pairs; generous retry budget
         first, second = _distinct_pairs(rng, npool, max_pairs)
     else:
         first, second = np.triu_indices(npool, 1)
-    n = g.n
-    members, sizes = _member_array(pool, n + 1)
     large = sizes[first] + sizes[second] > k
     first, second = first[large], second[large]
-    Xp = _padded(Xs)
+    Xp = _padded(Xs, -0.0)
     diag_sums = np.diagonal(Xp)[members].sum(axis=1)
     # screen margin: the two sums differ by far less than 1e-9 * max|term|
     margin = 1e-9 * max(1.0, float(k), float(np.abs(Xs).max()))
     width = members.shape[1]
     step = _chunk_rows(width, width)
+    hits_a, hits_b, viols = [], [], []
     for start in range(0, len(first), step):
         ca = first[start:start + step]
         cb = second[start:start + step]
         ma = members[ca][:, :, None]
         mb = members[cb][:, None, :]
-        shared = ((ma == mb) & (ma <= n)).any(axis=(1, 2))
+        shared = ((ma == mb) & (ma >= 0)).any(axis=(1, 2))
         cross = Xp[ma, mb].sum(axis=(1, 2))
         approx = diag_sums[ca] + diag_sums[cb] - cross - k
         keep = ~shared & ~(approx < min_viol - margin)
         for a, b in zip(ca[keep].tolist(), cb[keep].tolist()):
-            va = sorted(pool[a].vertices)
-            vb = sorted(pool[b].vertices)
+            va = members[a, :sizes[a]]
+            vb = members[b, :sizes[b]]
             cross = Xs[np.ix_(va, vb)].sum()
             v = diag[va].sum() + diag[vb].sum() - cross - k
-            if v < min_viol:
-                continue
-            coeffs = {fmap.diag_coord(u): 1.0 for u in va + vb}
-            coeffs.update(_coeffs(fmap.coord[va][:, vb].ravel().tolist(), -1.0))
-            report.add(Cut(next_id, CutFamily.CLIQUE_UNION, coeffs, float(k)), v)
-            next_id += 1
-    return report
+            if not v < min_viol:
+                hits_a.append(a)
+                hits_b.append(b)
+                viols.append(v)
+    qa = members[hits_a]
+    qb = members[hits_b]
+    coord = _padded(fmap.coord, -1)
+    between = coord[qa[:, :, None], qb[:, None, :]].reshape(len(qa), width * width)
+    return _report(
+        np.concatenate([coord[qa, qa], coord[qb, qb], between], axis=1),
+        np.r_[np.ones(2 * width), -np.ones(width * width)], float(k),
+        CutFamily.CLIQUE_UNION, viols, id_base, truncated,
+    )
 
 
 def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2,
                       max_holes=100000, rng=None, id_base=0):
-    """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over 5-holes and
-    external vertices.
+    """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over the 5-holes of the
+    :class:`HoleEnumeration` ``holes`` and external vertices.
 
-    ``holes`` is a :class:`HoleEnumeration` or the rows it accepts.  The
-    violations of a chunk of holes are computed at once; cuts are built
+    The violations of a chunk of holes are computed at once; cuts come
     hole by hole, apex by apex.
     """
     rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
-    report = SeparationReport()
-    if not isinstance(holes, HoleEnumeration):
-        holes = HoleEnumeration(holes)
-    pool, report.truncated = _subset(holes.holes, max_holes, rng)
-    Xp = _padded(Xs)
+    chosen, truncated = _subset(len(holes.holes), max_holes, rng)
+    pool = holes.holes[chosen]
+    Xp = _padded(Xs, -0.0)
     rows, apexes, viols = _apex_hits(Xp, pool, 2.0 * np.diagonal(Xp), min_viol)
-    coords = fmap.coord[pool[rows], apexes[:, None]].tolist()
-    next_id = id_base
-    for member_coords, ell, v in zip(coords, apexes.tolist(), viols):
-        coeffs = _coeffs(member_coords, 1.0)
-        if not coeffs:
-            continue
-        coeffs[fmap.diag_coord(ell)] = -2.0
-        report.add(Cut(next_id, CutFamily.HOLE5, coeffs, 0.0), v)
-        next_id += 1
-    return report
+    coords = fmap.coord[pool[rows], apexes[:, None]]
+    keep = (coords >= 0).any(axis=1)
+    return _report(np.column_stack([coords, fmap.diag_coord(apexes)])[keep],
+                   (1.0, 1.0, 1.0, 1.0, 1.0, -2.0), 0.0, CutFamily.HOLE5,
+                   viols[keep], id_base, truncated)
 
 
-def select_cuts(report, phase, max_ineq, max_cuts_per_var, existing_keys=()):
-    """Pick the cuts to add this round.
+def select_cuts(report, phase, max_ineq, max_cuts_per_var):
+    """Pick the rows of ``report.candidates`` to add this round, as a pool
+    in the order picked.
 
     Candidates are sorted by violation descending (ties by family order,
     then id); one is accepted only if every coordinate of its support
     appears in fewer than ``max_cuts_per_var`` cuts already accepted this
-    round, up to ``max_ineq`` in total.  Duplicates of existing cuts are
-    rejected, and in phase 1 only external-clique cuts are considered.
+    round, up to ``max_ineq`` in total.  In phase 1 only external-clique
+    cuts are considered.  Duplicates are the caller's to drop
+    (``CutPool.novel``).
     """
-    existing = set(existing_keys)
-    candidates = report.candidates if isinstance(report, SeparationReport) else report
+    pool = report.candidates
+    order = np.lexsort((pool.id, pool.family, -report.violation))
     if phase == 1:
-        candidates = [
-            (c, v) for c, v in candidates if c.family == CutFamily.CLIQUE_EXT
-        ]
-    order = sorted(candidates, key=lambda cv: (-cv[1], cv[0].family, cv[0].id))
+        order = order[pool.family[order] == CutFamily.CLIQUE_EXT]
+    rows = pool.rows()
+    load = [0] * (int(pool.indices.max(initial=-1)) + 1)
     accepted = []
-    var_load = {}
-    seen = set(existing)
-    for cut, _viol in order:
+    for r in order.tolist():
         if len(accepted) >= max_ineq:
             break
-        key = cut.key()
-        if key in seen:
+        support = rows[r][0]
+        if any(load[p] >= max_cuts_per_var for p in support):
             continue
-        if any(var_load.get(p, 0) >= max_cuts_per_var for p in cut.coeffs):
-            continue
-        accepted.append(cut)
-        seen.add(key)
-        for p in cut.coeffs:
-            var_load[p] = var_load.get(p, 0) + 1
-    return accepted
+        accepted.append(r)
+        for p in support:
+            load[p] += 1
+    return pool.take(np.array(accepted, dtype=np.intp))
 
 
 def cluster_cuts(cuts):
-    """Partition cuts into clusters of pairwise-disjoint supports.
+    """Partition the rows of the pool ``cuts`` into clusters of
+    pairwise-disjoint supports.
 
-    Greedy first-fit coloring of the conflict graph, processing cuts in
-    descending support size (ties by list position); returns a list of
-    index lists into ``cuts``.
+    Greedy first-fit coloring of the conflict graph, processing rows in
+    descending support size (ties by position); returns a list of
+    ascending row index lists.
     """
-    order = sorted(range(len(cuts)), key=lambda i: (-len(cuts[i].coeffs), i))
+    rows = cuts.rows()
     clusters = []
     occupied = []  # union of supports per cluster
-    for idx in order:
-        support = cuts[idx].support
-        for cid, taken in enumerate(occupied):
-            if not (taken & support):
-                clusters[cid].append(idx)
-                occupied[cid] = taken | support
-                break
-        else:
-            clusters.append([idx])
-            occupied.append(set(support))
-    for members in clusters:
-        members.sort()
-    return clusters
+    for idx in np.argsort(-np.diff(cuts.indptr), kind="stable").tolist():
+        support = set(rows[idx][0])
+        cid = next((c for c, taken in enumerate(occupied) if not taken & support),
+                   len(clusters))
+        if cid == len(clusters):
+            clusters.append([])
+            occupied.append(set())
+        clusters[cid].append(idx)
+        occupied[cid] |= support
+    return [sorted(members) for members in clusters]

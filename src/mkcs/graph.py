@@ -89,12 +89,32 @@ class Clique:
 
 @dataclass
 class CliqueEnumeration:
+    """The enumerated cliques, ``maximal`` then ``size6``.  ``members``
+    holds the sorted vertices of each as the rows of one intp array,
+    padded with -1 to the largest size, and ``maximal_rows`` marks the
+    rows of maximal cliques; both are built once, at construction."""
+
     maximal: list          # maximal cliques of size 2..5
     size6: list            # every clique of exactly 6 vertices
     complete: bool = True  # False when the time limit truncated the search
 
+    def __post_init__(self):
+        pool = self.all_cliques()
+        self.members = pad_rows([sorted(c.vertices) for c in pool])
+        self.maximal_rows = np.array([c.maximal for c in pool], dtype=bool)
+
     def all_cliques(self):
         return self.maximal + self.size6
+
+
+def pad_rows(rows):
+    """The integer lists ``rows`` as the rows of one intp array, padded
+    with -1 to the longest (at least one column)."""
+    sizes = np.fromiter(map(len, rows), dtype=np.intp, count=len(rows))
+    width = int(sizes.max(initial=1))
+    out = np.full((len(rows), width), -1, dtype=np.intp)
+    out[np.arange(width) < sizes[:, None]] = [v for row in rows for v in row]
+    return out
 
 
 @dataclass
@@ -207,12 +227,13 @@ def enumerate_cliques(g, time_limit=10.0):
     deadline = time.monotonic() + time_limit
     maximal = []
     size6 = []
-    result = CliqueEnumeration(maximal, size6)
+    complete = True
     adj = g.adj
 
     def visit(r, p, x):
+        nonlocal complete
         if time.monotonic() > deadline:
-            result.complete = False
+            complete = False
             return
         if len(r) == 6:
             size6.append(Clique(frozenset(r), maximal=not p and not x))
@@ -222,7 +243,7 @@ def enumerate_cliques(g, time_limit=10.0):
                 maximal.append(Clique(frozenset(r), maximal=True))
             return
         for v in sorted(p):
-            if not result.complete:
+            if not complete:
                 return
             nv = adj[v]
             visit(r + [v], p & nv, x & nv)
@@ -230,7 +251,7 @@ def enumerate_cliques(g, time_limit=10.0):
             x.add(v)
 
     visit([], set(g.vertices), set())
-    return result
+    return CliqueEnumeration(maximal, size6, complete)
 
 
 def extend_clique_greedy(g, clique, ell, X):

@@ -20,7 +20,7 @@ def project_box(x, out=None):
 
 
 class CutArrays(NamedTuple):
-    """Flat arrays of a list of cuts, each cut's coordinates sorted."""
+    """Flat arrays of a run of cuts, each cut's coordinates sorted."""
 
     idx: np.ndarray      # coordinates, cut after cut
     a: np.ndarray        # coefficients at idx
@@ -29,28 +29,6 @@ class CutArrays(NamedTuple):
     lengths: np.ndarray  # support size of each cut
     rhs: np.ndarray
     denom: np.ndarray    # a' W^-1 a of each cut
-
-
-def _pack(cuts, order, w):
-    """``CutArrays`` of the cuts ``cuts[ci]`` for ``ci`` in ``order``."""
-    rhs = np.empty(len(order))
-    denom = np.empty(len(order))
-    idx_parts = []
-    a_parts = []
-    for pos, ci in enumerate(order):
-        cut = cuts[ci]
-        items = sorted(cut.coeffs.items())
-        idx = np.array([p for p, _ in items], dtype=np.intp)
-        a = np.array([v for _, v in items])
-        idx_parts.append(idx)
-        a_parts.append(a)
-        rhs[pos] = cut.rhs
-        denom[pos] = float(a @ (a / w[idx]))
-    idx = np.concatenate(idx_parts) if idx_parts else np.empty(0, dtype=np.intp)
-    a = np.concatenate(a_parts) if a_parts else np.empty(0)
-    lengths = np.array([len(part) for part in idx_parts], dtype=np.intp)
-    starts = np.cumsum(lengths) - lengths
-    return CutArrays(idx, a, a / w[idx], starts, lengths, rhs, denom)
 
 
 def _excess(cuts, z):
@@ -77,49 +55,45 @@ def _project_cluster(grp, z):
 
 
 class ClusteredCuts:
-    """Flat array view of cuts grouped into disjoint-support clusters.
+    """Flat array view of a :class:`CutPool`'s rows grouped into
+    disjoint-support clusters.
 
     Within a cluster all member halfspace projections act on disjoint
     coordinates, so one Dykstra pass applies them simultaneously.  The
-    cuts are packed once, cluster after cluster; ``groups[gid]`` holds
-    the ``CutArrays`` of cluster ``gid``, views into the packing of every
+    rows are taken once, cluster after cluster; ``groups[gid]`` holds
+    the ``CutArrays`` of cluster ``gid``, views into the arrays of every
     cut that ``max_violation`` reads.
     """
 
     def __init__(self, cuts, clusters, w):
-        self.cuts = cuts
-        self.clusters = clusters
-        self._all = _pack(cuts, [ci for members in clusters for ci in members], w)
-        idx, a, winv_a, starts, lengths, rhs, denom = self._all
+        rows = cuts.take(np.array([ci for members in clusters for ci in members],
+                                  dtype=np.intp))
+        idx, a, ptr = rows.indices, rows.data, rows.indptr
+        winv_a = a / w[idx]
+        # one dot product per cut, as the projection onto that cut alone
+        # computes its denominator
+        denom = np.array([a[lo:hi] @ winv_a[lo:hi]
+                          for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())])
+        starts, lengths = ptr[:-1], np.diff(ptr)
+        self._all = CutArrays(idx, a, winv_a, starts, lengths, rows.rhs, denom)
         self.groups = []
         first = lo = 0
         for members in clusters:
             last = first + len(members)
-            hi = lo + int(lengths[first:last].sum())
+            hi = ptr[last]
             self.groups.append(CutArrays(
                 idx[lo:hi], a[lo:hi], winv_a[lo:hi], starts[first:last] - lo,
-                lengths[first:last], rhs[first:last], denom[first:last],
+                lengths[first:last], rows.rhs[first:last], denom[first:last],
             ))
             first, lo = last, hi
 
     def __len__(self):
-        return len(self.cuts)
+        return len(self._all.rhs)
 
     def max_violation(self, x):
         if len(self._all.rhs) == 0:
             return 0.0
         return float(_excess(self._all, x[self._all.idx]).max())
-
-    def project_cluster(self, x, gid):
-        """In-place simultaneous weighted projection onto every halfspace
-        of one cluster (supports are disjoint)."""
-        grp = self.groups[gid]
-        idx = grp.idx
-        if len(idx) == 0:
-            return
-        z = _project_cluster(grp, x[idx])
-        if z is not None:
-            x[idx] = z
 
 
 @dataclass

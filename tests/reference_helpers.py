@@ -1,6 +1,8 @@
 """Reference code that only the tests use: the ``Hole5`` object that once
-held each enumerated 5-hole, the rank of a clique or odd hole under a
-colour budget, the weighted projection onto one cut's
+held each enumerated 5-hole, the ``Cut`` object that once held each cut
+(with its list of candidates and conversions to and from a ``CutPool``),
+the LP bound over a dense constraint matrix, the rank of a clique or odd
+hole under a colour budget, the weighted projection onto one cut's
 halfspace, the objective of a bordered iterate, and the cut-free affine
 projection and sphere projection as they were written before their
 buffered rewrites.  The solver never calls these; the tests check the
@@ -8,11 +10,13 @@ production code against them."""
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
+from mkcs.cuts import CutFamily, CutPool
 from mkcs.graph import Clique
 from mkcs.intadmm import sphere_center
 from mkcs.linalg import augmented_identity
@@ -28,6 +32,92 @@ class Hole5:
 
     def __len__(self):
         return 5
+
+
+@dataclass
+class Cut:
+    """One linear inequality ``sum_p a_p x_p <= rhs`` over free entries,
+    as a coefficient dict; a ``CutPool`` now holds cuts as CSR rows."""
+
+    id: int
+    family: CutFamily
+    coeffs: dict          # free-entry coordinate -> coefficient
+    rhs: float
+
+    @property
+    def support(self):
+        return frozenset(self.coeffs)
+
+    def violation(self, x):
+        return sum(a * x[p] for p, a in self.coeffs.items()) - self.rhs
+
+    def key(self):
+        """Canonical identity of the inequality, independent of family/id."""
+        items = tuple(sorted((p, round(a, 9)) for p, a in self.coeffs.items()))
+        return (round(self.rhs, 9), items)
+
+    def to_json(self):
+        coeffs = sorted((int(p), float(a)) for p, a in self.coeffs.items())
+        return json.dumps(
+            {"id": self.id, "family": self.family.name, "rhs": self.rhs,
+             "coeffs": coeffs},
+            separators=(",", ":"),
+        )
+
+
+@dataclass
+class CutList:
+    """Violated-cut candidates as ``(Cut, violation)`` pairs, the form the
+    separators once returned."""
+
+    candidates: list = field(default_factory=list)
+    truncated: bool = False
+
+    def add(self, cut, violation):
+        self.candidates.append((cut, violation))
+
+    def merge(self, other):
+        self.candidates.extend(other.candidates)
+        self.truncated = self.truncated or other.truncated
+        return self
+
+
+def pool_of(cuts):
+    """The ``CutPool`` of a list of ``Cut``s, in list order."""
+    rows = [sorted(c.coeffs.items()) for c in cuts]
+    indptr = np.cumsum([0] + [len(r) for r in rows])
+    return CutPool(indptr, [p for r in rows for p, _ in r],
+                   [a for r in rows for _, a in r], [c.rhs for c in cuts],
+                   [c.family for c in cuts], [c.id for c in cuts])
+
+
+def cuts_of(pool):
+    """The rows of a ``CutPool`` as ``Cut``s, coefficients by coordinate."""
+    return [Cut(cid, CutFamily(fam), dict(zip(idx, coeffs)), rhs)
+            for cid, fam, rhs, (idx, coeffs) in zip(
+                pool.id.tolist(), pool.family.tolist(), pool.rhs.tolist(),
+                pool.rows())]
+
+
+def candidate_pairs(report):
+    """The ``(Cut, violation)`` pairs of a separation report."""
+    return list(zip(cuts_of(report.candidates), report.violation))
+
+
+def dense_linprog_reference(c, cuts, m):
+    """The LP bound as first written: a dense constraint matrix filled one
+    coefficient of a ``Cut`` at a time."""
+    from scipy.optimize import linprog
+
+    a_ub = np.zeros((len(cuts), m))
+    b_ub = np.empty(len(cuts))
+    for row, cut in enumerate(cuts):
+        for p, a in cut.coeffs.items():
+            a_ub[row, p] = a
+        b_ub[row] = cut.rhs
+    res = linprog(-c, A_ub=a_ub, b_ub=b_ub, bounds=(0.0, 1.0), method="highs")
+    assert res.success, res.message
+    return float(-res.fun)
 
 
 def kappa_rank(structure, kappa):

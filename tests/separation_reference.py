@@ -2,8 +2,9 @@
 before their array rewrite, one Python loop per pool entry and apex
 vertex.  They are kept verbatim as the yardstick for ``mkcs.cuts``,
 whose separators must return the same candidates: the same order, ids,
-families, coefficient dicts (in insertion order) and right-hand sides,
-and the same violation values bit for bit.
+families, coefficients and right-hand sides, and the same violation
+values bit for bit.  ``Cut`` and the list of candidates they fill
+are the reference-side forms kept in ``reference_helpers``.
 
 ``assert_same_candidates`` is the comparison.  The reference hole
 separator iterates ``Hole5`` objects; ``hole_objects`` turns an
@@ -15,23 +16,25 @@ from __future__ import annotations
 
 import numpy as np
 
-from mkcs.cuts import Cut, CutFamily, SeparationReport
+from mkcs.cuts import CutFamily
 from mkcs.graph import Clique
-from reference_helpers import Hole5
+from reference_helpers import Cut, CutList as SeparationReport, Hole5
 
 
 def assert_same_candidates(new, old):
-    """The same candidates in the same order: ids, families, coefficient
-    dicts in insertion order with Python int keys, right-hand sides, and
-    violations of the same type and bits; and the same truncation flag."""
+    """The same candidates in the same order: ids, families, coefficients
+    (a pool row holds them by coordinate, a reference dict in insertion
+    order), right-hand sides, and violations of the same bits; and the
+    same truncation flag."""
     assert new.truncated == old.truncated
-    assert len(new.candidates) == len(old.candidates)
-    for (cut, viol), (ref_cut, ref_viol) in zip(new.candidates, old.candidates):
-        assert (cut.id, cut.family, cut.rhs) == (ref_cut.id, ref_cut.family, ref_cut.rhs)
-        assert list(cut.coeffs.items()) == list(ref_cut.coeffs.items())
-        assert all(type(p) is int for p in cut.coeffs)
-        assert type(viol) is type(ref_viol)
-        assert np.float64(viol).tobytes() == np.float64(ref_viol).tobytes()
+    pool = new.candidates
+    assert len(pool) == len(new.violation) == len(old.candidates)
+    assert new.violation.dtype == np.float64
+    for r, (row, (ref_cut, ref_viol)) in enumerate(zip(pool.rows(), old.candidates)):
+        assert (int(pool.id[r]), CutFamily(pool.family[r]), float(pool.rhs[r])) == (
+            ref_cut.id, ref_cut.family, ref_cut.rhs)
+        assert list(zip(*row)) == sorted(ref_cut.coeffs.items())
+        assert new.violation[r].tobytes() == np.float64(ref_viol).tobytes()
 
 
 def hole_objects(holes):

@@ -16,7 +16,13 @@ from bench_instances import (
     queen6_6,
 )
 from qp_oracle import weighted_projection_oracle
-from reference_helpers import admm_objective, project_halfspace_weighted
+from reference_helpers import (
+    Cut,
+    admm_objective,
+    candidate_pairs,
+    pool_of,
+    project_halfspace_weighted,
+)
 from mkcs.cli import RunConfig, chromatic_search, main
 from mkcs.cpadmm import (
     AdmmParams,
@@ -164,13 +170,13 @@ def test_criterion_4_cut_validity_suite():
                 fmap.vec_to_mat(rng.uniform(0, 1, fmap.m), k),
             ]
             for X in iterates:
-                cands = separate_triangle(X, g, fmap, k, 1e-7).candidates
-                cands += separate_clique_external(
-                    X, g, fmap, ce, k, 1e-7, rng=srng).candidates
-                cands += separate_clique_union(
-                    X, g, fmap, ce, k, 1e-7, rng=srng).candidates
-                cands += separate_odd_hole(
-                    X, g, fmap, he, k, 1e-7, rng=srng).candidates
+                cands = candidate_pairs(separate_triangle(X, g, fmap, k, 1e-7))
+                cands += candidate_pairs(separate_clique_external(
+                    X, g, fmap, ce, k, 1e-7, rng=srng))
+                cands += candidate_pairs(separate_clique_union(
+                    X, g, fmap, ce, k, 1e-7, rng=srng))
+                cands += candidate_pairs(separate_odd_hole(
+                    X, g, fmap, he, k, 1e-7, rng=srng))
                 for cut, _ in cands:
                     idx = np.array(sorted(cut.coeffs))
                     a = np.array([cut.coeffs[q] for q in idx])
@@ -239,7 +245,7 @@ def test_criterion_7_projection_oracles():
     with criterion(7, "projection kernels match independent references"):
         # exact boundary landing of the weighted halfspace projection
         rng = np.random.default_rng(42)
-        from mkcs.cuts import Cut, CutFamily
+        from mkcs.cuts import CutFamily
 
         for _ in range(200):
             m = int(rng.integers(2, 12))
@@ -274,15 +280,16 @@ def test_criterion_7_projection_oracles():
             fmap = FreeIndexMap(g)
             k = int(rng_case.integers(1, 4))
             x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
-            cands = separate_triangle(x_adv, g, fmap, k, 1e-6).candidates
-            cands += separate_clique_external(
+            cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
+            cands += candidate_pairs(separate_clique_external(
                 x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
-                rng=np.random.default_rng(0)).candidates
+                rng=np.random.default_rng(0)))
             if not cands:
                 continue
             pick = rng_case.permutation(len(cands))[:3]
             cuts = [cands[i][0] for i in pick]
-            clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
+            pool = pool_of(cuts)
+            clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
             u = rng_case.uniform(-0.5, 1.5, fmap.m)
             out = project_affine_set(fmap.vec_to_mat(u, k), fmap, k, clustered,
                                      eps_dyk=1e-9, max_cycles=200000)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph
-from reference_helpers import admm_objective
+from reference_helpers import Cut, admm_objective, cuts_of, dense_linprog_reference, pool_of
 from mkcs.cpadmm import (
     AdmmParams,
     cp_admm,
@@ -16,7 +16,8 @@ from mkcs.cpadmm import (
     scipy_linprog_backend,
     valid_upper_bound,
 )
-from mkcs.cuts import Cut, CutFamily
+import mkcs.cpadmm
+from mkcs.cuts import CutFamily, CutPool
 from mkcs.graph import Graph, random_graph
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
@@ -86,7 +87,8 @@ class TestInnerAdmm:
             Cut(1, CutFamily.CLIQUE_EXT,
                 {fmap.diag_coord(2): 1.0, fmap.diag_coord(3): 1.0}, 1.0),
         ]
-        clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
+        pool = pool_of(cuts)
+        clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
         params = AdmmParams(max_inner_iter=5, dyk_max_cycles=1, eps_dyk=1e-12)
         with caplog.at_level(logging.WARNING, logger="mkcs.cpadmm"):
             iters, _ = inner_admm(initial_state(g, 1), fmap, params, clustered)
@@ -147,8 +149,8 @@ class TestValidUpperBound:
         lam = (lam + lam.T) / 2
         cut = Cut(0, CutFamily.CLIQUE_EXT,
                   {fmap.diag_coord(1): 1.0, fmap.diag_coord(2): 1.0}, 1.0)
-        box = valid_upper_bound(lam, fmap, 2, [cut])
-        lp = valid_upper_bound(lam, fmap, 2, [cut],
+        box = valid_upper_bound(lam, fmap, 2, pool_of([cut]))
+        lp = valid_upper_bound(lam, fmap, 2, pool_of([cut]),
                                lp_backend=scipy_linprog_backend)
         assert lp <= box + 1e-9
 
@@ -156,8 +158,55 @@ class TestValidUpperBound:
         g = Graph(3)
         fmap = FreeIndexMap(g)
         cut = Cut(0, CutFamily.T1, {0: 1.0}, 0.5)
-        got = valid_upper_bound(np.zeros((4, 4)), fmap, 1, [cut])
+        got = valid_upper_bound(np.zeros((4, 4)), fmap, 1, pool_of([cut]))
         assert got == pytest.approx(3.0)
+
+
+def assert_same_float(a, b):
+    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (a, b)
+
+
+class TestLpBackend:
+    """The LP over the pool's CSR matrix against the dense matrix it
+    replaced, bit for bit."""
+
+    @staticmethod
+    def _objective(fmap, rng):
+        # the LP objective valid_upper_bound builds from a dual iterate
+        from mkcs.linalg import augmented_identity, project_nsd
+
+        lam = rng.normal(size=(fmap.n + 1, fmap.n + 1))
+        c_mat = augmented_identity(fmap.n) - project_nsd((lam + lam.T) / 2)
+        diag_gain = np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:]
+        return np.concatenate([diag_gain, 2.0 * c_mat[fmap.pair_rows, fmap.pair_cols]])
+
+    def test_queen6_6_pool(self, rng):
+        from bench_instances import queen6_6
+
+        g = queen6_6()
+        res = cp_admm(g, 6, AdmmParams(max_outer=3), lb_hint=0)
+        assert len(res.cuts) > 100
+        fmap = FreeIndexMap(g)
+        for _ in range(3):
+            c = self._objective(fmap, rng)
+            assert_same_float(scipy_linprog_backend(c, res.cuts, fmap.m),
+                              dense_linprog_reference(c, cuts_of(res.cuts), fmap.m))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_cut_system(self, seed):
+        rng = np.random.default_rng([17, seed])
+        m = int(rng.integers(5, 60))
+        cuts = []
+        for cid in range(int(rng.integers(1, 40))):
+            support = rng.choice(m, size=int(rng.integers(1, min(m, 9) + 1)),
+                                 replace=False)
+            coeffs = rng.choice([1.0, -1.0, -2.0], size=len(support))
+            cuts.append(Cut(cid, CutFamily(int(rng.integers(0, 5))),
+                            dict(zip(support.tolist(), coeffs.tolist())),
+                            float(rng.integers(0, 4))))
+        c = rng.normal(size=m)
+        assert_same_float(scipy_linprog_backend(c, pool_of(cuts), m),
+                          dense_linprog_reference(c, cuts, m))
 
 
 class TestGreedyLowerBound:
@@ -208,7 +257,7 @@ class TestCpAdmm:
         assert [(r.outer, r.inner_iters, r.ub, r.n_cuts_added) for r in a.records] == [
             (r.outer, r.inner_iters, r.ub, r.n_cuts_added) for r in b.records
         ]
-        assert [c.key() for c in a.cuts] == [c.key() for c in b.cuts]
+        assert a.cuts.to_jsonl() == b.cuts.to_jsonl()
 
     def test_soundness_against_oracle(self):
         for seed in range(6):

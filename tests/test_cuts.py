@@ -5,12 +5,11 @@ import pytest
 
 from bench_instances import complete_graph, cycle_graph
 import separation_reference as ref
-from reference_helpers import Hole5, kappa_rank
+from reference_helpers import Cut, Hole5, candidate_pairs, kappa_rank, pool_of
 from mkcs.cuts import (
-    Cut,
     CutFamily,
+    CutPool,
     cluster_cuts,
-    cuts_to_jsonl,
     select_cuts,
     separate_clique_external,
     separate_clique_union,
@@ -34,7 +33,7 @@ from mkcs.projection import ClusteredCuts, dykstra
 
 
 def family_count(rep, family):
-    return sum(c.family == family for c, _ in rep.candidates)
+    return int((rep.candidates.family == family).sum())
 
 
 def integer_vec(fmap, mat):
@@ -65,10 +64,12 @@ def all_candidates(g, fmap, k, X, min_viol=1e-9):
     ce = enumerate_cliques(g)
     he = enumerate_5holes(g)
     cands = []
-    cands += separate_triangle(X, g, fmap, k, min_viol).candidates
-    cands += separate_clique_external(X, g, fmap, ce, k, min_viol, rng=rng).candidates
-    cands += separate_clique_union(X, g, fmap, ce, k, min_viol, rng=rng).candidates
-    cands += separate_odd_hole(X, g, fmap, he, k, min_viol, rng=rng).candidates
+    cands += candidate_pairs(separate_triangle(X, g, fmap, k, min_viol))
+    cands += candidate_pairs(
+        separate_clique_external(X, g, fmap, ce, k, min_viol, rng=rng))
+    cands += candidate_pairs(
+        separate_clique_union(X, g, fmap, ce, k, min_viol, rng=rng))
+    cands += candidate_pairs(separate_odd_hole(X, g, fmap, he, k, min_viol, rng=rng))
     return cands
 
 
@@ -111,7 +112,7 @@ class TestSeparateTriangle:
         X[3, 3] = X[0, 3] = X[3, 0] = 1.0
         X[1, 2] = X[2, 1] = 0.2
         rep = separate_triangle(X, g, fmap, 3)
-        viols = [v for c, v in rep.candidates if c.family == CutFamily.T1]
+        viols = rep.violation[rep.candidates.family == CutFamily.T1]
         assert max(viols) == pytest.approx(0.4)
 
     def test_three_set_cut_for_one_color(self):
@@ -121,8 +122,8 @@ class TestSeparateTriangle:
         x[: g.n] = 0.7
         X = fmap.vec_to_mat(x, 1)
         rep = separate_triangle(X, g, fmap, 1)
-        t2 = [v for c, v in rep.candidates if c.family == CutFamily.T2]
-        assert t2 and max(t2) == pytest.approx(1.1)
+        t2 = rep.violation[rep.candidates.family == CutFamily.T2]
+        assert len(t2) and max(t2) == pytest.approx(1.1)
 
     def test_three_set_family_suppressed_above_two_colors(self):
         g = Graph(3, [])
@@ -145,7 +146,7 @@ class TestSeparateTriangle:
         fmap = FreeIndexMap(g)
         x = np.ones(fmap.m)
         X = fmap.vec_to_mat(x, 3)
-        for cut, _ in separate_triangle(X, g, fmap, 3, 1e-9).candidates:
+        for cut, _ in candidate_pairs(separate_triangle(X, g, fmap, 3, 1e-9)):
             assert all(p < fmap.m for p in cut.coeffs)
             # no coefficient may reference the edge {1,2}
             assert all(
@@ -169,15 +170,15 @@ class TestSeparateCliqueExternal:
         rep = separate_clique_external(
             X, g, fmap, enumerate_cliques(g), 2, min_viol=1e-3
         )
-        assert rep.candidates
-        assert max(v for _, v in rep.candidates) == pytest.approx(0.2)
+        assert len(rep.candidates)
+        assert rep.violation.max() == pytest.approx(0.2)
 
     def test_feasible_coloring_produces_nothing(self):
         g = cycle_graph(5)
         fmap = FreeIndexMap(g)
         X = coloring_matrix(g, {1: 1, 3: 1, 2: 2, 4: 2})
         rep = separate_clique_external(X, g, fmap, enumerate_cliques(g), 2)
-        assert not rep.candidates
+        assert not len(rep.candidates)
 
     def test_six_clique_extension_strengthens(self):
         # K7: the non-maximal 6-cliques extend to the full K7 minus the
@@ -189,8 +190,9 @@ class TestSeparateCliqueExternal:
         x = np.ones(fmap.m)
         X = fmap.vec_to_mat(x, 2)
         rep = separate_clique_external(X, g, fmap, enumerate_cliques(g), 2, 1e-9)
-        for cut, _ in rep.candidates:
-            assert len(cut.coeffs) == 8  # 7 clique pairs + the apex diagonal
+        assert len(rep.candidates)
+        # 7 clique pairs + the apex diagonal
+        assert (np.diff(rep.candidates.indptr) == 8).all()
 
     def test_truncation_flag_and_seeded_subset(self):
         g = random_graph(12, 0.6, 5)
@@ -205,7 +207,7 @@ class TestSeparateCliqueExternal:
             X, g, fmap, enum, 2, 1e-9, max_cliques=3, rng=np.random.default_rng(11)
         )
         assert r1.truncated
-        assert [c.key() for c, _ in r1.candidates] == [c.key() for c, _ in r2.candidates]
+        assert r1.candidates.row_keys() == r2.candidates.row_keys()
 
 
 class TestSeparateCliqueUnion:
@@ -216,7 +218,7 @@ class TestSeparateCliqueUnion:
         for v in range(1, 5):
             X[v, v] = X[0, v] = X[v, 0] = 0.75
         rep = separate_clique_union(X, g, fmap, enumerate_cliques(g), 1)
-        assert max(v for _, v in rep.candidates) == pytest.approx(2.0)
+        assert rep.violation.max() == pytest.approx(2.0)
 
     def test_small_pairs_skipped(self):
         g = Graph(4, [(1, 2), (3, 4)])
@@ -224,14 +226,14 @@ class TestSeparateCliqueUnion:
         x = np.ones(fmap.m)
         X = fmap.vec_to_mat(x, 4)
         rep = separate_clique_union(X, g, fmap, enumerate_cliques(g), 4, 1e-9)
-        assert not rep.candidates  # |Q| + |Q'| = 4 <= k
+        assert not len(rep.candidates)  # |Q| + |Q'| = 4 <= k
 
     def test_feasible_coloring_produces_nothing(self):
         g = Graph(4, [(1, 2), (3, 4)])
         fmap = FreeIndexMap(g)
         X = coloring_matrix(g, {1: 1, 3: 1, 2: 2, 4: 2})
         rep = separate_clique_union(X, g, fmap, enumerate_cliques(g), 2)
-        assert not rep.candidates
+        assert not len(rep.candidates)
 
 
 class TestSeparateOddHole:
@@ -243,21 +245,21 @@ class TestSeparateOddHole:
             X[v, 6] = X[6, v] = 0.5
         X[6, 6] = X[0, 6] = X[6, 0] = 1.0
         rep = separate_odd_hole(X, g, fmap, enumerate_5holes(g), 2)
-        assert max(v for _, v in rep.candidates) == pytest.approx(0.5)
+        assert rep.violation.max() == pytest.approx(0.5)
 
     def test_zero_apex_no_violation(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         fmap = FreeIndexMap(g)
         X = np.zeros((7, 7))
         rep = separate_odd_hole(X, g, fmap, enumerate_5holes(g), 2)
-        assert not rep.candidates
+        assert not len(rep.candidates)
 
     def test_feasible_coloring_produces_nothing(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         fmap = FreeIndexMap(g)
         X = coloring_matrix(g, {1: 1, 3: 1, 2: 2, 4: 2, 6: 1})
         rep = separate_odd_hole(X, g, fmap, enumerate_5holes(g), 2)
-        assert not rep.candidates
+        assert not len(rep.candidates)
 
 
 def reference_iterates(g, fmap, k, rng):
@@ -384,22 +386,22 @@ class TestSeparatorsMatchReference:
         g = cycle_graph(6)
         fmap = FreeIndexMap(g)
         X = fmap.vec_to_mat(np.ones(fmap.m), k)
-        for cliques in (CliqueEnumeration([], []), []):
-            for new, old in ((separate_clique_external, ref.separate_clique_external),
-                             (separate_clique_union, ref.separate_clique_union)):
-                got = new(X, g, fmap, cliques, k, 0.0)
-                assert not got.candidates and not got.truncated
-                ref.assert_same_candidates(got, old(X, g, fmap, cliques, k, 0.0))
-        for holes in (HoleEnumeration(), enumerate_5holes(g), []):
+        cliques = CliqueEnumeration([], [])
+        for new, old in ((separate_clique_external, ref.separate_clique_external),
+                         (separate_clique_union, ref.separate_clique_union)):
+            got = new(X, g, fmap, cliques, k, 0.0)
+            assert not len(got.candidates) and not got.truncated
+            ref.assert_same_candidates(got, old(X, g, fmap, cliques, k, 0.0))
+        for holes in (HoleEnumeration(), enumerate_5holes(g)):
             got = separate_odd_hole(X, g, fmap, holes, k, 0.0)
-            assert not got.candidates and not got.truncated
+            assert not len(got.candidates) and not got.truncated
 
     def test_hole_rows_as_a_list(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])
         fmap = FreeIndexMap(g)
         X = fmap.vec_to_mat(np.full(fmap.m, 0.5), 2)
         ref.assert_same_candidates(
-            separate_odd_hole(X, g, fmap, [(1, 2, 3, 4, 5)], 2, 0.0),
+            separate_odd_hole(X, g, fmap, HoleEnumeration([(1, 2, 3, 4, 5)]), 2, 0.0),
             ref.separate_odd_hole(X, g, fmap, [Hole5((1, 2, 3, 4, 5))], 2, 0.0),
         )
 
@@ -498,7 +500,8 @@ class TestPropositions:
                 fmap.diag_coord(ell): -1.0,
             }
             cuts.append(Cut(cid, CutFamily.T1, coeffs, 0.0))
-        clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
+        pool = pool_of(cuts)
+        clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
         for _ in range(20):
             x0 = rng.uniform(0, 1, fmap.m)
             res = dykstra(x0, fmap.weights, clustered, eps=1e-8, max_cycles=5000)
@@ -511,12 +514,78 @@ def make_cut(cid, support, viol_rank=0, family=CutFamily.T1, rhs=0.0):
     return Cut(cid, family, {p: 1.0 for p in support}, rhs)
 
 
+def key_semantics_mask(existing, candidates):
+    """Which candidates a ``Cut.key()`` dedup keeps: no repeat of an
+    existing cut or of an earlier candidate."""
+    seen = {c.key() for c in existing}
+    keep = []
+    for cut in candidates:
+        keep.append(cut.key() not in seen)
+        seen.add(cut.key())
+    return keep
+
+
+class TestCutPool:
+    def test_novel_rows_follow_key_semantics(self):
+        existing = [
+            Cut(0, CutFamily.CLIQUE_EXT, {4: 1.0, 9: 1.0, 2: -1.0}, 0.0),
+            Cut(1, CutFamily.CLIQUE_UNION, {0: 1.0, 1: 1.0, 7: -1.0}, 2.0),
+        ]
+        candidates = [
+            # an existing row with its coefficients in another order, and
+            # from another family
+            Cut(5, CutFamily.T1, {2: -1.0, 9: 1.0, 4: 1.0}, 0.0),
+            # differs from an existing row only in its right-hand side
+            Cut(6, CutFamily.CLIQUE_UNION, {7: -1.0, 1: 1.0, 0: 1.0}, 3.0),
+            # new, then repeated within the round
+            Cut(7, CutFamily.HOLE5, {3: 1.0, 5: -2.0}, 0.0),
+            Cut(8, CutFamily.CLIQUE_EXT, {5: -2.0, 3: 1.0}, 0.0),
+            # a different coefficient on the same support
+            Cut(9, CutFamily.HOLE5, {3: 1.0, 5: -1.0}, 0.0),
+        ]
+        mask = pool_of(existing).novel(pool_of(candidates))
+        assert mask.tolist() == key_semantics_mask(existing, candidates)
+        assert mask.tolist() == [False, True, True, False, True]
+        assert CutPool().novel(pool_of(candidates)).tolist() == [
+            True, True, True, False, True]
+
+    def test_appended_rows_count_as_existing(self):
+        pool = pool_of([Cut(0, CutFamily.T1, {1: 1.0}, 0.0)])
+        later = pool_of([Cut(1, CutFamily.T1, {2: 1.0}, 0.0)])
+        assert pool.novel(later).tolist() == [True]
+        pool.append(later)
+        assert pool.novel(later).tolist() == [False]
+        assert pool.id.tolist() == [0, 1] and pool.indices.tolist() == [1, 2]
+
+    def test_rows_built_from_padded_columns_are_sorted(self):
+        # the same inequality with its columns in two orders and a masked
+        # entry, as the separators emit them
+        pool = CutPool.from_padded([[7, -1, 2, 4], [4, 2, 7, -1]],
+                                   [[1.0, 1.0, -1.0, 1.0], [1.0, -1.0, 1.0, 5.0]],
+                                   0.0, CutFamily.T1, [0, 1])
+        assert pool.rows() == [([2, 4, 7], [-1.0, 1.0, 1.0])] * 2
+        assert CutPool().novel(pool).tolist() == [True, False]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_separator_rows_follow_key_semantics(self, seed):
+        # the rows the separators emit, the first half taken as existing,
+        # the whole list as one round's candidates
+        rng = np.random.default_rng([21, seed])
+        g = random_graph(int(rng.integers(6, 12)), 0.4, 40 + seed)
+        fmap = FreeIndexMap(g)
+        k = 2
+        X = fmap.vec_to_mat(rng.uniform(0, 1, fmap.m), k)
+        cuts = [cut for cut, _ in all_candidates(g, fmap, k, X, min_viol=0.0)]
+        assert len(cuts) > 10
+        existing = cuts[: len(cuts) // 2]
+        keep = key_semantics_mask(existing, cuts)
+        assert pool_of(existing).novel(pool_of(cuts)).tolist() == keep
+
+
 class TestSelectCuts:
     def _report(self, entries):
-        rep = SeparationReport()
-        for cut, viol in entries:
-            rep.add(cut, viol)
-        return rep
+        cuts = [cut for cut, _ in entries]
+        return SeparationReport(pool_of(cuts), np.array([v for _, v in entries]))
 
     def test_single_candidate_accepted(self):
         rep = self._report([(make_cut(0, [1, 2], family=CutFamily.CLIQUE_EXT), 0.5)])
@@ -542,44 +611,39 @@ class TestSelectCuts:
             (make_cut(1, [2, 3], family=CutFamily.CLIQUE_EXT), 1.0),
         ]
         out = select_cuts(self._report(entries), 1, 10, 5)
-        assert [c.family for c in out] == [CutFamily.CLIQUE_EXT]
-
-    def test_existing_duplicates_rejected(self):
-        cut = make_cut(0, [1, 2], family=CutFamily.CLIQUE_EXT)
-        rep = self._report([(cut, 1.0)])
-        assert select_cuts(rep, 2, 10, 5, existing_keys={cut.key()}) == []
+        assert out.family.tolist() == [CutFamily.CLIQUE_EXT]
 
     def test_violation_then_family_then_id_order(self):
         a = make_cut(7, [0], family=CutFamily.HOLE5)
         b = make_cut(3, [1], family=CutFamily.T1)
         c = make_cut(1, [2], family=CutFamily.T1)
         out = select_cuts(self._report([(a, 1.0), (b, 1.0), (c, 1.0)]), 2, 2, 5)
-        assert [x.id for x in out] == [1, 3]
+        assert out.id.tolist() == [1, 3]
 
     def test_deterministic(self):
         entries = [
             (make_cut(i, [i % 4, 4 + i % 3], family=CutFamily.CLIQUE_EXT), 1.0)
             for i in range(12)
         ]
-        first = [c.id for c in select_cuts(self._report(entries), 2, 6, 2)]
-        second = [c.id for c in select_cuts(self._report(entries), 2, 6, 2)]
+        first = select_cuts(self._report(entries), 2, 6, 2).id.tolist()
+        second = select_cuts(self._report(entries), 2, 6, 2).id.tolist()
         assert first == second
 
 
 class TestClusterCuts:
     def test_disjoint_one_cluster(self):
         cuts = [make_cut(0, [0, 1]), make_cut(1, [2, 3])]
-        assert cluster_cuts(cuts) == [[0, 1]]
+        assert cluster_cuts(pool_of(cuts)) == [[0, 1]]
 
     def test_overlap_two_clusters(self):
         cuts = [make_cut(0, [0, 1]), make_cut(1, [1, 2])]
-        assert len(cluster_cuts(cuts)) == 2
+        assert len(cluster_cuts(pool_of(cuts))) == 2
 
     def test_star_pattern(self):
         # the center cut overlaps each leaf; leaves are pairwise disjoint
         center = make_cut(0, [0, 1, 2, 3])
         leaves = [make_cut(i, [i - 1, 10 + i]) for i in range(1, 5)]
-        clusters = cluster_cuts([center] + leaves)
+        clusters = cluster_cuts(pool_of([center] + leaves))
         assert len(clusters) == 2
         assert [0] in clusters and [1, 2, 3, 4] in clusters
 
@@ -590,7 +654,7 @@ class TestClusterCuts:
         for cid in range(40):
             sup = rng.choice(30, size=int(rng.integers(1, 6)), replace=False)
             cuts.append(make_cut(cid, [int(s) for s in sup]))
-        clusters = cluster_cuts(cuts)
+        clusters = cluster_cuts(pool_of(cuts))
         assert sorted(i for cl in clusters for i in cl) == list(range(40))
         for cl in clusters:
             seen = set()
@@ -601,10 +665,10 @@ class TestClusterCuts:
 
 def test_jsonl_serialization():
     cuts = [
-        Cut(3, CutFamily.CLIQUE_EXT, {2: 1.0, 5: -1.0}, 0.0),
+        Cut(3, CutFamily.CLIQUE_EXT, {5: -1.0, 2: 1.0}, 0.0),
         Cut(4, CutFamily.T2, {0: 1.0}, 2.0),
     ]
-    lines = cuts_to_jsonl(cuts).strip().split("\n")
+    lines = pool_of(cuts).to_jsonl().strip().split("\n")
     first = json.loads(lines[0])
     assert first == {
         "id": 3,
@@ -613,3 +677,4 @@ def test_jsonl_serialization():
         "coeffs": [[2, 1.0], [5, -1.0]],
     }
     assert json.loads(lines[1])["family"] == "T2"
+    assert [ln + "\n" for ln in lines] == [c.to_json() + "\n" for c in cuts]

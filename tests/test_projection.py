@@ -3,12 +3,26 @@ import pytest
 
 from dykstra_reference import ReferenceClusteredCuts, reference_dykstra
 from qp_oracle import weighted_projection_oracle
-from reference_helpers import affine_box_reference, project_halfspace_weighted
-from mkcs.cuts import Cut, CutFamily, cluster_cuts, separate_triangle, separate_clique_external
+from reference_helpers import (
+    Cut,
+    affine_box_reference,
+    candidate_pairs,
+    pool_of,
+    project_halfspace_weighted,
+)
+from mkcs.cuts import (
+    CutFamily,
+    CutPool,
+    cluster_cuts,
+    separate_clique_external,
+    separate_clique_union,
+    separate_triangle,
+)
 from mkcs.graph import Graph, enumerate_cliques, random_graph
 from mkcs.linalg import FreeIndexMap
 from mkcs.projection import (
     ClusteredCuts,
+    _project_cluster,
     dykstra,
     project_affine_set,
     project_box,
@@ -17,6 +31,22 @@ from mkcs.projection import (
 
 def make_cut(cid, coeffs, rhs=0.0):
     return Cut(cid, CutFamily.T1, dict(coeffs), rhs)
+
+
+def project_cluster(clustered, x, gid):
+    """In-place simultaneous weighted projection of ``x`` onto every
+    halfspace of one cluster, by the kernel of the Dykstra cycle."""
+    grp = clustered.groups[gid]
+    z = _project_cluster(grp, x[grp.idx])
+    if z is not None:
+        x[grp.idx] = z
+
+
+def clustered_of(cuts, w, clusters=None):
+    """``ClusteredCuts`` of a list of ``Cut``s, clustered by ``cluster_cuts``
+    unless ``clusters`` is given."""
+    pool = pool_of(cuts)
+    return ClusteredCuts(pool, cluster_cuts(pool) if clusters is None else clusters, w)
 
 
 class TestProjectBox:
@@ -93,7 +123,7 @@ class TestProjectHalfspaceWeighted:
 class TestDykstra:
     def test_point_in_intersection_unchanged(self):
         cuts = [make_cut(0, {0: 1.0, 1: 1.0}, 1.5)]
-        clustered = ClusteredCuts(cuts, [[0]], np.ones(2))
+        clustered = clustered_of(cuts, np.ones(2), [[0]])
         x0 = np.array([0.25, 0.5])
         res = dykstra(x0, np.ones(2), clustered, eps=1e-10)
         assert np.allclose(res.x, x0, atol=1e-12)
@@ -101,7 +131,7 @@ class TestDykstra:
 
     def test_box_and_halfspace_hand_case(self):
         cuts = [make_cut(0, {0: 1.0, 1: 1.0}, 1.0)]
-        clustered = ClusteredCuts(cuts, [[0]], np.ones(2))
+        clustered = clustered_of(cuts, np.ones(2), [[0]])
         res = dykstra(np.array([1.0, 1.0]), np.ones(2), clustered, eps=1e-10,
                       max_cycles=10000)
         assert np.allclose(res.x, [0.5, 0.5], atol=1e-8)
@@ -112,14 +142,14 @@ class TestDykstra:
         w = rng.choice([2.0, 3.0], size=8)
         c1 = make_cut(0, {0: 1.0, 1: 2.0}, 0.4)
         c2 = make_cut(1, {4: 1.0, 5: 1.0}, 0.3)
-        joint = ClusteredCuts([c1, c2], [[0, 1]], w)
+        joint = clustered_of([c1, c2], w, [[0, 1]])
         for _ in range(20):
             x = rng.uniform(-0.5, 1.5, size=8)
             expected = project_halfspace_weighted(
                 project_halfspace_weighted(x.copy(), c1, w), c2, w
             )
             got = x.copy()
-            joint.project_cluster(got, 0)
+            project_cluster(joint, got, 0)
             assert np.array_equal(got, expected)
 
     def test_joint_and_singleton_clusters_converge_to_same_point(self, rng):
@@ -127,8 +157,8 @@ class TestDykstra:
         c1 = make_cut(0, {0: 1.0, 1: 2.0}, 0.4)
         c2 = make_cut(1, {4: 1.0, 5: 1.0}, 0.3)
         x0 = rng.uniform(0, 1.5, size=8)
-        joint = ClusteredCuts([c1, c2], [[0, 1]], w)
-        split = ClusteredCuts([c1, c2], [[0], [1]], w)
+        joint = clustered_of([c1, c2], w, [[0, 1]])
+        split = clustered_of([c1, c2], w, [[0], [1]])
         a = dykstra(x0.copy(), w, joint, eps=1e-11, max_cycles=100000)
         b = dykstra(x0.copy(), w, split, eps=1e-11, max_cycles=100000)
         assert a.feasible and b.feasible
@@ -142,7 +172,7 @@ class TestDykstra:
             make_cut(1, {2: -1.0, 4: 2.0}, 0.2),
         ]
         x0 = rng.uniform(-0.5, 1.5, size=6)
-        grouped = ClusteredCuts(cuts, [[0], [1]], w)
+        grouped = clustered_of(cuts, w, [[0], [1]])
         res = dykstra(x0.copy(), w, grouped, eps=1e-12, max_cycles=100000)
         assert res.feasible
 
@@ -167,7 +197,7 @@ class TestDykstra:
             make_cut(0, {0: 1.0, 1: 1.0, 2: 1.0}, 0.8),
             make_cut(1, {3: 1.0, 4: 1.0}, 0.5),
         ]
-        clustered = ClusteredCuts(cuts, cluster_cuts(cuts), w)
+        clustered = clustered_of(cuts, w)
         x0 = rng.uniform(0.4, 1.4, size=6)
         dists = []
         for cycles in range(2, 14):
@@ -226,7 +256,7 @@ class TestProjectAffineSet:
             make_cut(0, {0: 1.0, 1: 1.0}, 0.3),
             make_cut(1, {1: 1.0, 2: 1.0}, 0.2),
         ]
-        clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
+        clustered = clustered_of(cuts, fmap.weights)
         u = fmap.vec_to_mat(np.ones(fmap.m), 1)
         out = project_affine_set(u, fmap, 1, clustered, eps_dyk=1e-12, max_cycles=1)
         assert not out.feasible
@@ -235,11 +265,11 @@ class TestProjectAffineSet:
 
     def _instance_cuts(self, g, fmap, k, rng):
         x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
-        cands = separate_triangle(x_adv, g, fmap, k, 1e-6).candidates
-        cands += separate_clique_external(
+        cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
+        cands += candidate_pairs(separate_clique_external(
             x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
             rng=np.random.default_rng(0),
-        ).candidates
+        ))
         rng.shuffle(cands)
         return [c for c, _ in cands[:3]]
 
@@ -257,7 +287,7 @@ class TestProjectAffineSet:
             if cuts:
                 break
         assert cuts, "no instance yielded cuts"
-        clustered = ClusteredCuts(cuts, cluster_cuts(cuts), fmap.weights)
+        clustered = clustered_of(cuts, fmap.weights)
         u_vec = rng.uniform(-0.5, 1.5, fmap.m)
         out = project_affine_set(
             fmap.vec_to_mat(u_vec, k), fmap, k, clustered,
@@ -291,11 +321,11 @@ class TestFusedKernelMatchesReference:
         fmap = FreeIndexMap(g)
         k = int(rng.integers(1, 4))
         x_sep = fmap.vec_to_mat(rng.uniform(0.2, 1.2, fmap.m), k)
-        cands = separate_triangle(x_sep, g, fmap, k, 1e-6).candidates
-        cands += separate_clique_external(
+        cands = candidate_pairs(separate_triangle(x_sep, g, fmap, k, 1e-6))
+        cands += candidate_pairs(separate_clique_external(
             x_sep, g, fmap, enumerate_cliques(g), k, 1e-6,
             rng=np.random.default_rng(0), id_base=len(cands),
-        ).candidates
+        ))
         return fmap, [c for c, _ in cands], rng
 
     @staticmethod
@@ -305,12 +335,12 @@ class TestFusedKernelMatchesReference:
         return x0
 
     def _assert_match(self, x0, w, cuts, clusters):
-        new = ClusteredCuts(cuts, clusters, w)
+        new = clustered_of(cuts, w, clusters)
         ref = ReferenceClusteredCuts(cuts, clusters, w)
         assert new.max_violation(x0) == ref.max_violation(x0)
         for gid in range(len(clusters)):
             got, want = x0.copy(), x0.copy()
-            new.project_cluster(got, gid)
+            project_cluster(new, got, gid)
             ref.project_cluster(want, gid)
             assert_same_bits(got, want)
         for eps, cap in self.SETTINGS:
@@ -325,7 +355,7 @@ class TestFusedKernelMatchesReference:
         fmap, cuts, rng = self._separated_cuts(seed)
         assert cuts
         self._assert_match(self._start(fmap, rng), fmap.weights, cuts,
-                           cluster_cuts(cuts))
+                           cluster_cuts(pool_of(cuts)))
 
     @pytest.mark.parametrize("seed", range(6))
     def test_all_inactive_clusters(self, seed):
@@ -335,13 +365,27 @@ class TestFusedKernelMatchesReference:
         slack = [Cut(len(cuts) + i, c.family, dict(c.coeffs), c.rhs + 50.0)
                  for i, c in enumerate(cuts[:6])]
         pool = cuts + slack
-        clusters = cluster_cuts(cuts)
+        clusters = cluster_cuts(pool_of(cuts))
         inactive = [[len(cuts) + i] for i in range(len(slack))]
         clusters = inactive[:3] + clusters + inactive[3:]
         x0 = self._start(fmap, rng)
         self._assert_match(x0, fmap.weights, pool, clusters)
         self._assert_match(np.clip(x0, 0.0, 1.0), fmap.weights, slack,
-                           cluster_cuts(slack))
+                           cluster_cuts(pool_of(slack)))
+
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_long_clique_union_rows(self, seed):
+        # rows of 16 and more coefficients, whose dot products may take
+        # another summation path than the short rows above
+        rng = np.random.default_rng([12, seed])
+        g = random_graph(16, 0.6, 800 + seed)
+        fmap = FreeIndexMap(g)
+        x_sep = fmap.vec_to_mat(rng.uniform(0.2, 1.2, fmap.m), 1)
+        cuts = [c for c, _ in candidate_pairs(separate_clique_union(
+            x_sep, g, fmap, enumerate_cliques(g), 1, 1e-6))][:60]
+        assert sum(len(c.coeffs) >= 16 for c in cuts) >= 5
+        self._assert_match(self._start(fmap, rng), fmap.weights, cuts,
+                           cluster_cuts(pool_of(cuts)))
 
     def test_cluster_turning_inactive_drops_its_correction(self):
         # the first cut is violated in cycle 1 only: the second one pulls
@@ -388,7 +432,7 @@ class TestCutFreeAffineMatchesReference:
         g = random_graph(6, 0.4, 3)
         fmap = FreeIndexMap(g)
         u = bordered_with_signed_zeros(rng, 7)
-        clustered = ClusteredCuts([], [], fmap.weights)
+        clustered = ClusteredCuts(CutPool(), [], fmap.weights)
         out = project_affine_set(u, fmap, 2, clustered)
         assert_same_bits(out.matrix, affine_box_reference(u, fmap, 2))
         assert out.feasible and out.cycles == 0
