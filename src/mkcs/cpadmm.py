@@ -429,6 +429,9 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
             record(0)
             break
 
+        # a round that the min_impr rule ends adds no cut, so it separates
+        # only what decides the phase it records
+        ending = outer > 1 and improvement < params.min_impr
         rng = np.random.default_rng([params.seed, outer])
 
         def separate(fams):
@@ -439,30 +442,29 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
             )
             return rep
 
-        report = separate(
-            [f for f in families if phase == 2 or f == CutFamily.CLIQUE_EXT])
+        report = SeparationReport()
+        if phase == 2 and not ending:
+            report = separate(families)
+        elif phase == 1 and not (ending and improvement < params.min_impr_phase1):
+            report = separate([CutFamily.CLIQUE_EXT])
         fresh = cut_list.novel(report.candidates)
         if phase == 1 and (improvement < params.min_impr_phase1
                            or fresh.sum() < params.min_ineq_phase1):
             phase = 2
-            report.merge(separate(
-                [f for f in families if f != CutFamily.CLIQUE_EXT]))
-            fresh = cut_list.novel(report.candidates)
+            if not ending:
+                report.merge(separate(
+                    [f for f in families if f != CutFamily.CLIQUE_EXT]))
+                fresh = cut_list.novel(report.candidates)
 
-        if outer > 1 and improvement < params.min_impr:
-            record(0)
-            run_tightened()
-            termination = "min_impr"
-            break
         accepted = CutPool()
-        if fresh.sum() >= params.min_ineq:
+        if not ending and fresh.sum() >= params.min_ineq:
             accepted = select_cuts(
                 report.take(fresh), phase, params.max_ineq, params.max_cuts_per_var
             )
         if not len(accepted):
             record(0)
             run_tightened()
-            termination = "min_ineq"
+            termination = "min_impr" if ending else "min_ineq"
             break
         cut_list.append(accepted)
         clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)

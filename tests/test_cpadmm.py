@@ -209,6 +209,44 @@ class TestLpBackend:
                           dense_linprog_reference(c, cuts, m))
 
 
+class TestEndingRound:
+    """A round that the min_impr rule ends adds no cut, so it runs no
+    separator, and it records the same phase and termination as when it
+    separated every family (the values below)."""
+
+    SEPARATORS = ("separate_triangle", "separate_clique_external",
+                  "separate_clique_union", "separate_odd_hole")
+
+    @pytest.mark.parametrize("instance,k,records", [
+        ("myciel5", 4, [(1, 2, 52, 52), (2, 2, 0, 52), (2, 2, 0, 52)]),
+        ("one_insertions_4", 3, [(1, 1, 320, 320), (2, 2, 0, 320), (2, 2, 0, 320)]),
+    ])
+    def test_no_separation_in_the_ending_round(self, monkeypatch, instance, k, records):
+        import bench_instances
+
+        rounds = []  # outer round of each separator call
+        inner = mkcs.cpadmm.inner_admm
+
+        def counting_inner(*args, **kwargs):
+            if not kwargs.get("tightened"):
+                rounds.append(None)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mkcs.cpadmm, "inner_admm", counting_inner)
+        calls = []
+        for name in self.SEPARATORS:
+            def spy(*args, _sep=getattr(mkcs.cpadmm, name), **kwargs):
+                calls.append(len(rounds))
+                return _sep(*args, **kwargs)
+
+            monkeypatch.setattr(mkcs.cpadmm, name, spy)
+        res = cp_admm(getattr(bench_instances, instance)(), k, AdmmParams())
+        assert res.termination == "min_impr"
+        assert [(r.outer, r.phase, r.n_cuts_added, r.n_cuts_total)
+                for r in res.records] == records
+        assert calls and max(calls) < res.outer_iterations
+
+
 class TestGreedyLowerBound:
     def test_empty_graph_single_color(self):
         value, coloring = greedy_lower_bound(Graph(7), 1)
