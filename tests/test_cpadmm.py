@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph
-from reference_helpers import Cut, admm_objective, cuts_of, dense_linprog_reference, pool_of
+from reference_helpers import (
+    Cut,
+    admm_objective,
+    cuts_of,
+    dense_linprog_reference,
+    pool_of,
+)
 from mkcs.cpadmm import (
     AdmmParams,
     cp_admm,
