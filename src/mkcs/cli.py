@@ -40,15 +40,15 @@ class CliError(Exception):
         self.code = code
 
 
-# Every field of the two parameter tables is a config key and, except for
-# these, a generated flag: the seed is shared by both tables, the families
-# are given by name, and the LP backend is chosen by --lp-backend.
+# Every field of the two parameter tables but the LP backend is a config
+# key and, except for these, a generated flag: the seed is shared by both
+# tables, and the families are given by name.
 _NOT_FLAGS = ("seed", "families", "lp_backend")
 _FLAG_TYPES = {"float": float, "int": int, "float | None": float, "int | None": int}
 _ADMM_FIELD_NAMES = {f.name for f in dataclasses.fields(AdmmParams)} - {"lp_backend"}
 _INT_FIELD_NAMES = {f.name for f in dataclasses.fields(IntAdmmParams)}
-_RUN_KEYS = ("time_limit", "lp_backend", "expensive_tests", "stable_timing",
-             "per_k_time_limit", "k", "out")
+_RUN_KEYS = ("time_limit", "expensive_tests", "stable_timing", "per_k_time_limit",
+             "k", "out")
 
 
 @dataclass
@@ -62,7 +62,6 @@ class RunConfig:
     mode: str = "bound"
     out: str | None = None
     time_limit: float | None = None    # overrides time_limit_global when set
-    lp_backend: str = "external"       # external (exact LP bound) | none
     expensive_tests: bool = False
     stable_timing: bool = False
     per_k_time_limit: float = 600.0    # chromatic mode: budget per k value
@@ -74,8 +73,9 @@ class RunConfig:
         return self.admm.seed
 
     def admm_params(self):
-        backend = None if self.lp_backend == "none" else scipy_linprog_backend
-        params = dataclasses.replace(self.admm, lp_backend=backend)
+        # looked up at call time, so that a wrapper rebound on
+        # mkcs.cli.scipy_linprog_backend sees every LP solve
+        params = dataclasses.replace(self.admm, lp_backend=scipy_linprog_backend)
         if self.time_limit is not None:
             params = dataclasses.replace(params, time_limit_global=self.time_limit)
         return params
@@ -140,11 +140,6 @@ def _apply_overrides(cfg, overrides, source):
         elif key in _INT_FIELD_NAMES:
             int_kwargs[key] = value
         elif key in _RUN_KEYS:
-            if key == "lp_backend" and value not in ("none", "external"):
-                raise CliError(
-                    f"{source}: lp_backend must be 'none' or 'external'",
-                    EXIT_INVALID_ARGS,
-                )
             setattr(cfg, key, value)
         else:
             raise CliError(f"{source}: unknown configuration key {key!r}",
@@ -315,9 +310,7 @@ def chromatic_search(g, cfg=None):
             min_impr=-math.inf,
             time_limit_global=budget,
         )
-        res = cp_admm(
-            g, k, params, ub_stop_below=float(g.n), first_outer_ub_interval=100
-        )
+        res = cp_admm(g, k, params, ub_stop_below=float(g.n))
         steps.append(
             {
                 "k": k,
@@ -454,7 +447,6 @@ def build_parser():
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--time-limit", type=float, default=None,
                         help="overall wall-clock budget in seconds")
-    parser.add_argument("--lp-backend", choices=("none", "external"), default=None)
     parser.add_argument("--families", default=None,
                         help="comma-separated cut families to separate")
     parser.add_argument("--expensive-tests", action=argparse.BooleanOptionalAction,

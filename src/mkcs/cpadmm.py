@@ -46,10 +46,15 @@ ALL_FAMILIES = (
 
 _GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
 
+# sweeps between the bound probes of the first outer iteration of a run
+# with a ub_stop_below target
+UB_PROBE_INTERVAL = 100
+
 
 def scipy_linprog_backend(c, cuts, m):
-    """Exact LP maximization of ``c . x`` over the box and the halfspaces
-    of the :class:`CutPool` ``cuts``, via scipy's HiGHS solver."""
+    """Multipliers ``y >= 0`` of the halfspaces of the :class:`CutPool`
+    ``cuts``: the duals of the LP maximization of ``c . x`` over the box
+    and those halfspaces, via scipy's HiGHS solver."""
     from scipy.optimize import linprog
     from scipy.sparse import csr_array
 
@@ -57,7 +62,7 @@ def scipy_linprog_backend(c, cuts, m):
     res = linprog(-c, A_ub=a_ub, b_ub=cuts.rhs, bounds=(0.0, 1.0), method="highs")
     if not res.success:
         raise RuntimeError(f"LP backend failed: {res.message}")
-    return float(-res.fun)
+    return np.maximum(-res.ineqlin.marginals, 0.0)
 
 
 @dataclass
@@ -87,12 +92,9 @@ class AdmmParams:
     dyk_max_cycles: int = 100
     seed: int = 0
     families: tuple = ALL_FAMILIES
-    # The bound over the cut-free affine set has a closed form but cannot
-    # certify anything below the cut-free optimum (it is a valid dual
-    # bound of that problem for every NSD dual matrix), so by default the
-    # dual bound is evaluated exactly over the cut-constrained set; None
-    # keeps the closed form.
-    lp_backend: object = scipy_linprog_backend  # callable(c, CutPool, m) -> float
+    # the source of the cut multipliers of the upper bound (see
+    # valid_upper_bound); None bounds over the cut-free set
+    lp_backend: object = scipy_linprog_backend  # callable(c, CutPool, m) -> y
     max_outer: int | None = None
 
     def __post_init__(self):
@@ -188,30 +190,36 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     return it, stopped
 
 
-def valid_upper_bound(lam, fmap, k, cut_list=(), lp_backend=None):
-    """Weak-duality upper bound from any dual iterate.
+def valid_upper_bound(lam, fmap, k, cuts=None, lp_backend=None):
+    """Weak-duality upper bound from any dual iterate and any cut
+    multipliers ``y >= 0``:
 
-    With ``C`` the bordered identity minus the NSD projection of the dual
-    matrix, the bound maximizes ``<C, Xbar>`` over the cut-free affine
-    set, whose linear program has a closed form: a diagonal entry is
-    switched on when its diagonal-plus-border gain is positive, an
-    off-diagonal non-edge when its entry of C is positive.  Given an LP
-    backend and at least one cut, the maximization runs over the
-    cut-constrained set instead, for a (weakly) tighter, still valid,
-    bound.
+        k C[0,0] + sum((c - A'y)_+) + b'y + (k + n) max(lambda_max(Z), 0)
+
+    ``Z`` is the NSD projection of ``lam``, ``C`` the bordered identity
+    minus ``Z``, ``c`` the LP objective over the free entries (a diagonal
+    entry's diagonal-plus-border gain, twice an off-diagonal non-edge's
+    entry of ``C``) and ``A x <= b`` the cuts.  The middle terms bound the
+    LP over the box and the cuts by weak duality (the safe LP bound of
+    Neumaier & Shcherbina); the last charges a ``Z`` that rounding left
+    not quite NSD (Jansson, Chaykin & Keil), as a feasible ``Xbar`` has
+    trace at most ``k + n``.  ``y`` is ``lp_backend(c, cuts, m)`` clipped
+    at zero, or zero without a backend or cuts: the closed form over the
+    cut-free set.
     """
-    c_mat = augmented_identity(fmap.n) - project_nsd(lam)
-    diag_gain = np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:]
-    off = c_mat[fmap.pair_rows, fmap.pair_cols]
-    base = k * float(c_mat[0, 0])
-    if lp_backend is not None and len(cut_list):
-        c = np.concatenate([diag_gain, 2.0 * off])
-        return base + lp_backend(c, cut_list, fmap.m)
-    return (
-        base
-        + float(np.clip(diag_gain, 0.0, None).sum())
-        + 2.0 * float(np.clip(off, 0.0, None).sum())
-    )
+    cuts = CutPool() if cuts is None else cuts
+    z = project_nsd(lam)
+    c_mat = augmented_identity(fmap.n) - z
+    c = np.concatenate([np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:],
+                        2.0 * c_mat[fmap.pair_rows, fmap.pair_cols]])
+    y = np.zeros(len(cuts))
+    if lp_backend is not None and len(cuts):
+        y = np.maximum(lp_backend(c, cuts, fmap.m), 0.0)
+    a_t_y = np.bincount(cuts.indices, cuts.data * np.repeat(y, np.diff(cuts.indptr)),
+                        minlength=fmap.m)
+    return (k * float(c_mat[0, 0]) + float(np.maximum(c - a_t_y, 0.0).sum())
+            + float(cuts.rhs @ y)
+            + (k + fmap.n) * max(float(np.linalg.eigvalsh(z)[-1]), 0.0))
 
 
 def greedy_lower_bound(g, k, seed=0):
@@ -313,8 +321,7 @@ def _separate_families(families, state, g, fmap, k, params, clique_enum,
     return report, next_id
 
 
-def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
-            first_outer_ub_interval=None):
+def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
     """Cutting-plane outer loop around the inner ADMM.
 
     Each round solves the current relaxation, extracts a valid upper
@@ -326,10 +333,11 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
     runs out; on the two plateau criteria one tightened inner pass runs
     first so the final bound is accurate.
 
-    ``ub_stop_below`` (with ``first_outer_ub_interval``) aborts the solve
-    as soon as any valid bound drops below the given target, which the
-    chromatic-number driver uses to stop early; bound probes run every
-    ``first_outer_ub_interval`` sweeps of the first outer iteration.
+    ``ub_stop_below`` aborts the solve as soon as any valid bound drops
+    below the given target, which the chromatic-number driver uses to stop
+    early; bound probes run every ``UB_PROBE_INTERVAL`` sweeps of the first
+    outer iteration.  ``enumeration_complete`` is False when an
+    enumeration stopped early or a separator sampled its pool.
     """
     if params is None:
         params = AdmmParams()
@@ -389,13 +397,9 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
 
     while True:
         outer += 1
-        use_probe = (
-            outer == 1 and ub_stop_below is not None and first_outer_ub_interval
-        )
         iters, probed = inner_admm(
-            state, fmap, params, clustered,
-            ub_probe=probe if use_probe else None,
-            ub_interval=first_outer_ub_interval if use_probe else None,
+            state, fmap, params, clustered, ub_interval=UB_PROBE_INTERVAL,
+            ub_probe=probe if outer == 1 and ub_stop_below is not None else None,
         )
         inner_total += iters
         ub = bound(state)
@@ -455,6 +459,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None,
                 report.merge(separate(
                     [f for f in families if f != CutFamily.CLIQUE_EXT]))
                 fresh = cut_list.novel(report.candidates)
+        enum_complete = enum_complete and not report.truncated
 
         accepted = CutPool()
         if not ending and fresh.sum() >= params.min_ineq:

@@ -112,6 +112,21 @@ class TestExitCodes:
             == EXIT_INVALID_ARGS
         )
 
+    def test_lp_backend_is_neither_a_key_nor_a_flag(self, c5_file, tmp_path,
+                                                      capsys):
+        # every bound takes its cut multipliers from the LP, so there is no
+        # backend to choose
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({"lp_backend": "none"}))
+        assert (
+            main(["bound", str(c5_file), "--k", "2", "--config", str(cfgfile)])
+            == EXIT_INVALID_ARGS
+        )
+        assert "unknown configuration key 'lp_backend'" in capsys.readouterr().err
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(c5_file), "--k", "2", "--lp-backend", "none"])
+        assert exc.value.code == EXIT_INVALID_ARGS
+        assert "--lp-backend" not in build_parser().format_help()
 
     @pytest.mark.parametrize("config, key", [
         ({"max_inner_iter": "50"}, "max_inner_iter"),
@@ -207,12 +222,15 @@ class TestConfigResolution:
         families = resolve_config(args).admm_params().families
         assert families == (CutFamily.HOLE5, CutFamily.T1)
 
-    def test_lp_backend_choice(self):
+    def test_lp_backend_read_from_the_cli_module_at_call_time(self, monkeypatch):
+        # instrumentation that rebinds the name in mkcs.cli sees every LP
         import mkcs.cli
 
-        assert RunConfig(lp_backend="none").admm_params().lp_backend is None
-        external = RunConfig(lp_backend="external").admm_params().lp_backend
-        assert external is mkcs.cli.scipy_linprog_backend
+        def backend(c, cuts, m):
+            return None
+
+        monkeypatch.setattr(mkcs.cli, "scipy_linprog_backend", backend)
+        assert RunConfig().admm_params().lp_backend is backend
 
     def test_int_params_inherit_seed(self):
         cfg = RunConfig()

@@ -168,23 +168,190 @@ class TestValidUpperBound:
         assert got == pytest.approx(3.0)
 
 
-def assert_same_float(a, b):
-    assert np.float64(a).tobytes() == np.float64(b).tobytes(), (a, b)
+def lp_objective(lam, fmap):
+    """``(C[0,0], c)`` for ``C`` the bordered identity minus the NSD
+    projection of ``lam`` (by the name mkcs.cpadmm calls), and ``c`` the
+    LP objective that valid_upper_bound builds from ``C``."""
+    from mkcs.linalg import augmented_identity
+
+    c_mat = augmented_identity(fmap.n) - mkcs.cpadmm.project_nsd(lam)
+    diag_gain = np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:]
+    return c_mat[0, 0], np.concatenate(
+        [diag_gain, 2.0 * c_mat[fmap.pair_rows, fmap.pair_cols]])
+
+
+def dense_cut_system(pool, m):
+    a = np.zeros((len(pool), m))
+    for row, (idx, coeffs) in enumerate(pool.rows()):
+        a[row, idx] = coeffs
+    return a, pool.rhs
+
+
+def dual_lp_bound(c, pool, y, m):
+    """``sum((c - A'y)_+) + b'y``, from a dense ``A``."""
+    a, b = dense_cut_system(pool, m)
+    return float(np.maximum(c - a.T @ y, 0.0).sum() + b @ y)
+
+
+def vertex_lp_optimum(c, pool, m):
+    """``max c.x`` over the box and the cuts, as the best feasible vertex
+    among every choice of m active constraints (for tiny m only)."""
+    a, b = dense_cut_system(pool, m)
+    rows = np.vstack([a, np.eye(m), -np.eye(m)])
+    rhs = np.concatenate([b, np.ones(m), np.zeros(m)])
+    basis = np.array(list(itertools.combinations(range(len(rows)), m)))
+    mats = rows[basis]
+    regular = np.abs(np.linalg.det(mats)) > 1e-9
+    xs = np.linalg.solve(mats[regular], rhs[basis[regular]][..., None])[..., 0]
+    feasible = (xs @ rows.T <= rhs + 1e-9).all(axis=1)
+    return float((xs[feasible] @ c).max())
+
+
+def random_pool(rng, m, count):
+    """``count`` random cuts over ``m`` coordinates with the coefficients
+    and right-hand sides that the separators emit."""
+    cuts = []
+    for cid in range(count):
+        support = rng.choice(m, size=int(rng.integers(1, min(m, 9) + 1)),
+                             replace=False)
+        coeffs = rng.choice([1.0, -1.0, -2.0], size=len(support))
+        cuts.append(Cut(cid, CutFamily(int(rng.integers(0, 5))),
+                        dict(zip(support.tolist(), coeffs.tolist())),
+                        float(rng.integers(0, 4))))
+    return pool_of(cuts)
+
+
+def fake_backends(rng):
+    """Multiplier sources that are not LP optima: zero, negative, large,
+    and the LP duals plus noise of either sign."""
+    return {
+        "zero": lambda c, cuts, m: np.zeros(len(cuts)),
+        "negative": lambda c, cuts, m: -rng.random(len(cuts)),
+        "10x random": lambda c, cuts, m: 10.0 * rng.random(len(cuts)),
+        "noisy duals": lambda c, cuts, m: (scipy_linprog_backend(c, cuts, m)
+                                          + rng.normal(0.0, 0.1, len(cuts))),
+    }
+
+
+class TestAnyMultipliers:
+    """The bound holds for any multipliers a backend returns."""
+
+    def test_criterion_5_graphs(self, monkeypatch):
+        # the dual iterate and cuts of the second round of a short solve
+        # on each graph of acceptance criterion 5
+        rng = np.random.default_rng(3)
+        backends = fake_backends(rng)
+        bound = mkcs.cpadmm.valid_upper_bound
+        checked = 0
+        for case in range(200):
+            case_rng = np.random.default_rng([6, case])
+            n = int(case_rng.integers(5, 13))
+            k = int(case_rng.integers(1, 4))
+            g = random_graph(n, [0.3, 0.5, 0.7][case % 3], 2000 + case)
+            alpha = alpha_k_exact(g, k)
+
+            def spy(lam, fmap, k, cuts=None, lp_backend=None):
+                nonlocal checked
+                if cuts is not None and len(cuts):
+                    for name, fake in backends.items():
+                        ub = bound(lam, fmap, k, cuts, fake)
+                        assert ub >= alpha, (case, name, ub, alpha)
+                    checked += 1
+                return bound(lam, fmap, k, cuts, lp_backend)
+
+            monkeypatch.setattr(mkcs.cpadmm, "valid_upper_bound", spy)
+            cp_admm(g, k, AdmmParams(seed=case, max_outer=2, min_ineq=1.0,
+                                     max_inner_iter=300), lb_hint=-1)
+        assert checked >= 40
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_tiny_lp_against_vertex_enumeration(self, seed):
+        rng = np.random.default_rng([23, seed])
+        # at most 6 free entries keep the vertex enumeration small
+        g = next(h for h in (random_graph(4, 0.7, s)
+                             for s in itertools.count(100 * seed))
+                 if FreeIndexMap(h).m <= 6)
+        fmap = FreeIndexMap(g)
+        k = int(rng.integers(1, 3))
+        pool = random_pool(rng, fmap.m, int(rng.integers(1, 5)))
+        lam = rng.normal(size=(fmap.n + 1, fmap.n + 1))
+        lam = (lam + lam.T) / 2
+        c00, c = lp_objective(lam, fmap)
+        exact = k * c00 + vertex_lp_optimum(c, pool, fmap.m)
+        alpha = alpha_k_exact(g, k)
+        for name, fake in {**fake_backends(rng),
+                           "duals": scipy_linprog_backend}.items():
+            ub = valid_upper_bound(lam, fmap, k, pool, fake)
+            assert ub >= exact - 1e-9, (name, ub, exact)
+            assert ub >= alpha, (name, ub, alpha)
+        assert valid_upper_bound(lam, fmap, k, pool, scipy_linprog_backend) \
+            == pytest.approx(exact, abs=1e-9)
+
+    def test_positive_eigenvalue_of_z_is_charged(self, monkeypatch):
+        # a Z that rounding left with a +1e-10 eigenvalue: the bound is the
+        # closed form over that Z plus (k + n) * 1e-10
+        g = cycle_graph(5)
+        fmap = FreeIndexMap(g)
+        k = 2
+        z = -np.diag(np.arange(6.0))
+        z[0, 0] = 1e-10
+        monkeypatch.setattr(mkcs.cpadmm, "project_nsd", lambda lam: z)
+        c00, c = lp_objective(np.zeros((6, 6)), fmap)  # reads the patched Z
+        got = valid_upper_bound(np.zeros((6, 6)), fmap, k)
+        closed = k * c00 + np.maximum(c, 0.0).sum()
+        # the rounding of sums near 40 is below 1e-13
+        assert got - closed == pytest.approx((k + 5) * 1e-10, abs=1e-13)
+
+
+class TestCertifiedBound:
+    def test_myciel5_bound_is_at_least_the_tight_lp_optimum(self, monkeypatch):
+        # at each LP round, the bound from the dual iterate that
+        # valid_upper_bound received against the LP solved at 1e-10
+        # tolerances; HiGHS's objective at its default tolerances was
+        # 4.6e-7 below that optimum in one round
+        from scipy.optimize import linprog
+        from scipy.sparse import csr_array
+
+        from bench_instances import myciel5
+
+        seen = []
+        bound = mkcs.cpadmm.valid_upper_bound
+
+        def spy(lam, fmap, k, cuts=None, lp_backend=None):
+            ub = bound(lam, fmap, k, cuts, lp_backend)
+            if cuts is not None and len(cuts):
+                seen.append((lam.copy(), fmap, len(cuts), ub))
+            return ub
+
+        monkeypatch.setattr(mkcs.cpadmm, "valid_upper_bound", spy)
+        res = cp_admm(myciel5(), 4)
+        assert len(seen) >= 2
+        for lam, fmap, n_cuts, ub in seen:
+            pool = res.cuts.take(np.arange(n_cuts))
+            c00, c = lp_objective(lam, fmap)
+            a_ub = csr_array((pool.data, pool.indices, pool.indptr),
+                             shape=(len(pool), fmap.m))
+            lp = linprog(-c, A_ub=a_ub, b_ub=pool.rhs, bounds=(0.0, 1.0),
+                         method="highs",
+                         options={"primal_feasibility_tolerance": 1e-10,
+                                  "dual_feasibility_tolerance": 1e-10})
+            assert lp.success
+            assert ub >= 4 * c00 - lp.fun - 1e-9, (ub, 4 * c00 - lp.fun)
 
 
 class TestLpBackend:
-    """The LP over the pool's CSR matrix against the dense matrix it
-    replaced, bit for bit."""
+    """The bound from the multipliers of the LP over the pool's CSR
+    matrix against the LP objective over the dense matrix it replaced."""
 
     @staticmethod
-    def _objective(fmap, rng):
-        # the LP objective valid_upper_bound builds from a dual iterate
-        from mkcs.linalg import augmented_identity, project_nsd
-
-        lam = rng.normal(size=(fmap.n + 1, fmap.n + 1))
-        c_mat = augmented_identity(fmap.n) - project_nsd((lam + lam.T) / 2)
-        diag_gain = np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:]
-        return np.concatenate([diag_gain, 2.0 * c_mat[fmap.pair_rows, fmap.pair_cols]])
+    def _check(c, pool, m):
+        y = scipy_linprog_backend(c, pool, m)
+        assert (y >= 0).all()
+        reference = dense_linprog_reference(c, cuts_of(pool), m)
+        got = dual_lp_bound(c, pool, y, m)
+        # the two values are sums of hundreds of terms of order one, each
+        # rounded; 1e-12 is their rounding, far below HiGHS's tolerances
+        assert reference - 1e-12 <= got <= reference + 1e-9, (got, reference)
 
     def test_queen6_6_pool(self, rng):
         from bench_instances import queen6_6
@@ -194,25 +361,15 @@ class TestLpBackend:
         assert len(res.cuts) > 100
         fmap = FreeIndexMap(g)
         for _ in range(3):
-            c = self._objective(fmap, rng)
-            assert_same_float(scipy_linprog_backend(c, res.cuts, fmap.m),
-                              dense_linprog_reference(c, cuts_of(res.cuts), fmap.m))
+            lam = rng.normal(size=(fmap.n + 1, fmap.n + 1))
+            self._check(lp_objective((lam + lam.T) / 2, fmap)[1], res.cuts, fmap.m)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_random_cut_system(self, seed):
         rng = np.random.default_rng([17, seed])
         m = int(rng.integers(5, 60))
-        cuts = []
-        for cid in range(int(rng.integers(1, 40))):
-            support = rng.choice(m, size=int(rng.integers(1, min(m, 9) + 1)),
-                                 replace=False)
-            coeffs = rng.choice([1.0, -1.0, -2.0], size=len(support))
-            cuts.append(Cut(cid, CutFamily(int(rng.integers(0, 5))),
-                            dict(zip(support.tolist(), coeffs.tolist())),
-                            float(rng.integers(0, 4))))
-        c = rng.normal(size=m)
-        assert_same_float(scipy_linprog_backend(c, pool_of(cuts), m),
-                          dense_linprog_reference(c, cuts, m))
+        pool = random_pool(rng, m, int(rng.integers(1, 40)))
+        self._check(rng.normal(size=m), pool, m)
 
 
 class TestEndingRound:
@@ -321,10 +478,26 @@ class TestCpAdmm:
 
     def test_ub_stop_below_target(self):
         g = complete_graph(6)
-        res = cp_admm(g, 1, AdmmParams(), lb_hint=0,
-                      ub_stop_below=6.0, first_outer_ub_interval=5)
+        res = cp_admm(g, 1, AdmmParams(), lb_hint=0, ub_stop_below=6.0)
         assert res.termination == "ub_below_target"
         assert res.ub < 6.0
+
+    def test_sampled_clique_pool_is_not_a_complete_enumeration(self, monkeypatch):
+        from bench_instances import petersen
+
+        truncated = []
+        separate = mkcs.cpadmm.separate_clique_external
+
+        def spy(*args, **kwargs):
+            rep = separate(*args, **kwargs)
+            truncated.append(rep.truncated)
+            return rep
+
+        monkeypatch.setattr(mkcs.cpadmm, "separate_clique_external", spy)
+        res = cp_admm(petersen(), 2, AdmmParams(max_cliques=3, max_outer=2))
+        assert truncated == [True]
+        assert not res.enumeration_complete
+        assert cp_admm(petersen(), 2, AdmmParams(max_outer=2)).enumeration_complete
 
     def test_time_limit_termination(self):
         g = random_graph(14, 0.5, 2)
