@@ -102,6 +102,17 @@ class AdmmParams:
             raise ValueError(
                 f"gamma must lie in (0, (1+sqrt(5))/2); got {self.gamma}"
             )
+        # out of range, each of these runs a degenerate solve (no sweeps,
+        # no cut projection, or none that converges) that looks like a result
+        if not self.beta > 0.0:
+            raise ValueError(f"beta must be positive; got {self.beta}")
+        if not self.eps_dyk > 0.0:
+            raise ValueError(f"eps_dyk must be positive; got {self.eps_dyk}")
+        for name in ("max_inner_iter", "max_inner_iter_final", "dyk_max_cycles"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be at least 1; got {getattr(self, name)}")
+        if self.max_outer is not None and self.max_outer < 1:
+            raise ValueError(f"max_outer must be at least 1; got {self.max_outer}")
 
     def resolved(self, n):
         """Fill the n-dependent knobs for an n-vertex instance."""
@@ -124,6 +135,9 @@ class AdmmState:
     L: np.ndarray
     k: int
     iterations: int = 0
+    # the last affine projection's Dykstra corrections, valid for the
+    # clustering it ran on (see projection.dykstra)
+    corrections: tuple = None
 
 
 def initial_state(g, k):
@@ -142,7 +156,9 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     in Frobenius norms on the full bordered matrices.  ``tightened``
     switches to the final-pass tolerance and cap.  ``ub_probe`` is called
     every ``ub_interval`` sweeps and may stop the loop early by returning
-    True.
+    True.  Each Dykstra projection starts from the corrections of the
+    previous one, kept on ``state`` from call to call; they belong to
+    ``clustered``, and whoever replaces it clears them.
 
     Returns ``(iterations_run, stopped_by_probe)``.  Affine projections
     whose Dykstra loop hit ``dyk_max_cycles`` are counted, and a call
@@ -159,8 +175,10 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     for it in range(1, cap + 1):
         target = state.Y + (ibar - state.L) / beta
         affine = project_affine_set(
-            target, fmap, state.k, clustered, params.eps_dyk, params.dyk_max_cycles
+            target, fmap, state.k, clustered, params.eps_dyk, params.dyk_max_cycles,
+            corrections=state.corrections,
         )
+        state.corrections = affine.corrections
         capouts += not affine.feasible
         x_new = affine.matrix
         y_new = project_psd(x_new + state.L / beta)
@@ -473,6 +491,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
             break
         cut_list.append(accepted)
         clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)
+        state.corrections = None  # they index the clusters just replaced
         record(len(accepted))
 
     return CpAdmmResult(

@@ -102,9 +102,11 @@ class DykstraResult:
     feasible: bool
     cycles: int
     raw: np.ndarray = None  # final iterate before any cap-out clamp
+    # (box, per-cluster) corrections at ``raw``: raw - their sum = x0
+    corrections: tuple = None
 
 
-def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
+def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100, corrections=None):
     """Cyclic projection with correction terms onto box /\\ halfspaces.
 
     Cycle order is the box first, then cut clusters in index order.  For
@@ -117,6 +119,15 @@ def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
     returns the box-projected iterate flagged infeasible so downstream
     bounds stay meaningful.
 
+    ``corrections`` warm-starts the method from the ``(box, per-cluster)``
+    corrections that an earlier call on the same ``clustered`` returned
+    (a per-cluster entry is None for a zero correction, and empty
+    clusters have none).  The iterate then starts at ``x0`` plus their
+    sum, so ``x - sum(corrections) = x0`` holds as in a cold start and
+    the limit is still the projection of ``x0``: Dykstra's method is
+    block-coordinate ascent on the dual of the projection, and only the
+    dual start moves.  Without them the corrections start at zero.
+
     Every iterate is bitwise the one of the textbook sequence that
     projects onto the box and then onto each halfspace in turn, each with
     its own correction.  The cycle only skips work that cannot change a
@@ -127,9 +138,20 @@ def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
     x = np.array(x0, dtype=np.float64)
     y = np.empty_like(x)
     step = np.empty_like(x)
-    corr_box = np.zeros_like(x)
     groups = [grp for grp in clustered.groups if len(grp.idx)]
-    corr = [None] * len(groups)  # None: a zero correction
+    if corrections is None:
+        corr_box = np.zeros_like(x)
+        corr = [None] * len(groups)  # None: a zero correction
+    else:
+        corr_box = np.array(corrections[0], dtype=np.float64)
+        corr = list(corrections[1])
+        if len(corr) != len(groups):
+            raise ValueError(f"{len(corr)} cluster corrections for {len(groups)} "
+                             "clusters: they belong to another clustering")
+        x += corr_box
+        for grp, c in zip(groups, corr):
+            if c is not None:
+                x[grp.idx] += c  # a cluster's coordinates are distinct
     for cycle in range(1, max_cycles + 1):
         np.subtract(x, corr_box, out=y)
         np.copyto(step, x)
@@ -152,8 +174,8 @@ def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
         if float(np.abs(step, out=step).max()) <= eps:
             box_viol = max(float(x.max()) - 1.0, -float(x.min()), 0.0)
             if max(clustered.max_violation(x), box_viol) <= eps:
-                return DykstraResult(x, True, cycle, x)
-    return DykstraResult(project_box(x), False, max_cycles, x)
+                return DykstraResult(x, True, cycle, x, (corr_box, corr))
+    return DykstraResult(project_box(x), False, max_cycles, x, (corr_box, corr))
 
 
 @dataclass
@@ -161,20 +183,24 @@ class AffineProjection:
     matrix: np.ndarray
     feasible: bool
     cycles: int
+    corrections: tuple = None  # Dykstra's final corrections, None without cuts
 
 
 def project_affine_set(u, fmap, k, clustered=None, eps_dyk=1e-2, max_cycles=100,
-                       out=None):
+                       out=None, corrections=None):
     """Frobenius projection of a bordered symmetric matrix onto the affine
     set (zero edges, border = diagonal, corner = k, unit box, cuts).
 
     Three steps: extract the weighted free-entry vector, project it onto
     the box (exactly, when there are no cuts) or the box-and-halfspace
-    intersection via Dykstra, and rebuild the bordered matrix, into
-    ``out`` when given (see ``FreeIndexMap.vec_to_mat``).
+    intersection via Dykstra, warm-started from ``corrections`` (see
+    :func:`dykstra`), and rebuild the bordered matrix, into ``out`` when
+    given (see ``FreeIndexMap.vec_to_mat``).
     """
     v = fmap.mat_to_vec(u)
     if clustered is None or len(clustered) == 0:
         return AffineProjection(fmap.vec_to_mat(project_box(v, out=v), k, out), True, 0)
-    res = dykstra(v, fmap.weights, clustered, eps=eps_dyk, max_cycles=max_cycles)
-    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible, res.cycles)
+    res = dykstra(v, fmap.weights, clustered, eps=eps_dyk, max_cycles=max_cycles,
+                  corrections=corrections)
+    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible, res.cycles,
+                            res.corrections)

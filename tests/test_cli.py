@@ -149,6 +149,25 @@ class TestExitCodes:
         )
         assert f"{key} " in capsys.readouterr().err
 
+    @pytest.mark.parametrize("config, key", [
+        ({"dyk_max_cycles": 0}, "dyk_max_cycles"),
+        ({"eps_dyk": -1}, "eps_dyk"),
+        ({"max_inner_iter": 0}, "max_inner_iter"),
+        ({"max_inner_iter_final": 0}, "max_inner_iter_final"),
+        ({"beta": -1}, "beta"),
+        ({"max_outer": 0}, "max_outer"),
+    ])
+    def test_out_of_range_solver_setting_invalid_args(self, c5_file, tmp_path,
+                                                      capsys, config, key):
+        # each of these ran a degenerate solve and exited 0
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps(config))
+        assert (
+            main(["bound", str(c5_file), "--k", "2", "--config", str(cfgfile)])
+            == EXIT_INVALID_ARGS
+        )
+        assert f"{key} must" in capsys.readouterr().err
+
 
 class TestConfigResolution:
     def test_defaults_match_parameter_tables(self):

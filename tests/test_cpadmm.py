@@ -118,6 +118,19 @@ class TestInnerAdmm:
         with pytest.raises(ValueError):
             AdmmParams(gamma=0.0)
 
+    @pytest.mark.parametrize("setting", [
+        {"beta": 0.0}, {"beta": -1.0}, {"eps_dyk": 0.0}, {"eps_dyk": -1.0},
+        {"dyk_max_cycles": 0}, {"max_inner_iter": 0}, {"max_inner_iter_final": 0},
+        {"max_outer": 0}, {"beta": math.nan},
+    ])
+    def test_out_of_range_settings_rejected(self, setting):
+        with pytest.raises(ValueError, match=next(iter(setting))):
+            AdmmParams(**setting)
+
+    def test_smallest_valid_settings_accepted(self):
+        AdmmParams(beta=1e-9, eps_dyk=1e-300, dyk_max_cycles=1, max_inner_iter=1,
+                   max_inner_iter_final=1, max_outer=1)
+
 
 class TestValidUpperBound:
     def test_zero_dual_gives_n(self):
@@ -408,6 +421,53 @@ class TestEndingRound:
         assert [(r.outer, r.phase, r.n_cuts_added, r.n_cuts_total)
                 for r in res.records] == records
         assert calls and max(calls) < res.outer_iterations
+
+
+def test_dykstra_corrections_lifetime(monkeypatch):
+    """Each Dykstra projection starts from the corrections that the one
+    before it returned, except the first on a rebuilt clustering, which
+    starts cold; the tightened pass starts from the round's last ones."""
+    import bench_instances
+    import mkcs.projection
+
+    events = []  # ("inner", tightened) or ("dykstra", clustered, given, returned)
+    dykstra = mkcs.projection.dykstra
+    inner = mkcs.cpadmm.inner_admm
+
+    def spy_dykstra(x0, w, clustered, *args, corrections=None, **kwargs):
+        res = dykstra(x0, w, clustered, *args, corrections=corrections, **kwargs)
+        events.append(("dykstra", clustered, corrections, res.corrections))
+        return res
+
+    def spy_inner(*args, **kwargs):
+        events.append(("inner", kwargs.get("tightened", False)))
+        return inner(*args, **kwargs)
+
+    monkeypatch.setattr(mkcs.projection, "dykstra", spy_dykstra)
+    monkeypatch.setattr(mkcs.cpadmm, "inner_admm", spy_inner)
+    res = cp_admm(bench_instances.queen6_6(), 6, AdmmParams())
+    assert res.termination == "min_impr" and res.tightened_iterations > 0
+
+    prev = None  # the previous Dykstra call
+    clusterings = 0
+    tightened_start = tightened_checked = False
+    for event in events:
+        if event[0] == "inner":
+            tightened_start = event[1]
+            continue
+        _, clustered, given, _ = event
+        if prev is None or clustered is not prev[1]:
+            clusterings += 1
+            assert given is None
+            assert not tightened_start
+        else:
+            assert given is not None and given is prev[3]
+            tightened_checked |= tightened_start
+        tightened_start = False
+        prev = event
+    # every round but the last added cuts and rebuilt the clustering
+    assert clusterings == res.outer_iterations - 1 >= 2
+    assert tightened_checked
 
 
 class TestGreedyLowerBound:

@@ -49,6 +49,38 @@ def clustered_of(cuts, w, clusters=None):
     return ClusteredCuts(pool, cluster_cuts(pool) if clusters is None else clusters, w)
 
 
+def _instance_cuts(g, fmap, k, rng):
+    x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
+    cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
+    cands += candidate_pairs(separate_clique_external(
+        x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
+        rng=np.random.default_rng(0),
+    ))
+    rng.shuffle(cands)
+    return [c for c, _ in cands[:3]]
+
+
+def oracle_instance(seed):
+    """``(fmap, k, cuts, rng)`` of a small instance with at most three cuts
+    that the QP oracle can check.  Redraws until the instance yields cuts,
+    as criterion 7 does, so that every seed checks a cut-constrained
+    projection."""
+    for attempt in range(50):
+        rng = np.random.default_rng([5, seed, attempt] if attempt else [5, seed])
+        n = int(rng.integers(3, 7))
+        g = random_graph(n, 0.35, seed + 1000 * attempt)
+        fmap = FreeIndexMap(g)
+        k = int(rng.integers(1, 4))
+        cuts = _instance_cuts(g, fmap, k, rng)
+        if cuts:
+            return fmap, k, cuts, rng
+    raise AssertionError("no instance yielded cuts")
+
+
+def w_dist(w, a, b):
+    return float(np.sqrt(np.sum(w * (a - b) ** 2)))
+
+
 class TestProjectBox:
     def test_interior_untouched(self):
         x = np.array([0.5, 0.2])
@@ -263,30 +295,9 @@ class TestProjectAffineSet:
         assert out.matrix[1:, 1:].min() >= 0.0
         assert out.matrix[1:, 1:].max() <= 1.0
 
-    def _instance_cuts(self, g, fmap, k, rng):
-        x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
-        cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
-        cands += candidate_pairs(separate_clique_external(
-            x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
-            rng=np.random.default_rng(0),
-        ))
-        rng.shuffle(cands)
-        return [c for c, _ in cands[:3]]
-
     @pytest.mark.parametrize("seed", range(25))
     def test_matches_qp_oracle(self, seed):
-        # redraw until the instance yields cuts, as criterion 7 does, so
-        # that every seed checks a cut-constrained projection
-        for attempt in range(50):
-            rng = np.random.default_rng([5, seed, attempt] if attempt else [5, seed])
-            n = int(rng.integers(3, 7))
-            g = random_graph(n, 0.35, seed + 1000 * attempt)
-            fmap = FreeIndexMap(g)
-            k = int(rng.integers(1, 4))
-            cuts = self._instance_cuts(g, fmap, k, rng)
-            if cuts:
-                break
-        assert cuts, "no instance yielded cuts"
+        fmap, k, cuts, rng = oracle_instance(seed)
         clustered = clustered_of(cuts, fmap.weights)
         u_vec = rng.uniform(-0.5, 1.5, fmap.m)
         out = project_affine_set(
@@ -294,9 +305,104 @@ class TestProjectAffineSet:
             eps_dyk=1e-9, max_cycles=200000,
         )
         ref = weighted_projection_oracle(u_vec, fmap.weights, cuts)
-        got = fmap.mat_to_vec(out.matrix)
-        dist = np.sqrt(np.sum(fmap.weights * (got - ref) ** 2))
+        dist = w_dist(fmap.weights, fmap.mat_to_vec(out.matrix), ref)
         assert dist < 1e-3, dist
+
+
+def correction_sum(clustered, corrections):
+    """The sum of Dykstra's ``(box, per-cluster)`` corrections as one
+    vector over the free entries."""
+    box, per_cluster = corrections
+    total = box.copy()
+    groups = [grp for grp in clustered.groups if len(grp.idx)]
+    assert len(per_cluster) == len(groups)
+    for grp, c in zip(groups, per_cluster):
+        if c is not None:
+            total[grp.idx] += c
+    return total
+
+
+class TestWarmStart:
+    """Dykstra started from the corrections of an earlier call on the same
+    clustering still computes the projection of its own target."""
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_drifting_targets_match_qp_oracle(self, seed):
+        # each affine projection warm-started from the last one's
+        # corrections, as the ADMM sweeps run them
+        fmap, k, cuts, rng = oracle_instance(seed)
+        clustered = clustered_of(cuts, fmap.weights)
+        u_vec = rng.uniform(-0.5, 1.5, fmap.m)
+        corrections = None
+        for _ in range(8):
+            out = project_affine_set(
+                fmap.vec_to_mat(u_vec, k), fmap, k, clustered,
+                eps_dyk=1e-9, max_cycles=200000, corrections=corrections,
+            )
+            assert out.feasible
+            ref = weighted_projection_oracle(u_vec, fmap.weights, cuts)
+            dist = w_dist(fmap.weights, fmap.mat_to_vec(out.matrix), ref)
+            assert dist < 1e-3, dist
+            corrections = out.corrections
+            u_vec = u_vec + rng.normal(scale=0.05, size=fmap.m)
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_converged_corrections_take_one_cycle(self, seed):
+        fmap, _, cuts, rng = oracle_instance(seed)
+        w = fmap.weights
+        clustered = clustered_of(cuts, w)
+        u = rng.uniform(-0.5, 1.5, fmap.m)
+        cold = dykstra(u, w, clustered, eps=1e-9, max_cycles=200000)
+        again = dykstra(u, w, clustered, eps=1e-9, max_cycles=200000,
+                        corrections=cold.corrections)
+        assert cold.feasible and again.feasible
+        assert again.cycles == 1
+        assert w_dist(w, again.x, cold.x) <= 1e-8
+
+    @pytest.mark.parametrize("seed", range(25))
+    def test_capped_out_corrections_stay_consistent(self, seed):
+        # raw - sum(corrections) = x0 after a cap-out, so the next call
+        # may start from them; also when the capped call was warm itself
+        fmap, _, cuts, rng = oracle_instance(seed)
+        w = fmap.weights
+        clustered = clustered_of(cuts, w)
+        corrections = None
+        for _ in range(3):
+            u = rng.uniform(-0.5, 1.5, fmap.m)
+            res = dykstra(u, w, clustered, eps=1e-12, max_cycles=1,
+                          corrections=corrections)
+            assert res.cycles == 1
+            np.testing.assert_allclose(
+                res.raw - correction_sum(clustered, res.corrections), u,
+                rtol=0.0, atol=1e-12)
+            assert np.array_equal(res.x, project_box(res.raw))
+            corrections = res.corrections
+
+    def test_corrections_of_another_clustering_rejected(self, rng):
+        fmap, _, cuts, _ = oracle_instance(0)
+        w = fmap.weights
+        assert len(cuts) > 1
+        pool = pool_of(cuts)
+        split = ClusteredCuts(pool, [[i] for i in range(len(cuts))], w)
+        u = rng.uniform(-0.5, 1.5, fmap.m)
+        res = dykstra(u, w, split, eps=1e-9, max_cycles=200000)
+        with pytest.raises(ValueError, match="another clustering"):
+            dykstra(u, w, ClusteredCuts(pool, [[0]], w), corrections=res.corrections)
+
+    def test_caller_corrections_left_unchanged(self, rng):
+        fmap, _, cuts, _ = oracle_instance(0)
+        w = fmap.weights
+        clustered = clustered_of(cuts, w)
+        first = dykstra(rng.uniform(-0.5, 1.5, fmap.m), w, clustered, eps=1e-9,
+                        max_cycles=200000)
+        box = first.corrections[0].copy()
+        per_cluster = [None if c is None else c.copy() for c in first.corrections[1]]
+        dykstra(rng.uniform(-0.5, 1.5, fmap.m), w, clustered, eps=1e-9,
+                max_cycles=200000, corrections=first.corrections)
+        assert np.array_equal(first.corrections[0], box)
+        for got, want in zip(first.corrections[1], per_cluster):
+            assert (got is None) == (want is None)
+            assert want is None or np.array_equal(got, want)
 
 
 def assert_same_bits(a, b):

@@ -10,6 +10,9 @@ The runs, one subdirectory of OUTDIR each:
   ``--k 2 --seed 11 --max-iterations 4000`` (the run that acceptance
   criterion 9 repeats);
 - ``queen6_6``: ``bound`` at ``--k 2,3``;
+- ``queen6_6-k6``: ``bound`` at ``--k 6`` with the default parameters
+  (the run that acceptance criterion 2 repeats);
+- ``1-Insertions_4``: ``bound`` at ``--k 3``;
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
@@ -47,6 +50,11 @@ def runs():
            "solve", ["--k", "2", "--seed", "11", "--max-iterations", "4000"])
     yield ("queen6_6", "queen6_6.col", write_dimacs(bench_instances.queen6_6()),
            None, "bound", ["--k", "2,3"])
+    yield ("queen6_6-k6", "queen6_6.col", write_dimacs(bench_instances.queen6_6()),
+           None, "bound", ["--k", "6"])
+    yield ("1-Insertions_4", "1-Insertions_4.col",
+           write_dimacs(bench_instances.one_insertions_4()), None, "bound",
+           ["--k", "3"])
     for w in WORKLOADS.values():
         _, dimacs = make_instance(w, BENCHMARK_SEED)
         yield (w.name, f"{w.instance}.col", dimacs, w.config, w.mode,
