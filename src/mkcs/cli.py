@@ -41,8 +41,8 @@ class CliError(Exception):
 
 
 # Every field of the two parameter tables but the LP backend is a config
-# key and, except for these, a generated flag: the seed is shared by both
-# tables, and the families are given by name.
+# key and, except for these, a generated flag: the seed has its own flag,
+# and the families are given by name.
 _NOT_FLAGS = ("seed", "families", "lp_backend")
 _FLAG_TYPES = {"float": float, "int": int, "float | None": float, "int | None": int}
 _ADMM_FIELD_NAMES = {f.name for f in dataclasses.fields(AdmmParams)} - {"lp_backend"}
@@ -79,9 +79,6 @@ class RunConfig:
         if self.time_limit is not None:
             params = dataclasses.replace(params, time_limit_global=self.time_limit)
         return params
-
-    def int_params(self):
-        return dataclasses.replace(self.intp, seed=self.admm.seed)
 
 
 # the type of every numeric or boolean config key but k, which may also
@@ -140,6 +137,10 @@ def _apply_overrides(cfg, overrides, source):
         elif key in _INT_FIELD_NAMES:
             int_kwargs[key] = value
         elif key in _RUN_KEYS:
+            # a negative budget would reach time_limit_global, which rejects it
+            if key in ("time_limit", "per_k_time_limit") and not value >= 0.0:
+                raise CliError(f"{source}: {key} must not be negative; got {value!r}",
+                               EXIT_INVALID_ARGS)
             setattr(cfg, key, value)
         else:
             raise CliError(f"{source}: unknown configuration key {key!r}",
@@ -252,7 +253,7 @@ def run_solve(cfg):
     int_res = int_admm(
         g,
         cfg.k,
-        cfg.int_params(),
+        cfg.intp,
         warm=bound_res.matrix,
         known_ub=bound_res.ub,
         time_limit=remaining,

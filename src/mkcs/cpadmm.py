@@ -106,11 +106,17 @@ class AdmmParams:
         # no cut projection, or none that converges) that looks like a result
         if not self.beta > 0.0:
             raise ValueError(f"beta must be positive; got {self.beta}")
-        if not self.eps_dyk > 0.0:
-            raise ValueError(f"eps_dyk must be positive; got {self.eps_dyk}")
-        for name in ("max_inner_iter", "max_inner_iter_final", "dyk_max_cycles"):
+        for name in ("eps_dyk", "eps_admm", "eps_admm_final"):
+            if not getattr(self, name) > 0.0:
+                raise ValueError(f"{name} must be positive; got {getattr(self, name)}")
+        for name in ("max_inner_iter", "max_inner_iter_final", "dyk_max_cycles",
+                     "max_cuts_per_var"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1; got {getattr(self, name)}")
+        if not self.time_limit_global >= 0.0:
+            raise ValueError(
+                f"time_limit_global must not be negative; got {self.time_limit_global}"
+            )
         if self.max_outer is not None and self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1; got {self.max_outer}")
 

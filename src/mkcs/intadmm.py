@@ -29,7 +29,6 @@ class IntAdmmParams:
     max_tries_without_impr: int = 3
     min_iters_after_reset: int = 10
     max_iterations: int = 60000
-    seed: int = 0
 
     def __post_init__(self):
         if self.beta_incr <= 1.0:
@@ -67,15 +66,6 @@ class Coloring:
                 if g.adj[i] & members:
                     return False
         return True
-
-    def to_json(self):
-        return json.dumps(
-            {
-                "value": self.value,
-                "assignment": {str(v): c for v, c in sorted(self.assignment.items())},
-            },
-            separators=(",", ":"),
-        )
 
 
 def sphere_center(n, k):
@@ -147,55 +137,36 @@ def round_and_verify(xbar, g, k):
     """Round a near-integer iterate to 0/1 and verify it encodes a
     feasible partial coloring.
 
-    Checks, in order: (a) zero entries on edges, (b) symmetry, (c) an
-    off-diagonal 1 requires both diagonal entries to be 1, (d) the
-    same-color relation is transitive, (e) at most k color classes,
-    (f) no class contains an edge.  On success the equivalence classes
-    become the colors, so the returned value equals the rounded trace.
+    A symmetric 0/1 matrix encodes a partial coloring exactly when its
+    1s lie in the block of its colored vertices (those with a diagonal 1)
+    and that block is the "same row" relation of its own rows: then the
+    distinct rows are the color classes.  Checks, in order: (a) zero
+    entries on edges, (b) symmetry, (c) no 1 outside the colored block,
+    (d) the block equals its same-row relation, (e) at most k classes.
+    Colors number the classes by their least vertex, so the returned
+    value equals the rounded trace.
     """
-    inner = np.asarray(xbar, dtype=np.float64)[1:, 1:]
-    r = np.clip(np.rint(inner), 0.0, 1.0).astype(np.int8)
-    n = g.n
-    for i, j in sorted(g.edges):
-        if r[i - 1, j - 1] or r[j - 1, i - 1]:
-            return RoundingResult(None, "a: nonzero entry on an edge")
+    # x > 0.5 is exactly where np.rint rounds to 1 or more
+    r = np.asarray(xbar, dtype=np.float64)[1:, 1:] > 0.5
+    edges = np.array(sorted(g.edges), dtype=np.intp).reshape(-1, 2) - 1
+    if (r[edges[:, 0], edges[:, 1]] | r[edges[:, 1], edges[:, 0]]).any():
+        return RoundingResult(None, "a: nonzero entry on an edge")
     if not np.array_equal(r, r.T):
         return RoundingResult(None, "b: asymmetric rounding")
-    colored = [v for v in range(n) if r[v, v] == 1]
-    colored_set = set(colored)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if r[i, j] and (i not in colored_set or j not in colored_set):
-                return RoundingResult(None, "c: pairing involves an uncolored vertex")
-    parent = list(range(n))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for i in range(n):
-        for j in range(i + 1, n):
-            if r[i, j]:
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[rj] = ri
-    for i in colored:
-        for j in colored:
-            if j <= i:
-                continue
-            if find(i) == find(j) and not r[i, j]:
-                return RoundingResult(None, "d: same-color relation not transitive")
-    roots = sorted({find(v) for v in colored})
-    if len(roots) > k:
+    colored = np.diagonal(r)
+    if r[~colored].any():
+        return RoundingResult(None, "c: pairing involves an uncolored vertex")
+    block = r[np.ix_(colored, colored)]
+    _, first, label = np.unique(block, axis=0, return_index=True, return_inverse=True)
+    label = label.reshape(-1)  # numpy 2.0.0 keeps an axis on the inverse
+    if not np.array_equal(block, label[:, None] == label[None, :]):
+        return RoundingResult(None, "d: same-color relation not transitive")
+    if len(first) > k:
         return RoundingResult(None, "e: more than k color classes")
-    color_of_root = {root: c for c, root in enumerate(roots, start=1)}
-    assignment = {v + 1: color_of_root[find(v)] for v in colored}
-    for i, j in g.edges:
-        if i in assignment and assignment.get(i) == assignment.get(j):
-            return RoundingResult(None, "f: a color class contains an edge")
-    return RoundingResult(Coloring(dict(sorted(assignment.items()))))
+    color = np.empty(len(first), dtype=np.intp)
+    color[np.argsort(first)] = np.arange(1, len(first) + 1)
+    vertices = np.flatnonzero(colored) + 1
+    return RoundingResult(Coloring(dict(zip(vertices.tolist(), color[label].tolist()))))
 
 
 @dataclass

@@ -3,10 +3,11 @@ held each enumerated 5-hole, the ``Cut`` object that once held each cut
 (with its list of candidates and conversions to and from a ``CutPool``),
 the LP bound over a dense constraint matrix, the rank of a clique or odd
 hole under a colour budget, the weighted projection onto one cut's
-halfspace, the objective of a bordered iterate, and the cut-free affine
+halfspace, the objective of a bordered iterate, the cut-free affine
 projection and sphere projection as they were written before their
-buffered rewrites.  The solver never calls these; the tests check the
-production code against them."""
+buffered rewrites, and the rounding verifier as it was written before
+it became one equivalence test.  The solver never calls these; the
+tests check the production code against them."""
 
 from __future__ import annotations
 
@@ -18,7 +19,7 @@ import numpy as np
 
 from mkcs.cuts import CutFamily, CutPool
 from mkcs.graph import Clique
-from mkcs.intadmm import sphere_center
+from mkcs.intadmm import Coloring, RoundingResult, sphere_center
 from mkcs.linalg import augmented_identity
 
 
@@ -198,3 +199,59 @@ def project_sphere_reference(a, k, fix_corner=False):
         offset = augmented_identity(n)
         norm = math.sqrt(n)
     return ((n + 1) / 2.0 / norm) * offset + center
+
+
+def round_and_verify_reference(xbar, g, k):
+    """``round_and_verify`` as it was written with a union-find and six
+    checks: round a near-integer iterate to 0/1 and verify it encodes a
+    feasible partial coloring.
+
+    Checks, in order: (a) zero entries on edges, (b) symmetry, (c) an
+    off-diagonal 1 requires both diagonal entries to be 1, (d) the
+    same-color relation is transitive, (e) at most k color classes,
+    (f) no class contains an edge.  On success the equivalence classes
+    become the colors, so the returned value equals the rounded trace.
+    """
+    inner = np.asarray(xbar, dtype=np.float64)[1:, 1:]
+    r = np.clip(np.rint(inner), 0.0, 1.0).astype(np.int8)
+    n = g.n
+    for i, j in sorted(g.edges):
+        if r[i - 1, j - 1] or r[j - 1, i - 1]:
+            return RoundingResult(None, "a: nonzero entry on an edge")
+    if not np.array_equal(r, r.T):
+        return RoundingResult(None, "b: asymmetric rounding")
+    colored = [v for v in range(n) if r[v, v] == 1]
+    colored_set = set(colored)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if r[i, j] and (i not in colored_set or j not in colored_set):
+                return RoundingResult(None, "c: pairing involves an uncolored vertex")
+    parent = list(range(n))
+
+    def find(v):
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if r[i, j]:
+                ri, rj = find(i), find(j)
+                if ri != rj:
+                    parent[rj] = ri
+    for i in colored:
+        for j in colored:
+            if j <= i:
+                continue
+            if find(i) == find(j) and not r[i, j]:
+                return RoundingResult(None, "d: same-color relation not transitive")
+    roots = sorted({find(v) for v in colored})
+    if len(roots) > k:
+        return RoundingResult(None, "e: more than k color classes")
+    color_of_root = {root: c for c, root in enumerate(roots, start=1)}
+    assignment = {v + 1: color_of_root[find(v)] for v in colored}
+    for i, j in g.edges:
+        if i in assignment and assignment.get(i) == assignment.get(j):
+            return RoundingResult(None, "f: a color class contains an edge")
+    return RoundingResult(Coloring(dict(sorted(assignment.items()))))

@@ -156,6 +156,12 @@ class TestExitCodes:
         ({"max_inner_iter_final": 0}, "max_inner_iter_final"),
         ({"beta": -1}, "beta"),
         ({"max_outer": 0}, "max_outer"),
+        ({"max_cuts_per_var": 0}, "max_cuts_per_var"),
+        ({"eps_admm": -1}, "eps_admm"),
+        ({"eps_admm_final": 0}, "eps_admm_final"),
+        ({"time_limit_global": -5}, "time_limit_global"),
+        ({"time_limit": -5}, "time_limit"),
+        ({"per_k_time_limit": -1}, "per_k_time_limit"),
     ])
     def test_out_of_range_solver_setting_invalid_args(self, c5_file, tmp_path,
                                                       capsys, config, key):
@@ -250,11 +256,6 @@ class TestConfigResolution:
 
         monkeypatch.setattr(mkcs.cli, "scipy_linprog_backend", backend)
         assert RunConfig().admm_params().lp_backend is backend
-
-    def test_int_params_inherit_seed(self):
-        cfg = RunConfig()
-        cfg.admm = cfg.admm.__class__(seed=123)
-        assert cfg.int_params().seed == 123
 
 
 class TestRunModes:

@@ -121,7 +121,9 @@ class TestInnerAdmm:
     @pytest.mark.parametrize("setting", [
         {"beta": 0.0}, {"beta": -1.0}, {"eps_dyk": 0.0}, {"eps_dyk": -1.0},
         {"dyk_max_cycles": 0}, {"max_inner_iter": 0}, {"max_inner_iter_final": 0},
-        {"max_outer": 0}, {"beta": math.nan},
+        {"max_outer": 0}, {"beta": math.nan}, {"max_cuts_per_var": 0},
+        {"eps_admm": 0.0}, {"eps_admm": -1.0}, {"eps_admm_final": 0.0},
+        {"time_limit_global": -1.0}, {"time_limit_global": math.nan},
     ])
     def test_out_of_range_settings_rejected(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
@@ -129,7 +131,8 @@ class TestInnerAdmm:
 
     def test_smallest_valid_settings_accepted(self):
         AdmmParams(beta=1e-9, eps_dyk=1e-300, dyk_max_cycles=1, max_inner_iter=1,
-                   max_inner_iter_final=1, max_outer=1)
+                   max_inner_iter_final=1, max_outer=1, max_cuts_per_var=1,
+                   eps_admm=1e-300, eps_admm_final=1e-300, time_limit_global=0.0)
 
 
 class TestValidUpperBound:

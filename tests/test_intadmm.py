@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph, myciel_graph
-from reference_helpers import project_sphere_reference
+from reference_helpers import project_sphere_reference, round_and_verify_reference
 from mkcs.cpadmm import AdmmParams, cp_admm
 from mkcs.graph import Graph, random_graph
 from mkcs.intadmm import (
@@ -32,6 +32,42 @@ def coloring_to_matrix(g, assignment, k):
             if u != v and cu == c:
                 x[u, v] = 1.0
     return x
+
+
+def random_partial_coloring(g, k, rng, proper=True):
+    """Color about 80% of the vertices with colors 1..k, avoiding the
+    neighbors' colors unless ``proper`` is false."""
+    assignment = {}
+    for v in g.vertices:
+        options = [
+            c
+            for c in range(1, k + 1)
+            if not proper or all(assignment.get(u) != c for u in g.adj[v])
+        ]
+        if options and rng.random() < 0.8:
+            assignment[v] = int(rng.choice(options))
+    return assignment
+
+
+def near_coloring_matrix(rng):
+    """A graph, a k and a noisy, partly corrupted matrix of a coloring
+    with up to 4 colors: up to 10% of the inner entries flipped, about 2%
+    of all entries set to a rounding tie, symmetrized half of the time."""
+    n = int(rng.integers(1, 12))
+    k = int(rng.integers(1, 5))
+    g = random_graph(n, float(rng.uniform(0.0, 0.6)), int(rng.integers(1 << 30)))
+    colors = int(rng.integers(1, 5))
+    assignment = random_partial_coloring(g, colors, rng, proper=rng.random() < 0.7)
+    x = coloring_to_matrix(g, assignment, colors)
+    inner = x[1:, 1:]
+    flips = rng.random(inner.shape) < rng.uniform(0.0, 0.1)
+    inner[flips] = 1.0 - inner[flips]
+    x += rng.uniform(-0.45, 0.45, size=x.shape)
+    ties = rng.random(x.shape) < 0.02  # where rounding to nearest is a tie or near one
+    x[ties] = rng.choice([-0.5, 0.5, 1.5], size=int(ties.sum()))
+    if rng.random() < 0.5:
+        x = symmetrize(x)
+    return g, k, x
 
 
 class TestProjectSphere:
@@ -172,6 +208,15 @@ class TestRoundAndVerify:
         out = round_and_verify(x, g, 2)
         assert not out.feasible and out.reason.startswith("d")
 
+    def test_asymmetric_rounding_rejected(self):
+        g = Graph(3)
+        x = np.zeros((4, 4))
+        for v in (1, 2):
+            x[v, v] = 1.0
+        x[1, 2] = 1.0  # 1~2 one way only
+        out = round_and_verify(x, g, 2)
+        assert not out.feasible and out.reason.startswith("b")
+
     def test_class_count_cap(self):
         g = Graph(3)
         x = np.zeros((4, 4))
@@ -180,23 +225,44 @@ class TestRoundAndVerify:
         out = round_and_verify(x, g, 2)
         assert not out.feasible and out.reason.startswith("e")
 
+    def test_colors_numbered_by_least_vertex(self):
+        g = Graph(5)
+        x = coloring_to_matrix(g, {1: 3, 2: 1, 4: 3, 5: 2}, 3)
+        out = round_and_verify(x, g, 3)
+        assert list(out.coloring.assignment.items()) == [(1, 1), (2, 2), (4, 1), (5, 3)]
+
+    def test_nothing_colored_is_the_empty_coloring(self):
+        out = round_and_verify(np.zeros((4, 4)), cycle_graph(3), 1)
+        assert out.feasible and out.coloring.assignment == {}
+
     @pytest.mark.parametrize("seed", range(6))
     def test_roundtrip_on_random_colorings(self, seed):
         rng = np.random.default_rng(seed)
         g = random_graph(8, 0.4, seed)
         k = 3
-        assignment = {}
-        for v in g.vertices:
-            options = [
-                c
-                for c in range(1, k + 1)
-                if all(assignment.get(u) != c for u in g.adj[v])
-            ]
-            if options and rng.random() < 0.8:
-                assignment[v] = int(rng.choice(options))
-        out = round_and_verify(coloring_to_matrix(g, assignment, k), g, k)
+        assignment = random_partial_coloring(g, k, rng)
+        x = coloring_to_matrix(g, assignment, k)
+        out = round_and_verify(x, g, k)
         assert out.feasible
         assert out.coloring.value == len(assignment)
+        ref = round_and_verify_reference(x, g, k)
+        assert list(out.coloring.assignment.items()) == list(ref.coloring.assignment.items())
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_matches_reference_on_near_colorings(self, seed):
+        rng = np.random.default_rng([seed, 9])
+        reasons = set()
+        for _ in range(300):
+            g, k, x = near_coloring_matrix(rng)
+            out = round_and_verify(x, g, k)
+            ref = round_and_verify_reference(x, g, k)
+            assert out.reason == ref.reason
+            if ref.feasible:
+                assert (list(out.coloring.assignment.items())
+                        == list(ref.coloring.assignment.items()))
+            reasons.add(None if ref.reason is None else ref.reason[0])
+        # every outcome of the verifier occurs among the cases
+        assert reasons == {None, "a", "b", "c", "d", "e"}
 
 
 class TestIntAdmm:

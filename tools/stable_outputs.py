@@ -13,6 +13,8 @@ The runs, one subdirectory of OUTDIR each:
 - ``queen6_6-k6``: ``bound`` at ``--k 6`` with the default parameters
   (the run that acceptance criterion 2 repeats);
 - ``1-Insertions_4``: ``bound`` at ``--k 3``;
+- ``1-Insertions_4-k3-solve``: ``solve`` at ``--k 3``, an integer run on
+  a third graph structure, with four convergence events;
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
@@ -54,6 +56,9 @@ def runs():
            None, "bound", ["--k", "6"])
     yield ("1-Insertions_4", "1-Insertions_4.col",
            write_dimacs(bench_instances.one_insertions_4()), None, "bound",
+           ["--k", "3"])
+    yield ("1-Insertions_4-k3-solve", "1-Insertions_4.col",
+           write_dimacs(bench_instances.one_insertions_4()), None, "solve",
            ["--k", "3"])
     for w in WORKLOADS.values():
         _, dimacs = make_instance(w, BENCHMARK_SEED)
