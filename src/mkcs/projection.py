@@ -60,14 +60,15 @@ class ClusteredCuts:
 
     Within a cluster all member halfspace projections act on disjoint
     coordinates, so one Dykstra pass applies them simultaneously.  The
-    rows are taken once, cluster after cluster; ``groups[gid]`` holds
-    the ``CutArrays`` of cluster ``gid``, views into the arrays of every
-    cut that ``max_violation`` reads.
+    rows are taken once, cluster after cluster, from the pool rows
+    ``order``; ``groups[gid]`` holds the ``CutArrays`` of cluster ``gid``,
+    views into the arrays of every cut that the two methods read.
     """
 
     def __init__(self, cuts, clusters, w):
-        rows = cuts.take(np.array([ci for members in clusters for ci in members],
-                                  dtype=np.intp))
+        self.order = np.array([ci for members in clusters for ci in members],
+                              dtype=np.intp)
+        rows = cuts.take(self.order)
         idx, a, ptr = rows.indices, rows.data, rows.indptr
         winv_a = a / w[idx]
         # one dot product per cut, as the projection onto that cut alone
@@ -94,6 +95,22 @@ class ClusteredCuts:
         if len(self._all.rhs) == 0:
             return 0.0
         return float(_excess(self._all, x[self._all.idx]).max())
+
+    def multipliers(self, corrections):
+        """The scalar ``t_i``, clipped at 0, of each pool row ``i`` in
+        Dykstra's ``corrections`` on this clustering (zeros for None): a
+        cluster's correction is ``-t_i W^-1 a_i`` on row ``i``'s coordinates."""
+        t = np.zeros(len(self))
+        if corrections is not None and len(self):
+            # the clusters that dykstra visits, with their corrections
+            pairs = zip([grp for grp in self.groups if len(grp.idx)], corrections[1],
+                        strict=True)
+            flat = np.concatenate([np.zeros(len(grp.idx)) if c is None else c
+                                   for grp, c in pairs])
+            # a . correction = -t a' W^-1 a = -t denom
+            _, a, _, starts, _, _, denom = self._all
+            t[self.order] = np.maximum(-np.add.reduceat(a * flat, starts) / denom, 0.0)
+        return t
 
 
 @dataclass

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import mkcs
-from bench_instances import complete_graph, cycle_graph
+from bench_instances import complete_graph, cycle_graph, myciel5
 from mkcs.cli import (
     EXIT_INVALID_ARGS,
     EXIT_OK,
@@ -33,7 +33,7 @@ SOLVER_SETTINGS = [
     (table, f)
     for table, cls in (("admm", AdmmParams), ("intp", IntAdmmParams))
     for f in dataclasses.fields(cls)
-    if f.name not in ("seed", "families", "lp_backend")
+    if f.name not in ("seed", "families")
 ]
 # values that pass the tables' checks where default + 1 would not
 SETTING_SAMPLES = {"gamma": 1.5, "beta_decr": 0.25}
@@ -247,16 +247,6 @@ class TestConfigResolution:
         families = resolve_config(args).admm_params().families
         assert families == (CutFamily.HOLE5, CutFamily.T1)
 
-    def test_lp_backend_read_from_the_cli_module_at_call_time(self, monkeypatch):
-        # instrumentation that rebinds the name in mkcs.cli sees every LP
-        import mkcs.cli
-
-        def backend(c, cuts, m):
-            return None
-
-        monkeypatch.setattr(mkcs.cli, "scipy_linprog_backend", backend)
-        assert RunConfig().admm_params().lp_backend is backend
-
 
 class TestRunModes:
     def test_run_bound_report_fields(self, c5_file):
@@ -413,8 +403,8 @@ class TestRunReport:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy costs about 0.3 s of start-up; only the LP bound and the
-    # low-rank PSD step load it, on first use
+    # scipy costs about 0.3 s of start-up; only the integer stage's
+    # low-rank PSD step loads it, on first use
     src = Path(mkcs.__file__).resolve().parents[1]
     code = (
         "import sys, mkcs.cli; "
@@ -424,3 +414,23 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_bound_loads_no_lp_stack(tmp_path):
+    # the cut multipliers come from the projection, so a bound run with
+    # cuts (myciel5 at k = 4 accepts 52) never imports the LP solver
+    instance = tmp_path / "myciel5.col"
+    instance.write_text(write_dimacs(myciel5()))
+    src = Path(mkcs.__file__).resolve().parents[1]
+    code = (
+        "import sys, mkcs.cli; "
+        f"code = mkcs.cli.main(['bound', {str(instance)!r}, '--k', '4', "
+        f"'--out', {str(tmp_path / 'report.json')!r}]); "
+        "print(code, sorted(m for m in ('scipy.optimize', 'scipy.sparse') "
+        "if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip().splitlines()[-1] == "0 []"
+    assert json.loads((tmp_path / "report.json").read_text())["cuts"]["total"] > 0

@@ -8,6 +8,7 @@ from bench_instances import complete_graph, cycle_graph
 from reference_helpers import (
     Cut,
     admm_objective,
+    candidate_pairs,
     cuts_of,
     dense_linprog_reference,
     pool_of,
@@ -23,10 +24,17 @@ from mkcs.cpadmm import (
     valid_upper_bound,
 )
 import mkcs.cpadmm
-from mkcs.cuts import CutFamily, CutPool
-from mkcs.graph import Graph, random_graph
+from mkcs.cuts import (
+    CutFamily,
+    CutPool,
+    cluster_cuts,
+    separate_clique_external,
+    separate_triangle,
+)
+from mkcs.graph import Graph, enumerate_cliques, random_graph
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
+from mkcs.projection import ClusteredCuts, dykstra
 
 
 class TestInnerAdmm:
@@ -171,9 +179,11 @@ class TestValidUpperBound:
         lam = (lam + lam.T) / 2
         cut = Cut(0, CutFamily.CLIQUE_EXT,
                   {fmap.diag_coord(1): 1.0, fmap.diag_coord(2): 1.0}, 1.0)
-        box = valid_upper_bound(lam, fmap, 2, pool_of([cut]))
-        lp = valid_upper_bound(lam, fmap, 2, pool_of([cut]),
-                               lp_backend=scipy_linprog_backend)
+        pool = pool_of([cut])
+        box = valid_upper_bound(lam, fmap, 2, pool)
+        _, c = lp_objective(lam, fmap)
+        lp = valid_upper_bound(lam, fmap, 2, pool,
+                               y=scipy_linprog_backend(c, pool, fmap.m))
         assert lp <= box + 1e-9
 
     def test_lp_mode_without_backend_falls_back(self):
@@ -238,8 +248,8 @@ def random_pool(rng, m, count):
 
 
 def fake_backends(rng):
-    """Multiplier sources that are not LP optima: zero, negative, large,
-    and the LP duals plus noise of either sign."""
+    """Multiplier sources ``(c, cuts, m) -> y`` that are not LP optima:
+    zero, negative, large, and the LP duals plus noise of either sign."""
     return {
         "zero": lambda c, cuts, m: np.zeros(len(cuts)),
         "negative": lambda c, cuts, m: -rng.random(len(cuts)),
@@ -250,7 +260,7 @@ def fake_backends(rng):
 
 
 class TestAnyMultipliers:
-    """The bound holds for any multipliers a backend returns."""
+    """The bound holds for any multipliers."""
 
     def test_criterion_5_graphs(self, monkeypatch):
         # the dual iterate and cuts of the second round of a short solve
@@ -266,14 +276,15 @@ class TestAnyMultipliers:
             g = random_graph(n, [0.3, 0.5, 0.7][case % 3], 2000 + case)
             alpha = alpha_k_exact(g, k)
 
-            def spy(lam, fmap, k, cuts=None, lp_backend=None):
+            def spy(lam, fmap, k, cuts=None, y=None):
                 nonlocal checked
                 if cuts is not None and len(cuts):
+                    _, c = lp_objective(lam, fmap)
                     for name, fake in backends.items():
-                        ub = bound(lam, fmap, k, cuts, fake)
+                        ub = bound(lam, fmap, k, cuts, y=fake(c, cuts, fmap.m))
                         assert ub >= alpha, (case, name, ub, alpha)
                     checked += 1
-                return bound(lam, fmap, k, cuts, lp_backend)
+                return bound(lam, fmap, k, cuts, y)
 
             monkeypatch.setattr(mkcs.cpadmm, "valid_upper_bound", spy)
             cp_admm(g, k, AdmmParams(seed=case, max_outer=2, min_ineq=1.0,
@@ -297,10 +308,11 @@ class TestAnyMultipliers:
         alpha = alpha_k_exact(g, k)
         for name, fake in {**fake_backends(rng),
                            "duals": scipy_linprog_backend}.items():
-            ub = valid_upper_bound(lam, fmap, k, pool, fake)
+            ub = valid_upper_bound(lam, fmap, k, pool, y=fake(c, pool, fmap.m))
             assert ub >= exact - 1e-9, (name, ub, exact)
             assert ub >= alpha, (name, ub, alpha)
-        assert valid_upper_bound(lam, fmap, k, pool, scipy_linprog_backend) \
+        duals = scipy_linprog_backend(c, pool, fmap.m)
+        assert valid_upper_bound(lam, fmap, k, pool, y=duals) \
             == pytest.approx(exact, abs=1e-9)
 
     def test_positive_eigenvalue_of_z_is_charged(self, monkeypatch):
@@ -321,8 +333,8 @@ class TestAnyMultipliers:
 
 class TestCertifiedBound:
     def test_myciel5_bound_is_at_least_the_tight_lp_optimum(self, monkeypatch):
-        # at each LP round, the bound from the dual iterate that
-        # valid_upper_bound received against the LP solved at 1e-10
+        # at each round with cuts, the bound from the dual iterate and
+        # multipliers that valid_upper_bound received against the LP solved at 1e-10
         # tolerances; HiGHS's objective at its default tolerances was
         # 4.6e-7 below that optimum in one round
         from scipy.optimize import linprog
@@ -333,8 +345,8 @@ class TestCertifiedBound:
         seen = []
         bound = mkcs.cpadmm.valid_upper_bound
 
-        def spy(lam, fmap, k, cuts=None, lp_backend=None):
-            ub = bound(lam, fmap, k, cuts, lp_backend)
+        def spy(lam, fmap, k, cuts=None, y=None):
+            ub = bound(lam, fmap, k, cuts, y)
             if cuts is not None and len(cuts):
                 seen.append((lam.copy(), fmap, len(cuts), ub))
             return ub
@@ -353,6 +365,96 @@ class TestCertifiedBound:
                                   "dual_feasibility_tolerance": 1e-10})
             assert lp.success
             assert ub >= 4 * c00 - lp.fun - 1e-9, (ub, 4 * c00 - lp.fun)
+
+
+def criterion_7_instances(count):
+    """``(fmap, k, pool, u)`` of the first ``count`` affine projections
+    that acceptance criterion 7 checks against the QP oracle."""
+    case = 0
+    while count:
+        rng_case = np.random.default_rng([9, case])
+        case += 1
+        n = int(rng_case.integers(3, 7))
+        g = random_graph(n, 0.35, 5000 + case)
+        fmap = FreeIndexMap(g)
+        k = int(rng_case.integers(1, 4))
+        x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
+        cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
+        cands += candidate_pairs(separate_clique_external(
+            x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
+            rng=np.random.default_rng(0)))
+        if not cands:
+            continue
+        pick = rng_case.permutation(len(cands))[:3]
+        yield fmap, k, pool_of([cands[i][0] for i in pick]), \
+            rng_case.uniform(-0.5, 1.5, fmap.m)
+        count -= 1
+
+
+class TestProjectionMultipliers:
+    """The cut multipliers ``t`` that ``ClusteredCuts.multipliers`` reads
+    from Dykstra's corrections, and the bound from ``beta t``."""
+
+    @staticmethod
+    def _check_corrections(fmap, pool, u, eps, max_cycles):
+        clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
+        res = dykstra(u, fmap.weights, clustered, eps=eps, max_cycles=max_cycles)
+        t = clustered.multipliers(res.corrections)
+        assert t.shape == (len(pool),) and (t >= 0).all()
+        a, _ = dense_cut_system(pool, fmap.m)
+        cut_part = res.raw - u - res.corrections[0]
+        assert np.abs(cut_part + (a.T @ t) / fmap.weights).max() <= 1e-12
+        return t
+
+    def test_criterion_7_instances(self):
+        active = 0
+        for fmap, _, pool, u in criterion_7_instances(500):
+            t = self._check_corrections(fmap, pool, u, 1e-9, 200000)
+            active += np.count_nonzero(t)
+        assert active >= 100
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_pools_in_pool_row_order(self, seed):
+        # many cuts over few coordinates: several clusters, which take
+        # their rows out of pool order
+        rng = np.random.default_rng([31, seed])
+        fmap = FreeIndexMap(random_graph(8, 0.3, seed))
+        pool = random_pool(rng, fmap.m, 40)
+        assert len(cluster_cuts(pool)) > 1
+        t = self._check_corrections(fmap, pool, rng.uniform(-0.5, 1.5, fmap.m),
+                                    1e-2, 5)
+        assert np.count_nonzero(t)
+
+    def test_none_is_zero_and_another_clustering_rejected(self):
+        fmap = FreeIndexMap(cycle_graph(5))
+        pool = random_pool(np.random.default_rng(0), fmap.m, 4)
+        clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
+        assert np.array_equal(clustered.multipliers(None), np.zeros(4))
+        extra = [None] * (len(clustered.groups) + 1)
+        with pytest.raises(ValueError):
+            clustered.multipliers((np.zeros(fmap.m), extra))
+
+    def test_queen6_6_bound_close_to_the_lp_duals(self, monkeypatch):
+        # every round with cuts of the benchmark's queen6_6 k = 6 run: the
+        # bound from beta t against the bound from HiGHS's duals
+        from bench_instances import queen6_6
+
+        bound = mkcs.cpadmm.valid_upper_bound
+        gaps = []
+
+        def spy(lam, fmap, k, cuts=None, y=None):
+            ub = bound(lam, fmap, k, cuts, y)
+            if cuts is not None and len(cuts):
+                assert y is not None and len(y) == len(cuts)
+                _, c = lp_objective(lam, fmap)
+                lp = bound(lam, fmap, k, cuts, y=scipy_linprog_backend(c, cuts, fmap.m))
+                gaps.append(ub - lp)
+            return ub
+
+        monkeypatch.setattr(mkcs.cpadmm, "valid_upper_bound", spy)
+        cp_admm(queen6_6(), 6, AdmmParams(max_outer=5))
+        assert len(gaps) == 4
+        assert all(-1e-12 <= gap <= 2e-2 for gap in gaps), gaps
 
 
 class TestLpBackend:
