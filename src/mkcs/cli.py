@@ -57,7 +57,7 @@ class RunConfig:
     k: int | None = None
     mode: str = "bound"
     out: str | None = None
-    time_limit: float | None = None    # overrides time_limit_global when set
+    time_limit: float = 3600.0         # wall-clock budget of the whole run
     expensive_tests: bool = False
     stable_timing: bool = False
     per_k_time_limit: float = 600.0    # chromatic mode: budget per k value
@@ -67,11 +67,6 @@ class RunConfig:
     @property
     def seed(self):
         return self.admm.seed
-
-    def admm_params(self):
-        if self.time_limit is not None:
-            return dataclasses.replace(self.admm, time_limit_global=self.time_limit)
-        return self.admm
 
 
 # the type of every numeric or boolean config key but k, which may also
@@ -127,7 +122,6 @@ def _apply_overrides(cfg, overrides, source):
         elif key in _TABLE_OF:
             kwargs[_TABLE_OF[key]][key] = value
         elif key in _RUN_KEYS:
-            # a negative budget would reach time_limit_global, which rejects it
             if key in ("time_limit", "per_k_time_limit") and not value >= 0.0:
                 raise CliError(f"{source}: {key} must not be negative; got {value!r}",
                                EXIT_INVALID_ARGS)
@@ -195,8 +189,9 @@ def _clock(cfg, seconds):
     return 0.0 if cfg.stable_timing else round(seconds, 3)
 
 
-def run_bound(cfg, g=None):
-    """Greedy lower bound followed by the cutting-plane bound solver.
+def run_bound(cfg, g=None, deadline=None):
+    """Greedy lower bound followed by the cutting-plane bound solver,
+    which stops at ``deadline`` (by default ``cfg.time_limit`` from now).
 
     Returns ``(report, solver_result)``; the report is the stable
     machine-readable summary, the result carries the iterate and traces.
@@ -204,14 +199,14 @@ def run_bound(cfg, g=None):
     if g is None:
         g = _load_instance(cfg)
     _require_k(cfg, g)
-    params = cfg.admm_params()
     t0 = time.monotonic()
-    lb_hint, _ = greedy_lower_bound(g, cfg.k, params.seed)
-    res = cp_admm(g, cfg.k, params, lb_hint=lb_hint)
+    if deadline is None:
+        deadline = t0 + cfg.time_limit
+    res = cp_admm(g, cfg.k, cfg.admm, deadline=deadline)
     report = _base_report(cfg, g, "bound")
     report.update(
         {
-            "lb_hint": lb_hint,
+            "lb_hint": res.lb_hint,
             "ub": res.ub,
             "outer_iters": res.outer_iterations,
             "inner_iters": res.inner_iterations,
@@ -225,15 +220,14 @@ def run_bound(cfg, g=None):
     return report, res
 
 
-def run_solve(cfg):
+def run_solve(cfg, deadline=None):
     """Bound phase, then the integer solver warm-started from its iterate
-    with the bound as the optimality target."""
+    with the bound as the optimality target, both stopping at ``deadline``
+    as in :func:`run_bound`; reports the integer colouring or a larger greedy one."""
     g = _load_instance(cfg)
-    t_start = time.monotonic()
-    report, bound_res = run_bound(cfg, g)
-    remaining = None
-    if cfg.time_limit is not None:
-        remaining = max(0.0, cfg.time_limit - (time.monotonic() - t_start))
+    if deadline is None:
+        deadline = time.monotonic() + cfg.time_limit
+    report, bound_res = run_bound(cfg, g, deadline)
     t0 = time.monotonic()
     int_res = int_admm(
         g,
@@ -241,16 +235,22 @@ def run_solve(cfg):
         cfg.intp,
         warm=bound_res.matrix,
         known_ub=bound_res.ub,
-        time_limit=remaining,
+        deadline=deadline,
     )
+    source, coloring = "int_admm", int_res.coloring
+    if bound_res.greedy.value > coloring.value:
+        source, coloring = "greedy", bound_res.greedy
+    if not coloring.check(g, cfg.k):
+        raise RuntimeError(f"the {source} colouring is not a proper {cfg.k}-colouring")
     report["mode"] = "solve"
     report.update(
         {
-            "lb": int_res.value,
+            "lb": coloring.value,
+            "lb_source": source,
             "feasible_found": int_res.feasible_found,
-            "coloring": {str(v): c for v, c in sorted(int_res.coloring.assignment.items())},
-            "gap": report["ub"] - int_res.value,
-            "optimal": math.floor(report["ub"] + 1e-9) == int_res.value,
+            "coloring": {str(v): c for v, c in sorted(coloring.assignment.items())},
+            "gap": report["ub"] - coloring.value,
+            "optimal": math.floor(report["ub"] + 1e-9) == coloring.value,
             "int_iters": int_res.iterations,
             "int_termination": int_res.termination,
             "time_lb": _clock(cfg, time.monotonic() - t0),
@@ -259,7 +259,7 @@ def run_solve(cfg):
     return report, bound_res, int_res
 
 
-def chromatic_search(g, cfg=None):
+def chromatic_search(g, cfg=None, deadline=None):
     """Lower bound on the chromatic number from bound runs over a jumping
     sequence of k values.
 
@@ -270,15 +270,16 @@ def chromatic_search(g, cfg=None):
     iteration).  While the bound stays below n, k jumps to
     ``ceil(k*n / floor(bound))``, which always advances by at least one;
     the first k whose bound reaches n is returned and is a valid lower
-    bound on the chromatic number.
+    bound on the chromatic number, as is the k reached at ``deadline``
+    (see :func:`run_bound`).  Each k stops after ``cfg.per_k_time_limit``.
 
     Returns ``(k, steps)`` where steps records every solved k.
     """
     if cfg is None:
         cfg = RunConfig()
-    deadline = (
-        None if cfg.time_limit is None else time.monotonic() + cfg.time_limit
-    )
+    if deadline is None:
+        deadline = time.monotonic() + cfg.time_limit
+    params = dataclasses.replace(cfg.admm, min_ineq=1.0, min_impr=-math.inf)
     steps = []
     k = 1
     while True:
@@ -287,16 +288,8 @@ def chromatic_search(g, cfg=None):
             k = g.n
             steps.append({"k": k, "ub": float(g.n), "skipped": True})
             break
-        budget = cfg.per_k_time_limit
-        if deadline is not None:
-            budget = min(budget, max(0.0, deadline - time.monotonic()))
-        params = dataclasses.replace(
-            cfg.admm_params(),
-            min_ineq=1.0,
-            min_impr=-math.inf,
-            time_limit_global=budget,
-        )
-        res = cp_admm(g, k, params, ub_stop_below=float(g.n))
+        res = cp_admm(g, k, params, ub_stop_below=float(g.n),
+                      deadline=min(deadline, time.monotonic() + cfg.per_k_time_limit))
         steps.append(
             {
                 "k": k,
@@ -312,18 +305,18 @@ def chromatic_search(g, cfg=None):
             k = max(k_next, k + 1)
         else:
             break
-        if deadline is not None and time.monotonic() > deadline:
+        if time.monotonic() > deadline:
             break
     return k, steps
 
 
-def chromatic_lower_bound(cfg):
+def chromatic_lower_bound(cfg, deadline=None):
     """File-based wrapper around :func:`chromatic_search` producing the
     machine-readable report."""
     g = _load_instance(cfg)
     report = _base_report(cfg, g, "chromatic")
     t0 = time.monotonic()
-    k, steps = chromatic_search(g, cfg)
+    k, steps = chromatic_search(g, cfg, deadline)
     report.update(
         {
             "k": None,
@@ -432,7 +425,8 @@ def build_parser():
     parser.add_argument("--seed", type=int, default=None)
     parser.add_argument("--out", default=None, help="write the JSON report here")
     parser.add_argument("--time-limit", type=float, default=None,
-                        help="overall wall-clock budget in seconds")
+                        help="wall-clock budget of the whole run in seconds "
+                             "(default 3600)")
     parser.add_argument("--families", default=None,
                         help="comma-separated cut families to separate")
     parser.add_argument("--expensive-tests", action=argparse.BooleanOptionalAction,
@@ -536,18 +530,19 @@ def main(argv=None):
         cfg = resolve_config(args)
         # the chromatic search picks its own k values
         ks = [None] if cfg.mode == "chromatic" else _parse_k_values(cfg.k) or [None]
+        deadline = time.monotonic() + cfg.time_limit  # one for every k of the run
         runs = []
         for k in ks:
             cfg.k = k
             bound_res = int_res = None
             if cfg.mode == "bound":
-                report, bound_res = run_bound(cfg)
+                report, bound_res = run_bound(cfg, deadline=deadline)
             elif cfg.mode == "solve":
-                report, bound_res, int_res = run_solve(cfg)
+                report, bound_res, int_res = run_solve(cfg, deadline)
             elif cfg.mode == "oracle":
                 report = run_oracle(cfg)
             else:
-                _, report = chromatic_lower_bound(cfg)
+                _, report = chromatic_lower_bound(cfg, deadline)
             runs.append((k, report, bound_res, int_res))
         _write_outputs(cfg, runs)
     except CliError as exc:

@@ -49,6 +49,8 @@ _GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
 # sweeps between the bound probes of the first outer iteration of a run
 # with a ub_stop_below target
 UB_PROBE_INTERVAL = 100
+# seconds that each pool enumeration may take within the run's deadline
+ENUMERATION_BUDGET_S = 10.0
 
 
 def scipy_linprog_backend(c, cuts, m):
@@ -82,9 +84,6 @@ class AdmmParams:
     max_cuts_per_var: int = 5
     min_impr: float = 0.025
     min_impr_phase1: float = 0.25
-    time_limit_global: float = 3600.0
-    time_limit_cliques: float = 10.0
-    time_limit_holes: float = 10.0
     max_cliques: int = 100000
     max_clique_pairs: int = 100000
     max_holes: int = 100000
@@ -110,10 +109,6 @@ class AdmmParams:
                      "max_cuts_per_var"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be at least 1; got {getattr(self, name)}")
-        if not self.time_limit_global >= 0.0:
-            raise ValueError(
-                f"time_limit_global must not be negative; got {self.time_limit_global}"
-            )
         if self.max_outer is not None and self.max_outer < 1:
             raise ValueError(f"max_outer must be at least 1; got {self.max_outer}")
 
@@ -149,7 +144,7 @@ def initial_state(g, k):
 
 
 def inner_admm(state, fmap, params, clustered=None, tightened=False,
-               ub_probe=None, ub_interval=None):
+               ub_probe=None, ub_interval=None, deadline=None):
     """Run the alternating projections until the residual criterion or the
     iteration cap is met.
 
@@ -159,9 +154,10 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     in Frobenius norms on the full bordered matrices.  ``tightened``
     switches to the final-pass tolerance and cap.  ``ub_probe`` is called
     every ``ub_interval`` sweeps and may stop the loop early by returning
-    True.  Each Dykstra projection starts from the corrections of the
-    previous one, kept on ``state`` from call to call; they belong to
-    ``clustered``, and whoever replaces it clears them.
+    True; so does the first sweep that ends past ``deadline``, a
+    ``time.monotonic()`` value.  Each Dykstra projection starts from the
+    corrections of the previous one, kept on ``state`` from call to call;
+    they belong to ``clustered``, and whoever replaces it clears them.
 
     Returns ``(iterations_run, stopped_by_probe)``.  Affine projections
     whose Dykstra loop hit ``dyk_max_cycles`` are counted, and a call
@@ -202,6 +198,8 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
             if ub_probe(state):
                 stopped = True
                 break
+        if deadline is not None and time.monotonic() > deadline:
+            break
     if capouts:
         logger.warning(
             "%d of %d affine projections stopped at the Dykstra cycle cap "
@@ -312,6 +310,7 @@ class CpAdmmResult:
     family_counts: dict = field(default_factory=dict)
     elapsed_s: float = 0.0
     enumeration_complete: bool = True
+    greedy: Coloring | None = None  # the colouring behind lb_hint, if computed here
 
 
 def _separate_families(families, state, g, fmap, k, params, clique_enum,
@@ -339,7 +338,7 @@ def _separate_families(families, state, g, fmap, k, params, clique_enum,
     return report, next_id
 
 
-def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
+def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     """Cutting-plane outer loop around the inner ADMM.
 
     Each round solves the current relaxation, extracts a valid upper
@@ -347,9 +346,9 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
     considers external-clique cuts only; phase 2 all configured
     families), and adds a capped selection of them.  Termination: the
     bound rounded down reaches the known lower bound, the bound stops
-    improving, too few violated inequalities remain, or the time limit
-    runs out; on the two plateau criteria one tightened inner pass runs
-    first so the final bound is accurate.
+    improving, too few violated inequalities remain, or a sweep ends past
+    ``deadline`` (``time_limit``); on the two plateau criteria one
+    tightened inner pass runs first so the final bound is accurate.
 
     ``ub_stop_below`` aborts the solve as soon as any valid bound drops
     below the given target, which the chromatic-number driver uses to stop
@@ -363,18 +362,19 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
         raise ValueError(f"k must lie in [1, {g.n}]; got {k}")
     params = params.resolved(g.n)
     t0 = time.monotonic()
-    if lb_hint is None:
-        lb_hint, _ = greedy_lower_bound(g, k, params.seed)
+    deadline = math.inf if deadline is None else deadline
+    lb_hint, greedy = ((lb_hint, None) if lb_hint is not None
+                       else greedy_lower_bound(g, k, params.seed))
     fmap = FreeIndexMap(g)
     families = tuple(params.families)
     need_cliques = CutFamily.CLIQUE_EXT in families or CutFamily.CLIQUE_UNION in families
     clique_enum = (
-        enumerate_cliques(g, params.time_limit_cliques)
+        enumerate_cliques(g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
         if need_cliques
         else CliqueEnumeration([], [])
     )
     hole_enum = (
-        enumerate_5holes(g, params.time_limit_holes)
+        enumerate_5holes(g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
         if CutFamily.HOLE5 in families
         else HoleEnumeration([])
     )
@@ -406,7 +406,8 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
 
     def run_tightened():
         nonlocal tightened_total, best_ub
-        iters, _ = inner_admm(state, fmap, params, clustered, tightened=True)
+        iters, _ = inner_admm(state, fmap, params, clustered, tightened=True,
+                              deadline=deadline)
         tightened_total += iters
         ub_t = bound(state)
         best_ub = min(best_ub, ub_t)
@@ -420,13 +421,13 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
         iters, probed = inner_admm(
             state, fmap, params, clustered, ub_interval=UB_PROBE_INTERVAL,
             ub_probe=probe if outer == 1 and ub_stop_below is not None else None,
+            deadline=deadline,
         )
         inner_total += iters
         ub = bound(state)
         best_ub = min(best_ub, ub)
         improvement = math.inf if prev_best is None else prev_best - best_ub
         prev_best = best_ub
-        elapsed = time.monotonic() - t0
 
         def record(n_added):
             records.append(
@@ -444,7 +445,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
             termination = "lb_match"
             record(0)
             break
-        if elapsed > params.time_limit_global:
+        if time.monotonic() > deadline:
             termination = "time_limit"
             record(0)
             break
@@ -489,7 +490,8 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
         if not len(accepted):
             record(0)
             run_tightened()
-            termination = "min_impr" if ending else "min_ineq"
+            termination = ("time_limit" if time.monotonic() > deadline
+                           else "min_impr" if ending else "min_ineq")
             break
         cut_list.append(accepted)
         clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)
@@ -510,4 +512,5 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None):
                        zip(*np.unique(cut_list.family, return_counts=True))},
         elapsed_s=time.monotonic() - t0,
         enumeration_complete=enum_complete,
+        greedy=greedy,
     )

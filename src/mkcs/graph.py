@@ -96,7 +96,7 @@ class CliqueEnumeration:
 
     maximal: list          # maximal cliques of size 2..5
     size6: list            # every clique of exactly 6 vertices
-    complete: bool = True  # False when the time limit truncated the search
+    complete: bool = True  # False when the deadline truncated the search
 
     def __post_init__(self):
         pool = self.all_cliques()
@@ -125,7 +125,7 @@ class HoleEnumeration:
     5-vertex rows is accepted and stored in that array form."""
 
     holes: np.ndarray = field(default_factory=lambda: np.empty((0, 5), np.intp))
-    complete: bool = True  # False when the time limit truncated the search
+    complete: bool = True  # False when the deadline truncated the search
 
     def __post_init__(self):
         self.holes = np.asarray(self.holes, dtype=np.intp).reshape(-1, 5)
@@ -212,7 +212,7 @@ def complement(g):
     return Graph(g.n, edges, name=g.name + suffix)
 
 
-def enumerate_cliques(g, time_limit=10.0):
+def enumerate_cliques(g, deadline=None):
     """Enumerate maximal cliques of size 2..5 and every clique of size 6.
 
     Runs a Bron-Kerbosch recursion without pivoting so that each clique
@@ -222,9 +222,8 @@ def enumerate_cliques(g, time_limit=10.0):
     the non-maximal six-vertex cliques that the caller needs.
 
     Returns a :class:`CliqueEnumeration`; ``complete`` is False when the
-    time limit truncated the search.
+    search stopped at ``deadline``, a ``time.monotonic()`` value.
     """
-    deadline = time.monotonic() + time_limit
     maximal = []
     size6 = []
     complete = True
@@ -232,7 +231,7 @@ def enumerate_cliques(g, time_limit=10.0):
 
     def visit(r, p, x):
         nonlocal complete
-        if time.monotonic() > deadline:
+        if deadline is not None and time.monotonic() > deadline:
             complete = False
             return
         if len(r) == 6:
@@ -282,33 +281,36 @@ def extend_clique_greedy(g, clique, ell, X):
     return Clique(frozenset(members), maximal=not still_extendable)
 
 
-def enumerate_5holes(g, time_limit=10.0):
+def enumerate_5holes(g, deadline=None):
     """Enumerate chordless 5-cycles, each reported exactly once.
 
     DFS over paths of length four anchored at the least vertex of the
     cycle, with chordlessness checked incrementally.  The canonical form
     anchors at the least id and takes the direction whose second vertex
     is smaller than its last.  The pool is one ``(H, 5)`` array, rows in
-    the order found.
+    the order found; ``complete`` is False if it stopped at ``deadline``.
     """
-    flat = []  # five vertex ids per hole
-    complete = _walk_5holes(g, time.monotonic() + time_limit, flat)
-    return HoleEnumeration(np.array(flat, dtype=np.intp), complete)
+    flat, chunks = [], []  # five vertex ids per hole, as a list and as arrays
+    complete = _walk_5holes(g, deadline, flat, chunks)
+    return HoleEnumeration(np.concatenate([*chunks, np.array(flat, np.intp)]), complete)
 
 
-def _walk_5holes(g, deadline, flat):
-    """Append the vertices of each canonical 5-hole of ``g`` to ``flat``;
-    False when the deadline cut the search short."""
+def _walk_5holes(g, deadline, flat, chunks):
+    """Append the vertices of each canonical 5-hole of ``g`` to ``flat``, moved
+    to an array in ``chunks`` at each anchor so that little is left to
+    convert when ``deadline`` cuts the search short; False if it does."""
     adj = g.adj
     counter = 0
     for a in g.vertices:
+        chunks.append(np.array(flat, dtype=np.intp))
+        flat.clear()
         na = adj[a]
         for v1 in sorted(na):
             if v1 < a:
                 continue
             for v2 in sorted(adj[v1]):
                 counter += 1
-                if counter % 512 == 0 and time.monotonic() > deadline:
+                if counter % 512 == 0 and deadline is not None and time.monotonic() > deadline:
                     return False
                 if v2 <= a or v2 in na:
                     continue

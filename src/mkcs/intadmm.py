@@ -208,7 +208,7 @@ class IntAdmmResult:
     elapsed_s: float = 0.0
 
 
-def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
+def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
     """Search for large feasible partial k-colorings.
 
     Alternates projections of three coupled blocks (affine/box, PSD cone,
@@ -222,9 +222,9 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
     suppressed for the next few sweeps.  Stops after three consecutive
     non-improving convergence events, when the best value matches the
     floor of ``known_ub``, when the PSD step's input is not finite
-    (``non_finite``), or at the iteration/time caps; the best verified
-    coloring found is always returned (possibly the empty one, flagged
-    by ``feasible_found``).
+    (``non_finite``), at the iteration cap, or past ``deadline`` (a
+    ``time.monotonic()`` value); the best verified coloring found is
+    always returned (possibly the empty one, flagged by ``feasible_found``).
     """
     if params is None:
         params = IntAdmmParams()
@@ -314,7 +314,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, time_limit=None):
                     break
                 beta = max(beta * params.beta_decr, params.beta_min)
                 suppress = params.min_iters_after_reset
-            if time_limit is not None and time.monotonic() - t0 > time_limit:
+            if deadline is not None and time.monotonic() > deadline:
                 termination = "time_limit"
                 break
     coloring = best if best is not None else Coloring({})

@@ -1,9 +1,11 @@
 import dataclasses
+import importlib.util
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -25,8 +27,10 @@ from mkcs.cli import (
 )
 from mkcs.cpadmm import AdmmParams
 from mkcs.cuts import CutFamily
-from mkcs.graph import write_dimacs
+from mkcs.graph import random_graph, write_dimacs
 from mkcs.intadmm import IntAdmmParams
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # every parameter-table field with a generated flag, as (table, field)
 SOLVER_SETTINGS = [
@@ -128,6 +132,24 @@ class TestExitCodes:
         assert exc.value.code == EXIT_INVALID_ARGS
         assert "--lp-backend" not in build_parser().format_help()
 
+    @pytest.mark.parametrize("key", ["time_limit_global", "time_limit_cliques",
+                                     "time_limit_holes"])
+    def test_removed_time_settings_are_unknown_keys(self, c5_file, tmp_path, capsys,
+                                                    key):
+        # --time-limit sets the one deadline of the whole run
+        cfgfile = tmp_path / "cfg.json"
+        cfgfile.write_text(json.dumps({key: 5.0}))
+        assert (
+            main(["bound", str(c5_file), "--k", "2", "--config", str(cfgfile)])
+            == EXIT_INVALID_ARGS
+        )
+        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+        flag = "--" + key.replace("_", "-")
+        with pytest.raises(SystemExit) as exc:
+            main(["bound", str(c5_file), "--k", "2", flag, "5"])
+        assert exc.value.code == EXIT_INVALID_ARGS
+        assert flag not in build_parser().format_help()
+
     @pytest.mark.parametrize("config, key", [
         ({"max_inner_iter": "50"}, "max_inner_iter"),
         ({"families": [1]}, "families"),
@@ -159,7 +181,7 @@ class TestExitCodes:
         ({"max_cuts_per_var": 0}, "max_cuts_per_var"),
         ({"eps_admm": -1}, "eps_admm"),
         ({"eps_admm_final": 0}, "eps_admm_final"),
-        ({"time_limit_global": -5}, "time_limit_global"),
+        ({"beta_decr": 1.0}, "beta_decr"),
         ({"time_limit": -5}, "time_limit"),
         ({"per_k_time_limit": -1}, "per_k_time_limit"),
     ])
@@ -184,8 +206,7 @@ class TestConfigResolution:
         assert (admm.max_inner_iter, admm.max_inner_iter_final) == (2000, 10000)
         assert admm.min_viol == 1e-2 and admm.max_cuts_per_var == 5
         assert (admm.min_impr, admm.min_impr_phase1) == (0.025, 0.25)
-        assert admm.time_limit_global == 3600.0
-        assert admm.time_limit_cliques == 10.0 and admm.time_limit_holes == 10.0
+        assert cfg.time_limit == 3600.0
         assert admm.max_cliques == admm.max_clique_pairs == admm.max_holes == 100000
         assert admm.eps_dyk == 1e-2
         resolved = admm.resolved(20)
@@ -244,7 +265,7 @@ class TestConfigResolution:
         args = build_parser().parse_args(
             ["bound", str(c5_file), "--families", "hole5,T1"]
         )
-        families = resolve_config(args).admm_params().families
+        families = resolve_config(args).admm.families
         assert families == (CutFamily.HOLE5, CutFamily.T1)
 
 
@@ -273,6 +294,30 @@ class TestRunModes:
         report, _, _ = run_solve(cfg)
         assert report["lb"] == 2
         assert report["optimal"] is True
+
+    @pytest.mark.parametrize("flags", [
+        ["--time-limit", "0"],
+        ["--seed", "14", "--max-iterations", "12000"],
+    ], ids=["no-time", "sweep-cap"])
+    def test_solve_reports_at_least_the_greedy_colouring(self, tmp_path, flags):
+        # acceptance criterion 5's case 14, where the integer stage ends
+        # without a convergence event: at once, or at its 12,000-sweep cap
+        g = random_graph(12, 0.7, 2014)
+        path = tmp_path / "g.col"
+        path.write_text(write_dimacs(g))
+        out = tmp_path / "report.json"
+        assert main(["solve", str(path), "--k", "3", *flags, "--out", str(out)]) == EXIT_OK
+        report = json.loads(out.read_text())
+        assert not report["feasible_found"]
+        assert report["lb_source"] == "greedy"
+        assert report["lb"] == report["lb_hint"] > 0
+        assert report["gap"] == pytest.approx(report["ub"] - report["lb"])
+        # the benchmark's own correctness gate
+        spec = importlib.util.spec_from_file_location(
+            "benchmark_gate", ROOT / "perfbench" / "gate.py")
+        gate = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(gate)
+        assert gate.check_report(report, SimpleNamespace(mode="solve", k=3), g) == []
 
     def test_chromatic_k5_exact(self, k5_file):
         cfg = RunConfig(instance=str(k5_file))

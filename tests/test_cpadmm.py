@@ -1,10 +1,11 @@
 import itertools
 import math
+import time
 
 import numpy as np
 import pytest
 
-from bench_instances import complete_graph, cycle_graph
+from bench_instances import complete_graph, cycle_graph, petersen
 from reference_helpers import (
     Cut,
     admm_objective,
@@ -72,6 +73,17 @@ class TestInnerAdmm:
         # tightening from a converged state must not move the value much
         assert abs(tight - loose) < 0.05
 
+    @pytest.mark.parametrize("tightened", [False, True])
+    def test_past_deadline_stops_after_one_sweep(self, tightened):
+        g = random_graph(9, 0.4, 5)
+        fmap = FreeIndexMap(g)
+        st = initial_state(g, 2)
+        iters, stopped = inner_admm(st, fmap, AdmmParams(), tightened=tightened,
+                                    deadline=time.monotonic())
+        assert (iters, stopped, st.iterations) == (1, False, 1)
+        # any dual iterate gives a valid bound
+        assert math.floor(valid_upper_bound(st.L, fmap, 2) + 1e-6) >= alpha_k_exact(g, 2)
+
     def test_probe_can_stop_early(self):
         g = Graph(8)
         fmap = FreeIndexMap(g)
@@ -131,7 +143,6 @@ class TestInnerAdmm:
         {"dyk_max_cycles": 0}, {"max_inner_iter": 0}, {"max_inner_iter_final": 0},
         {"max_outer": 0}, {"beta": math.nan}, {"max_cuts_per_var": 0},
         {"eps_admm": 0.0}, {"eps_admm": -1.0}, {"eps_admm_final": 0.0},
-        {"time_limit_global": -1.0}, {"time_limit_global": math.nan},
     ])
     def test_out_of_range_settings_rejected(self, setting):
         with pytest.raises(ValueError, match=next(iter(setting))):
@@ -140,7 +151,7 @@ class TestInnerAdmm:
     def test_smallest_valid_settings_accepted(self):
         AdmmParams(beta=1e-9, eps_dyk=1e-300, dyk_max_cycles=1, max_inner_iter=1,
                    max_inner_iter_final=1, max_outer=1, max_cuts_per_var=1,
-                   eps_admm=1e-300, eps_admm_final=1e-300, time_limit_global=0.0)
+                   eps_admm=1e-300, eps_admm_final=1e-300)
 
 
 class TestValidUpperBound:
@@ -666,8 +677,36 @@ class TestCpAdmm:
 
     def test_time_limit_termination(self):
         g = random_graph(14, 0.5, 2)
-        res = cp_admm(g, 2, AdmmParams(time_limit_global=0.0))
+        res = cp_admm(g, 2, AdmmParams(), deadline=time.monotonic())
         assert res.termination == "time_limit"
+        assert res.inner_iterations == 1
+
+    def test_deadline_bounds_enumeration_and_sweeps(self):
+        # without a deadline this run spends about 2 s enumerating cliques
+        # and 6 s enumerating 5-holes before its first sweep (2 vCPUs)
+        g = random_graph(125, 0.5, 1)
+        t0 = time.monotonic()
+        res = cp_admm(g, 8, AdmmParams(), deadline=t0 + 0.5)
+        assert time.monotonic() - t0 < 1.5
+        assert res.termination == "time_limit"
+        assert not res.enumeration_complete
+
+    def test_tightened_pass_cut_by_the_deadline(self, monkeypatch):
+        # petersen at k = 2 ends on min_ineq within milliseconds; the spy
+        # lets the deadline pass just as the tightened pass starts
+        inner = mkcs.cpadmm.inner_admm
+
+        def late(*args, **kwargs):
+            while kwargs.get("tightened") and time.monotonic() <= kwargs["deadline"]:
+                time.sleep(0.01)
+            return inner(*args, **kwargs)
+
+        monkeypatch.setattr(mkcs.cpadmm, "inner_admm", late)
+        g = petersen()
+        res = cp_admm(g, 2, AdmmParams(), deadline=time.monotonic() + 0.5)
+        assert res.termination == "time_limit"
+        assert res.tightened_iterations == 1 == res.records[-1].inner_iters
+        assert math.floor(res.ub + 1e-6) >= alpha_k_exact(g, 2)
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):

@@ -15,6 +15,10 @@ The runs, one subdirectory of OUTDIR each:
 - ``1-Insertions_4``: ``bound`` at ``--k 3``;
 - ``1-Insertions_4-k3-solve``: ``solve`` at ``--k 3``, an integer run on
   a third graph structure, with four convergence events;
+- ``g12-case14-solve``: ``solve`` on ``random_graph(12, 0.7, 2014)`` with
+  ``--k 3 --seed 14 --max-iterations 12000`` (acceptance criterion 5's
+  case 14), an integer run that ends at its sweep cap without a
+  convergence event, so the report carries the greedy colouring;
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
@@ -60,6 +64,8 @@ def runs():
     yield ("1-Insertions_4-k3-solve", "1-Insertions_4.col",
            write_dimacs(bench_instances.one_insertions_4()), None, "solve",
            ["--k", "3"])
+    yield ("g12-case14-solve", "g12-case14.col", write_dimacs(random_graph(12, 0.7, 2014)),
+           None, "solve", ["--k", "3", "--seed", "14", "--max-iterations", "12000"])
     for w in WORKLOADS.values():
         _, dimacs = make_instance(w, BENCHMARK_SEED)
         yield (w.name, f"{w.instance}.col", dimacs, w.config, w.mode,
