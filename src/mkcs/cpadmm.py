@@ -348,7 +348,9 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     bound rounded down reaches the known lower bound, the bound stops
     improving, too few violated inequalities remain, or a sweep ends past
     ``deadline`` (``time_limit``); on the two plateau criteria one
-    tightened inner pass runs first so the final bound is accurate.
+    tightened inner pass runs first so the final bound is accurate.  The
+    returned ``ub`` never exceeds the trivial bound n; the records and
+    every stopping decision use the uncapped bound.
 
     ``ub_stop_below`` aborts the solve as soon as any valid bound drops
     below the given target, which the chromatic-number driver uses to stop
@@ -499,7 +501,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         record(len(accepted))
 
     return CpAdmmResult(
-        ub=best_ub,
+        ub=min(best_ub, float(g.n)),
         matrix=state.X,
         lb_hint=lb_hint,
         termination=termination,

@@ -1,6 +1,7 @@
 import dataclasses
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -184,6 +185,13 @@ class TestExitCodes:
         ({"beta_decr": 1.0}, "beta_decr"),
         ({"time_limit": -5}, "time_limit"),
         ({"per_k_time_limit": -1}, "per_k_time_limit"),
+        ({"beta0": 0}, "beta0"),
+        ({"beta0": -1}, "beta0"),
+        ({"beta_incr": math.nan}, "beta_incr"),
+        ({"eps_int": 0}, "eps_int"),
+        ({"eps_int": -1}, "eps_int"),
+        ({"min_iters_after_reset": -1}, "min_iters_after_reset"),
+        ({"max_iterations": -1}, "max_iterations"),
     ])
     def test_out_of_range_solver_setting_invalid_args(self, c5_file, tmp_path,
                                                       capsys, config, key):
@@ -215,7 +223,7 @@ class TestConfigResolution:
         assert resolved.max_ineq == 100
         intp = cfg.intp
         assert (intp.beta0, intp.beta_incr) == (0.05, 1.0001)
-        assert (intp.beta_decr, intp.beta_min) == (0.5, 0.001)
+        assert (intp.beta_decr, intp.beta_min) == (0.85, 0.001)  # the paper halves
         assert intp.eps_int == 1e-3 and intp.max_tries_without_impr == 3
 
     def test_flag_overrides_file_overrides_default(self, tmp_path, c5_file):

@@ -681,6 +681,15 @@ class TestCpAdmm:
         assert res.termination == "time_limit"
         assert res.inner_iterations == 1
 
+    def test_bound_cut_by_a_passed_deadline_is_capped_at_n(self):
+        # one sweep from the initial iterate bounds this 125-vertex graph
+        # by about 612; the result reports the trivial bound n instead
+        g = random_graph(125, 0.5, 1)
+        res = cp_admm(g, 8, AdmmParams(), deadline=time.monotonic() - 1.0)
+        assert (res.termination, res.inner_iterations) == ("time_limit", 1)
+        assert res.ub == float(g.n)
+        assert [r.ub > g.n for r in res.records] == [True]  # the trace keeps it
+
     def test_deadline_bounds_enumeration_and_sweeps(self):
         # without a deadline this run spends about 2 s enumerating cliques
         # and 6 s enumerating 5-holes before its first sweep (2 vCPUs)

@@ -368,6 +368,61 @@ class TestIntAdmm:
         with pytest.raises(ValueError):
             IntAdmmParams(beta_min=0.0)
 
+    @pytest.mark.parametrize("name, value", [
+        ("beta0", 0.0), ("beta0", -1.0), ("beta0", math.nan), ("beta0", math.inf),
+        ("beta_incr", math.nan), ("beta_incr", math.inf),
+        ("beta_min", math.nan), ("beta_min", math.inf),
+        ("eps_int", 0.0), ("eps_int", -1.0), ("eps_int", math.nan),
+        ("min_iters_after_reset", -1), ("max_iterations", -1),
+    ])
+    def test_degenerate_settings_rejected(self, name, value):
+        # each of these ran a degenerate schedule: a zero or negative
+        # penalty, a NaN iterate, or the whole sweep cap without an event
+        with pytest.raises(ValueError, match=f"{name} must"):
+            IntAdmmParams(**{name: value})
+
+    def test_smallest_valid_settings_accepted(self):
+        params = IntAdmmParams(beta0=1e-300, beta_min=1e-300, eps_int=1e-300,
+                               min_iters_after_reset=0, max_iterations=0)
+        res = int_admm(cycle_graph(5), 2, params)
+        assert (res.iterations, res.convergence_events) == (0, 0)
+
+
+class TestPenaltyBackoff:
+    """After a convergence event the penalty is multiplied by
+    ``beta_decr`` (default 0.85), which the schedule reads nowhere else."""
+
+    @pytest.fixture(scope="class")
+    def myciel5_runs(self):
+        # the benchmark's integer workload: myciel5, k = 4, warm-started
+        # from the default bound, at beta_incr = 1.0005 (a few seconds)
+        g = myciel_graph(5)
+        cp = cp_admm(g, 4, AdmmParams())
+        return g, {
+            decr: int_admm(g, 4, IntAdmmParams(beta_incr=1.0005, **kwargs),
+                           warm=cp.matrix, known_ub=cp.ub)
+            for decr, kwargs in ((0.5, {"beta_decr": 0.5}), (0.85, {}))
+        }
+
+    def test_first_event_and_value_do_not_depend_on_the_backoff(self, myciel5_runs):
+        g, runs = myciel5_runs
+        half, backoff = runs[0.5], runs[0.85]
+        assert half.records[0] == backoff.records[0]  # every field exactly equal
+        assert backoff.records[0].feasible_value == 44
+        assert backoff.value >= half.value == 44
+        assert backoff.iterations < half.iterations
+        assert backoff.coloring.check(g, 4)
+
+    def test_penalty_after_an_event(self, myciel5_runs):
+        # an event at sweep t records beta_t; sweep t + 1 starts from
+        # 0.85 beta_t, and each sweep grows it by beta_incr
+        _, runs = myciel5_runs
+        records = runs[0.85].records
+        assert len(records) >= 2
+        for event, after in zip(records, records[1:]):
+            expected = event.beta * 0.85 * 1.0005 ** (after.t - event.t)
+            assert after.beta == pytest.approx(expected, rel=1e-9)
+
 
 def test_coloring_check_catches_conflicts():
     g = cycle_graph(4)
