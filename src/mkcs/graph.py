@@ -3,6 +3,7 @@ cliques and 5-holes that parameterize cutting planes."""
 
 from __future__ import annotations
 
+import functools
 import logging
 import time
 from dataclasses import dataclass, field
@@ -92,16 +93,20 @@ class CliqueEnumeration:
     """The enumerated cliques, ``maximal`` then ``size6``.  ``members``
     holds the sorted vertices of each as the rows of one intp array,
     padded with -1 to the largest size, and ``maximal_rows`` marks the
-    rows of maximal cliques; both are built once, at construction."""
+    rows of maximal cliques; both are built once, on first use, so a run
+    that never separates (its deadline passed) never builds them."""
 
     maximal: list          # maximal cliques of size 2..5
     size6: list            # every clique of exactly 6 vertices
     complete: bool = True  # False when the deadline truncated the search
 
-    def __post_init__(self):
-        pool = self.all_cliques()
-        self.members = pad_rows([sorted(c.vertices) for c in pool])
-        self.maximal_rows = np.array([c.maximal for c in pool], dtype=bool)
+    @functools.cached_property
+    def members(self):
+        return pad_rows([sorted(c.vertices) for c in self.all_cliques()])
+
+    @functools.cached_property
+    def maximal_rows(self):
+        return np.array([c.maximal for c in self.all_cliques()], dtype=bool)
 
     def all_cliques(self):
         return self.maximal + self.size6

@@ -8,9 +8,16 @@ index the matrices directly.
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
+
+FLAPACK = "scipy.linalg._flapack"
 
 
 def augmented_identity(n):
@@ -55,33 +62,69 @@ def project_psd(a, rank_hint=None):
     out = symmetrize((vecs * vals) @ vecs.T)
     if rank_hint is None:
         return out
-    return out, _rank(vals, a)
+    return out, _rank(vals, a.shape[0], _frobenius_norm(a))
 
 
-def _rank(vals, a):
-    """The number of eigenvalues in ``vals`` above the rounding noise of
-    an eigensolve of ``a``."""
+def _frobenius_norm(a):
     flat = a.ravel()
-    noise = a.shape[0] * np.finfo(np.float64).eps * math.sqrt(flat.dot(flat))
-    return int(np.count_nonzero(vals > noise))
+    return math.sqrt(flat.dot(flat))
+
+
+def _rank(vals, order, norm):
+    """The number of eigenvalues in ``vals`` above the rounding noise of
+    an eigensolve of an order-``order`` matrix of Frobenius norm ``norm``."""
+    return int(np.count_nonzero(vals > order * np.finfo(np.float64).eps * norm))
 
 
 def _project_psd_positive_part(a):
     """``project_psd`` from the eigenpairs in (0, vu] alone (LAPACK
     ``dsyevr``), with vu above every eigenvalue; returns the projection
     and its rank."""
-    from scipy.linalg import lapack  # loaded here: 0.3 s off every start-up
-
-    flat = a.ravel()
-    vu = 2.0 * math.sqrt(flat.dot(flat)) + 1.0  # the Frobenius norm bounds them
-    vals, vecs, count, _, info = lapack.dsyevr(
+    norm = _frobenius_norm(a)
+    vu = 2.0 * norm + 1.0  # the Frobenius norm bounds them
+    vals, vecs, count, _, info = flapack().dsyevr(
         a, compute_v=1, range="V", lower=1, vl=0.0, vu=vu
     )
     if info != 0:
         raise np.linalg.LinAlgError(f"dsyevr failed (info {info})")
     half = vecs[:, :count] * np.sqrt(vals[:count])
     # a product with its own transpose is computed as an exactly symmetric one
-    return half @ half.T, _rank(vals[:count], a)
+    return half @ half.T, _rank(vals[:count], a.shape[0], norm)
+
+
+@functools.cache
+def flapack():
+    """scipy's compiled LAPACK wrapper, the extension module
+    ``scipy.linalg._flapack``, loaded from its file.
+
+    Importing ``scipy.linalg`` for it would cost about 0.3 s (2 vCPUs)
+    and 17 MB of peak memory, most of it in array-API support that this
+    package never uses.  The module is registered under its own name, so a later
+    ``import scipy.linalg`` reuses it, and one imported before is reused
+    here: either way there is one module object.
+    """
+    module = sys.modules.get(FLAPACK)
+    if module is not None:
+        return module
+    spec = importlib.util.find_spec("scipy")
+    if spec is None:
+        raise ImportError(f"{FLAPACK} is needed, but scipy is not installed",
+                          name=FLAPACK)
+    linalg_dir = Path(spec.submodule_search_locations[0], "linalg")
+    paths = [linalg_dir / f"_flapack{suffix}"
+             for suffix in importlib.machinery.EXTENSION_SUFFIXES]
+    path = next((p for p in paths if p.is_file()), None)
+    if path is None:
+        raise ImportError(
+            f"{FLAPACK} not found: none of {', '.join(map(str, paths))} exists",
+            name=FLAPACK, path=str(paths[0]),
+        )
+    loader = importlib.machinery.ExtensionFileLoader(FLAPACK, str(path))
+    module = importlib.util.module_from_spec(
+        importlib.util.spec_from_file_location(FLAPACK, path, loader=loader))
+    loader.exec_module(module)
+    sys.modules[FLAPACK] = module
+    return module
 
 
 def project_nsd(a):

@@ -456,8 +456,8 @@ class TestRunReport:
 
 
 def test_importing_the_cli_loads_no_scipy():
-    # scipy costs about 0.3 s of start-up; only the integer stage's
-    # low-rank PSD step loads it, on first use
+    # no mode imports scipy: the integer stage's low-rank PSD step loads
+    # its LAPACK extension module alone, on first use
     src = Path(mkcs.__file__).resolve().parents[1]
     code = (
         "import sys, mkcs.cli; "
@@ -467,6 +467,26 @@ def test_importing_the_cli_loads_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_solve_loads_lapack_without_scipy_linalg(tmp_path):
+    # the low-rank PSD step needs LAPACK, not all of scipy.linalg; within
+    # 100 sweeps the rank of myciel5 at k = 4 falls below its threshold
+    instance = tmp_path / "myciel5.col"
+    instance.write_text(write_dimacs(myciel5()))
+    src = Path(mkcs.__file__).resolve().parents[1]
+    code = (
+        "import sys, mkcs.cli; "
+        f"code = mkcs.cli.main(['solve', {str(instance)!r}, '--k', '4', "
+        "'--max-iterations', '100', "
+        f"'--out', {str(tmp_path / 'report.json')!r}]); "
+        "print(code, [m in sys.modules for m in ('scipy.linalg._flapack', "
+        "'scipy.linalg', 'scipy._lib._array_api')])"
+    )
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True, timeout=120).stdout
+    assert out.strip().splitlines()[-1] == "0 [True, False, False]"
 
 
 def test_bound_loads_no_lp_stack(tmp_path):

@@ -25,6 +25,7 @@ from mkcs.cpadmm import (
     valid_upper_bound,
 )
 import mkcs.cpadmm
+import mkcs.graph
 from mkcs.cuts import (
     CutFamily,
     CutPool,
@@ -699,6 +700,25 @@ class TestCpAdmm:
         assert time.monotonic() - t0 < 1.5
         assert res.termination == "time_limit"
         assert not res.enumeration_complete
+
+    def test_passed_deadline_builds_no_clique_member_array(self, monkeypatch):
+        # the member array is built on the first separation, which a run
+        # whose deadline has passed never reaches
+        pad = mkcs.graph.pad_rows
+        calls = []
+
+        def spy(rows):
+            calls.append(len(rows))
+            return pad(rows)
+
+        monkeypatch.setattr(mkcs.graph, "pad_rows", spy)
+        g = random_graph(30, 0.5, 1)
+        res = cp_admm(g, 3, AdmmParams(), deadline=time.monotonic() - 1.0)
+        assert (res.termination, res.inner_iterations) == ("time_limit", 1)
+        assert calls == []
+        res = cp_admm(g, 3, AdmmParams(max_outer=3))
+        assert res.outer_iterations == 3 and len(res.cuts) > 0
+        assert len(calls) == 1  # once, for the first separation of the run
 
     def test_tightened_pass_cut_by_the_deadline(self, monkeypatch):
         # petersen at k = 2 ends on min_ineq within milliseconds; the spy

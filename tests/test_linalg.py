@@ -1,3 +1,11 @@
+import importlib.machinery
+import importlib.util
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -161,15 +169,93 @@ class TestRankHint:
             project_psd(a, rank_hint=hint)
 
     def test_solver_failure_raises(self, monkeypatch):
-        from scipy.linalg import lapack
-
         def failing(a, **kwargs):
             n = a.shape[0]
             return np.zeros(n), np.zeros((n, n)), 0, None, 3
 
-        monkeypatch.setattr(lapack, "dsyevr", failing)
+        monkeypatch.setattr(mkcs.linalg.flapack(), "dsyevr", failing)
         with pytest.raises(np.linalg.LinAlgError):
             project_psd(np.eye(self.ORDER), rank_hint=0)
+
+
+def positive_part_reference(a):
+    """The low-rank projection and its rank, written out through
+    ``scipy.linalg.lapack.dsyevr``; ``project_psd``'s low-rank path must
+    give the same bits."""
+    flat = a.ravel()
+    vu = 2.0 * math.sqrt(flat.dot(flat)) + 1.0
+    vals, vecs, count, _, info = scipy.linalg.lapack.dsyevr(
+        a, compute_v=1, range="V", lower=1, vl=0.0, vu=vu
+    )
+    assert info == 0
+    half = vecs[:, :count] * np.sqrt(vals[:count])
+    noise = a.shape[0] * np.finfo(np.float64).eps * math.sqrt(flat.dot(flat))
+    return half @ half.T, int(np.count_nonzero(vals[:count] > noise))
+
+
+def run_python(code):
+    """The standard output of ``code`` run in a fresh interpreter that
+    imports mkcs from this checkout."""
+    src = Path(mkcs.linalg.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    return subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=120).stdout
+
+
+class TestFlapackLoader:
+    """``flapack()`` loads ``scipy.linalg._flapack`` from its file,
+    without ``scipy.linalg``, and shares it with ``scipy.linalg``."""
+
+    ORDER = TestRankHint.ORDER
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 4, 9])
+    def test_low_rank_path_is_the_lapack_formula_bit_for_bit(self, rng, count):
+        # count 0: every eigenvalue is negative, nothing lies in (0, vu]
+        for _ in range(3):
+            a = with_positive_eigenvalues(rng, self.ORDER, count)
+            got, rank = project_psd(a, rank_hint=count)
+            want, want_rank = positive_part_reference(a)
+            assert got.tobytes() == want.tobytes() and rank == want_rank == count
+
+    @pytest.mark.parametrize("rank", [0, 1, 4])
+    def test_low_rank_psd_plus_noise_bit_for_bit(self, rng, rank):
+        for _ in range(3):
+            v = rng.normal(size=(self.ORDER, rank))
+            a = symmetrize(v @ v.T + 1e-3 * rng.normal(size=(self.ORDER, self.ORDER)))
+            got, got_rank = project_psd(a, rank_hint=rank)
+            want, want_rank = positive_part_reference(a)
+            assert got.tobytes() == want.tobytes() and got_rank == want_rank
+
+    def test_loader_first_then_scipy_linalg(self):
+        out = run_python(
+            "import sys, mkcs.linalg; mod = mkcs.linalg.flapack(); "
+            "print('scipy.linalg' in sys.modules); "
+            "import scipy.linalg; from scipy.linalg import _flapack; "
+            "print(scipy.linalg.lapack._flapack is mod, _flapack is mod, "
+            "scipy.linalg.lapack.dsyevr is mod.dsyevr, "
+            "mkcs.linalg.flapack() is mod)"
+        )
+        assert out.split() == ["False", "True", "True", "True", "True"]
+
+    def test_scipy_linalg_first_then_loader(self):
+        out = run_python(
+            "import scipy.linalg, mkcs.linalg; mod = mkcs.linalg.flapack(); "
+            "print(scipy.linalg.lapack._flapack is mod, "
+            "scipy.linalg.lapack.dsyevr is mod.dsyevr)"
+        )
+        assert out.split() == ["True", "True"]
+
+    def test_missing_extension_names_the_path(self, monkeypatch, tmp_path):
+        (tmp_path / "linalg").mkdir()
+        spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+        spec.submodule_search_locations = [str(tmp_path)]
+        monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+        monkeypatch.delitem(sys.modules, mkcs.linalg.FLAPACK, raising=False)
+        with pytest.raises(ImportError) as err:
+            mkcs.linalg.flapack.__wrapped__()  # past the cache
+        expected = tmp_path / "linalg" / f"_flapack{importlib.machinery.EXTENSION_SUFFIXES[0]}"
+        assert str(expected) in str(err.value) and err.value.path == str(expected)
+        assert mkcs.linalg.FLAPACK not in sys.modules
 
 
 class TestProjectNsd:
