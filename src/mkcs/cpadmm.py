@@ -13,6 +13,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cuts import (
+    MAX_CLIQUE_PAIRS,
+    MAX_CLIQUES,
+    MAX_HOLES,
     CutFamily,
     CutPool,
     SeparationReport,
@@ -32,7 +35,7 @@ from .linalg import (
     project_nsd,
     project_psd,
 )
-from .projection import ClusteredCuts, project_affine_set
+from .projection import DYK_MAX_CYCLES, EPS_DYK, ClusteredCuts, project_affine_set
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +47,13 @@ ALL_FAMILIES = (
     CutFamily.T2,
 )
 
-_GAMMA_SUP = (1.0 + math.sqrt(5.0)) / 2.0
+# the paper's tuning constants of the inner ADMM and the cutting-plane loop
+BETA = 1.2                    # penalty
+GAMMA = 1.617                 # dual step, inside the convergent (0, (1+sqrt(5))/2)
+EPS_ADMM_FINAL = 1e-5         # tolerance of the tightened final pass
+MAX_INNER_ITER_FINAL = 10000  # sweep cap of the tightened final pass
+MAX_CUTS_PER_VAR = 5          # cuts a round may add on one coordinate
+MIN_IMPR_PHASE1 = 0.25        # phase 1 ends on a smaller improvement
 
 # sweeps between the bound probes of the first outer iteration of a run
 # with a ub_stop_below target
@@ -69,59 +78,44 @@ def scipy_linprog_backend(c, cuts, m):
 
 @dataclass
 class AdmmParams:
-    """Solver parameters; the defaults are the tuned production values."""
+    """Settings of the cutting-plane solver; the defaults are the tuned
+    production values.  The paper's other tuning constants are the module
+    constants above and those of :mod:`mkcs.cuts` and :mod:`mkcs.projection`."""
 
-    beta: float = 1.2
-    gamma: float = 1.617
     eps_admm: float = 1e-4
-    eps_admm_final: float = 1e-5
     max_inner_iter: int = 2000
-    max_inner_iter_final: int = 10000
     min_viol: float = 1e-2
     min_ineq: float | None = None          # defaults to n/4 at solve time
-    min_ineq_phase1: float | None = None   # defaults to n
-    max_ineq: int | None = None            # defaults to 5n
-    max_cuts_per_var: int = 5
     min_impr: float = 0.025
-    min_impr_phase1: float = 0.25
-    max_cliques: int = 100000
-    max_clique_pairs: int = 100000
-    max_holes: int = 100000
-    eps_dyk: float = 1e-2
-    dyk_max_cycles: int = 100
+    max_cliques: int = MAX_CLIQUES
     seed: int = 0
     families: tuple = ALL_FAMILIES
     max_outer: int | None = None
 
     def __post_init__(self):
-        if not 0.0 < self.gamma < _GAMMA_SUP:
-            raise ValueError(
-                f"gamma must lie in (0, (1+sqrt(5))/2); got {self.gamma}"
-            )
-        # out of range, each of these runs a degenerate solve (no sweeps,
-        # no cut projection, or none that converges) that looks like a result
-        if not self.beta > 0.0:
-            raise ValueError(f"beta must be positive; got {self.beta}")
-        for name in ("eps_dyk", "eps_admm", "eps_admm_final"):
-            if not getattr(self, name) > 0.0:
-                raise ValueError(f"{name} must be positive; got {getattr(self, name)}")
-        for name in ("max_inner_iter", "max_inner_iter_final", "dyk_max_cycles",
-                     "max_cuts_per_var"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be at least 1; got {getattr(self, name)}")
-        if self.max_outer is not None and self.max_outer < 1:
-            raise ValueError(f"max_outer must be at least 1; got {self.max_outer}")
+        # out of range, each of these ends in a traceback or runs a degenerate
+        # solve (no sweeps, no cut or every cut, a stopping rule that never
+        # fires) that looks like a result
+        finite = math.isfinite
+        min_ineq = 0.0 if self.min_ineq is None else self.min_ineq
+        max_outer = 1 if self.max_outer is None else self.max_outer
+        for name, valid, rule in (
+            ("eps_admm", finite(self.eps_admm) and self.eps_admm > 0, "finite and > 0"),
+            ("max_inner_iter", self.max_inner_iter >= 1, "at least 1"),
+            ("min_viol", finite(self.min_viol) and self.min_viol >= 0, "finite and >= 0"),
+            ("min_ineq", finite(min_ineq) and min_ineq >= 0, "None or finite and >= 0"),
+            ("min_impr", not math.isnan(self.min_impr), "a number"),
+            ("max_cliques", self.max_cliques >= 1, "at least 1"),
+            ("seed", self.seed >= 0, "at least 0"),
+            ("max_outer", max_outer >= 1, "None or at least 1"),
+        ):
+            if not valid:
+                raise ValueError(f"{name} must be {rule}; got {getattr(self, name)}")
 
     def resolved(self, n):
-        """Fill the n-dependent knobs for an n-vertex instance."""
-        return replace(
-            self,
-            min_ineq=self.min_ineq if self.min_ineq is not None else n / 4.0,
-            min_ineq_phase1=(
-                self.min_ineq_phase1 if self.min_ineq_phase1 is not None else float(n)
-            ),
-            max_ineq=self.max_ineq if self.max_ineq is not None else 5 * n,
-        )
+        """Fill the n-dependent ``min_ineq`` for an n-vertex instance."""
+        min_ineq = self.min_ineq if self.min_ineq is not None else n / 4.0
+        return replace(self, min_ineq=min_ineq)
 
 
 @dataclass
@@ -160,35 +154,33 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     they belong to ``clustered``, and whoever replaces it clears them.
 
     Returns ``(iterations_run, stopped_by_probe)``.  Affine projections
-    whose Dykstra loop hit ``dyk_max_cycles`` are counted, and a call
+    whose Dykstra loop hit ``DYK_MAX_CYCLES`` are counted, and a call
     that had any logs one warning with the count.
     """
-    eps = params.eps_admm_final if tightened else params.eps_admm
-    cap = params.max_inner_iter_final if tightened else params.max_inner_iter
-    beta = params.beta
-    gamma = params.gamma
+    eps = EPS_ADMM_FINAL if tightened else params.eps_admm
+    cap = MAX_INNER_ITER_FINAL if tightened else params.max_inner_iter
     ibar = augmented_identity(fmap.n)
     it = 0
     stopped = False
     capouts = 0
     for it in range(1, cap + 1):
-        target = state.Y + (ibar - state.L) / beta
+        target = state.Y + (ibar - state.L) / BETA
         affine = project_affine_set(
-            target, fmap, state.k, clustered, params.eps_dyk, params.dyk_max_cycles,
+            target, fmap, state.k, clustered, EPS_DYK, DYK_MAX_CYCLES,
             corrections=state.corrections,
         )
         state.corrections = affine.corrections
         capouts += not affine.feasible
         x_new = affine.matrix
-        y_new = project_psd(x_new + state.L / beta)
+        y_new = project_psd(x_new + state.L / BETA)
         if not np.isfinite(x_new).all() or not np.isfinite(y_new).all():
             raise ArithmeticError(
                 f"non-finite ADMM iterate at inner iteration {state.iterations + 1}"
             )
         scale = 1.0 + float(np.linalg.norm(x_new))
         primal = float(np.linalg.norm(x_new - y_new)) / scale
-        dual = beta * float(np.linalg.norm(x_new - state.X)) / scale
-        state.L = state.L + gamma * beta * (x_new - y_new)
+        dual = BETA * float(np.linalg.norm(x_new - state.X)) / scale
+        state.L = state.L + GAMMA * BETA * (x_new - y_new)
         state.X = x_new
         state.Y = y_new
         state.iterations += 1
@@ -204,7 +196,7 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
         logger.warning(
             "%d of %d affine projections stopped at the Dykstra cycle cap "
             "(dyk_max_cycles=%d) before reaching eps_dyk=%g",
-            capouts, it, params.dyk_max_cycles, params.eps_dyk,
+            capouts, it, DYK_MAX_CYCLES, EPS_DYK,
         )
     return it, stopped
 
@@ -326,9 +318,8 @@ def _separate_families(families, state, g, fmap, k, params, clique_enum,
         report.merge(tri.take(np.isin(tri.candidates.family, families)))
     for family, separate, pool, limit in (
         (CutFamily.CLIQUE_EXT, separate_clique_external, clique_enum, params.max_cliques),
-        (CutFamily.CLIQUE_UNION, separate_clique_union, clique_enum,
-         params.max_clique_pairs),
-        (CutFamily.HOLE5, separate_odd_hole, hole_enum, params.max_holes),
+        (CutFamily.CLIQUE_UNION, separate_clique_union, clique_enum, MAX_CLIQUE_PAIRS),
+        (CutFamily.HOLE5, separate_odd_hole, hole_enum, MAX_HOLES),
     ):
         if family in families:
             rep = separate(state.X, g, fmap, pool, k, params.min_viol, limit, rng,
@@ -363,6 +354,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     if not 1 <= k <= g.n:
         raise ValueError(f"k must lie in [1, {g.n}]; got {k}")
     params = params.resolved(g.n)
+    min_ineq_phase1, max_ineq = float(g.n), 5 * g.n
     t0 = time.monotonic()
     deadline = math.inf if deadline is None else deadline
     lb_hint, greedy = ((lb_hint, None) if lb_hint is not None
@@ -397,7 +389,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
 
     def bound(st):
         # beta W (u - x) -> c as X -> Y, and its cut part is A' (beta t)
-        y = params.beta * clustered.multipliers(st.corrections) if clustered else None
+        y = BETA * clustered.multipliers(st.corrections) if clustered else None
         return valid_upper_bound(st.L, fmap, k, cut_list, y)
 
     def probe(st):
@@ -472,11 +464,11 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         report = SeparationReport()
         if phase == 2 and not ending:
             report = separate(families)
-        elif phase == 1 and not (ending and improvement < params.min_impr_phase1):
+        elif phase == 1 and not (ending and improvement < MIN_IMPR_PHASE1):
             report = separate([CutFamily.CLIQUE_EXT])
         fresh = cut_list.novel(report.candidates)
-        if phase == 1 and (improvement < params.min_impr_phase1
-                           or fresh.sum() < params.min_ineq_phase1):
+        if phase == 1 and (improvement < MIN_IMPR_PHASE1
+                           or fresh.sum() < min_ineq_phase1):
             phase = 2
             if not ending:
                 report.merge(separate(
@@ -486,9 +478,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
 
         accepted = CutPool()
         if not ending and fresh.sum() >= params.min_ineq:
-            accepted = select_cuts(
-                report.take(fresh), phase, params.max_ineq, params.max_cuts_per_var
-            )
+            accepted = select_cuts(report.take(fresh), phase, max_ineq, MAX_CUTS_PER_VAR)
         if not len(accepted):
             record(0)
             run_tightened()

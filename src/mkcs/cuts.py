@@ -11,6 +11,10 @@ import numpy as np
 
 from .graph import extend_clique_greedy, pad_rows
 
+# a separator scans at most this many cliques, clique pairs or 5-holes and
+# samples a larger pool (``AdmmParams.max_cliques`` sets a run's clique cap)
+MAX_CLIQUES = MAX_CLIQUE_PAIRS = MAX_HOLES = 100000
+
 
 class CutFamily(enum.IntEnum):
     """Cut families; the numeric order is the selection tie-break order."""
@@ -288,7 +292,7 @@ def _apex_hits(Xp, members, subtract, min_viol):
 
 
 def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
-                             max_cliques=100000, rng=None, id_base=0):
+                             max_cliques=MAX_CLIQUES, rng=None, id_base=0):
     """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the cliques of the
     :class:`CliqueEnumeration` ``cliques`` and every external vertex.
 
@@ -341,7 +345,7 @@ def _distinct_pairs(rng, npool, count):
 
 
 def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
-                          max_pairs=100000, rng=None, id_base=0):
+                          max_pairs=MAX_CLIQUE_PAIRS, rng=None, id_base=0):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
     pairs of maximal cliques of ``cliques`` whose sizes sum to more
@@ -403,7 +407,7 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
 
 
 def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2,
-                      max_holes=100000, rng=None, id_base=0):
+                      max_holes=MAX_HOLES, rng=None, id_base=0):
     """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over the 5-holes of the
     :class:`HoleEnumeration` ``holes`` and external vertices.
 

@@ -15,11 +15,18 @@ import numpy as np
 from .linalg import FreeIndexMap, augmented_identity, initial_iterate, project_psd
 from .projection import project_affine_set
 
+# the paper's tuning constants of the integer stage
+BETA_MIN = 0.001            # floor of the penalty after a convergence event
+EPS_INT = 1e-3              # residual tolerance of a convergence event
+MAX_TRIES_WITHOUT_IMPR = 3  # events in a row that raise no value end the run
+MIN_ITERS_AFTER_RESET = 10  # sweeps without the convergence test after an event
+
 
 @dataclass
 class IntAdmmParams:
-    """Penalty schedule and termination knobs; defaults are the tuned
-    production values.
+    """Penalty schedule and sweep cap; defaults are the tuned production
+    values.  The paper's other tuning constants are fixed: ``BETA_MIN``,
+    ``EPS_INT``, ``MAX_TRIES_WITHOUT_IMPR`` and ``MIN_ITERS_AFTER_RESET``.
 
     ``beta_decr`` departs from the paper's table, which halves the
     penalty after a convergence event.  Every sweep up to and including
@@ -32,30 +39,24 @@ class IntAdmmParams:
     beta0: float = 0.05
     beta_incr: float = 1.0001
     beta_decr: float = 0.85
-    beta_min: float = 0.001
-    eps_int: float = 1e-3
-    max_tries_without_impr: int = 3
-    min_iters_after_reset: int = 10
     max_iterations: int = 60000
 
     def __post_init__(self):
         # out of range, each of these runs a degenerate solve (a zero or
-        # negative penalty, a NaN schedule, or no convergence event at all)
-        # that looks like a result
-        for name in ("beta0", "beta_min", "eps_int"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be positive and finite; got {value}")
+        # negative penalty, a NaN schedule, or no sweep at all) that looks
+        # like a result
+        if not (math.isfinite(self.beta0) and self.beta0 > 0.0):
+            raise ValueError(f"beta0 must be positive and finite; got {self.beta0}")
         if not (math.isfinite(self.beta_incr) and self.beta_incr > 1.0):
             raise ValueError(
                 f"beta_incr must be finite and exceed 1; got {self.beta_incr}"
             )
         if not 0.0 < self.beta_decr < 1.0:
             raise ValueError(f"beta_decr must lie in (0, 1); got {self.beta_decr}")
-        for name in ("min_iters_after_reset", "max_iterations"):
-            value = getattr(self, name)
-            if value < 0:
-                raise ValueError(f"{name} must not be negative; got {value}")
+        if self.max_iterations < 0:
+            raise ValueError(
+                f"max_iterations must not be negative; got {self.max_iterations}"
+            )
 
 
 @dataclass
@@ -237,10 +238,10 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
     near a coloring, compute only the positive eigenpairs.  Whenever the
     two primal residuals drop below tolerance the iterate is rounded and
     verified; improvements are kept, the penalty is multiplied by
-    ``beta_decr`` (never below the floor ``beta_min``) to escape the local
+    ``beta_decr`` (never below the floor ``BETA_MIN``) to escape the local
     optimum, and the convergence check is suppressed for the next
-    ``min_iters_after_reset`` sweeps.  Stops after
-    ``max_tries_without_impr`` consecutive non-improving convergence
+    ``MIN_ITERS_AFTER_RESET`` sweeps.  Stops after
+    ``MAX_TRIES_WITHOUT_IMPR`` consecutive non-improving convergence
     events, when the best value matches the floor of ``known_ub``, when
     the PSD step's input is not finite (``non_finite``), at the iteration
     cap, or past ``deadline`` (a ``time.monotonic()`` value); the best
@@ -314,7 +315,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
             res_z = dist_z / scale
             if suppress > 0:
                 suppress -= 1
-            elif max(res_y, res_z) <= params.eps_int:
+            elif max(res_y, res_z) <= EPS_INT:
                 events += 1
                 rounded = round_and_verify(x, g, k)
                 value = rounded.coloring.value if rounded.feasible else None
@@ -330,11 +331,11 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
                 if best is not None and best.value == g.n:
                     termination = "complete"
                     break
-                if tries >= params.max_tries_without_impr:
+                if tries >= MAX_TRIES_WITHOUT_IMPR:
                     termination = "no_improvement"
                     break
-                beta = max(beta * params.beta_decr, params.beta_min)
-                suppress = params.min_iters_after_reset
+                beta = max(beta * params.beta_decr, BETA_MIN)
+                suppress = MIN_ITERS_AFTER_RESET
             if deadline is not None and time.monotonic() > deadline:
                 termination = "time_limit"
                 break

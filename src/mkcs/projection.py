@@ -9,6 +9,10 @@ from typing import NamedTuple
 
 import numpy as np
 
+# a Dykstra call stops within EPS_DYK or after DYK_MAX_CYCLES cycles (a cap-out)
+EPS_DYK = 1e-2
+DYK_MAX_CYCLES = 100
+
 
 def project_box(x, out=None):
     """Componentwise clamp to [0, 1]; the weighted and unweighted
@@ -123,7 +127,7 @@ class DykstraResult:
     corrections: tuple = None
 
 
-def dykstra(x0, w, clustered, eps=1e-2, max_cycles=100, corrections=None):
+def dykstra(x0, w, clustered, eps=EPS_DYK, max_cycles=DYK_MAX_CYCLES, corrections=None):
     """Cyclic projection with correction terms onto box /\\ halfspaces.
 
     Cycle order is the box first, then cut clusters in index order.  For
@@ -203,8 +207,8 @@ class AffineProjection:
     corrections: tuple = None  # Dykstra's final corrections, None without cuts
 
 
-def project_affine_set(u, fmap, k, clustered=None, eps_dyk=1e-2, max_cycles=100,
-                       out=None, corrections=None):
+def project_affine_set(u, fmap, k, clustered=None, eps_dyk=EPS_DYK,
+                       max_cycles=DYK_MAX_CYCLES, out=None, corrections=None):
     """Frobenius projection of a bordered symmetric matrix onto the affine
     set (zero edges, border = diagonal, corner = k, unit box, cuts).
 

@@ -12,6 +12,7 @@ import pytest
 
 import mkcs
 from bench_instances import complete_graph, cycle_graph, myciel5
+from mkcs import cli, cpadmm, cuts, intadmm, projection
 from mkcs.cli import (
     EXIT_INVALID_ARGS,
     EXIT_OK,
@@ -41,7 +42,14 @@ SOLVER_SETTINGS = [
     if f.name not in ("seed", "families")
 ]
 # values that pass the tables' checks where default + 1 would not
-SETTING_SAMPLES = {"gamma": 1.5, "beta_decr": 0.25}
+SETTING_SAMPLES = {"beta_decr": 0.25}
+# the paper's tuning constants, fixed in the module that reads each of them
+FIXED_CONSTANTS = (
+    "beta", "gamma", "eps_admm_final", "max_inner_iter_final", "min_ineq_phase1",
+    "max_ineq", "max_cuts_per_var", "min_impr_phase1", "max_clique_pairs",
+    "max_holes", "eps_dyk", "dyk_max_cycles", "beta_min", "eps_int",
+    "max_tries_without_impr", "min_iters_after_reset",
+)
 
 
 def sample_value(f):
@@ -51,6 +59,24 @@ def sample_value(f):
     if f.default is None:
         return 7 if f.type.startswith("int") else 2.5
     return f.default + 1
+
+
+def assert_neither_key_nor_flag(instance, tmp_path, capsys, key):
+    """``key`` exits 3 as an unknown config key, and so does its flag."""
+    cfgfile = tmp_path / "cfg.json"
+    cfgfile.write_text(json.dumps({key: 5.0}))
+    assert (
+        main(["bound", str(instance), "--k", "2", "--config", str(cfgfile)])
+        == EXIT_INVALID_ARGS
+    )
+    assert f"unknown configuration key {key!r}" in capsys.readouterr().err
+    flag = "--" + key.replace("_", "-")
+    with pytest.raises(SystemExit) as exc:
+        main(["bound", str(instance), "--k", "2", flag, "5"])
+    assert exc.value.code == EXIT_INVALID_ARGS
+    # "unrecognized arguments", or for --beta "ambiguous option"
+    assert flag in capsys.readouterr().err.splitlines()[-1]
+    assert flag not in [o for a in build_parser()._actions for o in a.option_strings]
 
 
 @pytest.fixture
@@ -138,23 +164,17 @@ class TestExitCodes:
     def test_removed_time_settings_are_unknown_keys(self, c5_file, tmp_path, capsys,
                                                     key):
         # --time-limit sets the one deadline of the whole run
-        cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({key: 5.0}))
-        assert (
-            main(["bound", str(c5_file), "--k", "2", "--config", str(cfgfile)])
-            == EXIT_INVALID_ARGS
-        )
-        assert f"unknown configuration key {key!r}" in capsys.readouterr().err
-        flag = "--" + key.replace("_", "-")
-        with pytest.raises(SystemExit) as exc:
-            main(["bound", str(c5_file), "--k", "2", flag, "5"])
-        assert exc.value.code == EXIT_INVALID_ARGS
-        assert flag not in build_parser().format_help()
+        assert_neither_key_nor_flag(c5_file, tmp_path, capsys, key)
+
+    @pytest.mark.parametrize("key", FIXED_CONSTANTS)
+    def test_fixed_constants_are_neither_keys_nor_flags(self, c5_file, tmp_path,
+                                                        capsys, key):
+        assert_neither_key_nor_flag(c5_file, tmp_path, capsys, key)
 
     @pytest.mark.parametrize("config, key", [
         ({"max_inner_iter": "50"}, "max_inner_iter"),
         ({"families": [1]}, "families"),
-        ({"beta": True}, "beta"),
+        ({"beta0": True}, "beta0"),
         ({"max_iterations": 2.5}, "max_iterations"),
         ({"time_limit": "5"}, "time_limit"),
         ({"stable_timing": "no"}, "stable_timing"),
@@ -173,29 +193,33 @@ class TestExitCodes:
         assert f"{key} " in capsys.readouterr().err
 
     @pytest.mark.parametrize("config, key", [
-        ({"dyk_max_cycles": 0}, "dyk_max_cycles"),
-        ({"eps_dyk": -1}, "eps_dyk"),
+        ({"seed": -1}, "seed"),
+        ({"max_cliques": -5}, "max_cliques"),
         ({"max_inner_iter": 0}, "max_inner_iter"),
-        ({"max_inner_iter_final": 0}, "max_inner_iter_final"),
-        ({"beta": -1}, "beta"),
+        ({"min_viol": math.nan}, "min_viol"),
+        ({"min_viol": -1}, "min_viol"),
         ({"max_outer": 0}, "max_outer"),
-        ({"max_cuts_per_var": 0}, "max_cuts_per_var"),
+        ({"eps_admm": math.inf}, "eps_admm"),
         ({"eps_admm": -1}, "eps_admm"),
-        ({"eps_admm_final": 0}, "eps_admm_final"),
+        ({"min_ineq": math.nan}, "min_ineq"),
         ({"beta_decr": 1.0}, "beta_decr"),
         ({"time_limit": -5}, "time_limit"),
         ({"per_k_time_limit": -1}, "per_k_time_limit"),
         ({"beta0": 0}, "beta0"),
         ({"beta0": -1}, "beta0"),
         ({"beta_incr": math.nan}, "beta_incr"),
-        ({"eps_int": 0}, "eps_int"),
-        ({"eps_int": -1}, "eps_int"),
-        ({"min_iters_after_reset": -1}, "min_iters_after_reset"),
+        ({"min_impr": math.nan}, "min_impr"),
+        ({"max_cliques": 0}, "max_cliques"),
+        ({"min_ineq": -1}, "min_ineq"),
         ({"max_iterations": -1}, "max_iterations"),
+        ({"min_viol": math.inf}, "min_viol"),
+        ({"min_ineq": math.inf}, "min_ineq"),
+        ({"eps_admm": math.nan}, "eps_admm"),
     ])
     def test_out_of_range_solver_setting_invalid_args(self, c5_file, tmp_path,
                                                       capsys, config, key):
-        # each of these ran a degenerate solve and exited 0
+        # each of these ran a degenerate solve and exited 0, or ended in a
+        # traceback
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps(config))
         assert (
@@ -207,37 +231,55 @@ class TestExitCodes:
 
 class TestConfigResolution:
     def test_defaults_match_parameter_tables(self):
+        # the phase-1 threshold n and the round cap 5n: TestCpAdmm's
+        # test_phase1_threshold_and_round_cap
         cfg = RunConfig()
         admm = cfg.admm
-        assert (admm.beta, admm.gamma) == (1.2, 1.617)
-        assert (admm.eps_admm, admm.eps_admm_final) == (1e-4, 1e-5)
-        assert (admm.max_inner_iter, admm.max_inner_iter_final) == (2000, 10000)
-        assert admm.min_viol == 1e-2 and admm.max_cuts_per_var == 5
-        assert (admm.min_impr, admm.min_impr_phase1) == (0.025, 0.25)
+        assert (cpadmm.BETA, cpadmm.GAMMA) == (1.2, 1.617)
+        assert (admm.eps_admm, cpadmm.EPS_ADMM_FINAL) == (1e-4, 1e-5)
+        assert (admm.max_inner_iter, cpadmm.MAX_INNER_ITER_FINAL) == (2000, 10000)
+        assert admm.min_viol == 1e-2 and cpadmm.MAX_CUTS_PER_VAR == 5
+        assert (admm.min_impr, cpadmm.MIN_IMPR_PHASE1) == (0.025, 0.25)
         assert cfg.time_limit == 3600.0
-        assert admm.max_cliques == admm.max_clique_pairs == admm.max_holes == 100000
-        assert admm.eps_dyk == 1e-2
-        resolved = admm.resolved(20)
-        assert resolved.min_ineq == 5.0
-        assert resolved.min_ineq_phase1 == 20.0
-        assert resolved.max_ineq == 100
+        assert admm.max_cliques == cuts.MAX_CLIQUE_PAIRS == cuts.MAX_HOLES == 100000
+        assert (projection.EPS_DYK, projection.DYK_MAX_CYCLES) == (1e-2, 100)
+        assert admm.resolved(20).min_ineq == 5.0
         intp = cfg.intp
         assert (intp.beta0, intp.beta_incr) == (0.05, 1.0001)
-        assert (intp.beta_decr, intp.beta_min) == (0.85, 0.001)  # the paper halves
-        assert intp.eps_int == 1e-3 and intp.max_tries_without_impr == 3
+        assert (intp.beta_decr, intadmm.BETA_MIN) == (0.85, 0.001)  # the paper halves
+        assert intadmm.EPS_INT == 1e-3 and intadmm.MAX_TRIES_WITHOUT_IMPR == 3
+        assert (intp.max_iterations, intadmm.MIN_ITERS_AFTER_RESET) == (60000, 10)
+
+    def test_settable_keys_and_generated_flags(self):
+        # a new setting is a deliberate edit of this list
+        assert set(cli._TABLE_OF) | set(cli._RUN_KEYS) == {
+            "eps_admm", "max_inner_iter", "min_viol", "min_ineq", "min_impr",
+            "max_cliques", "seed", "families", "max_outer",
+            "beta0", "beta_incr", "beta_decr", "max_iterations",
+            "time_limit", "expensive_tests", "stable_timing", "per_k_time_limit",
+            "k", "out",
+        }
+        generated = [a.option_strings[0] for group in build_parser()._action_groups
+                     if group.title.endswith("solver parameters")
+                     for a in group._group_actions]
+        assert generated == [
+            "--eps-admm", "--max-inner-iter", "--min-viol", "--min-ineq",
+            "--min-impr", "--max-cliques", "--max-outer",
+            "--beta0", "--beta-incr", "--beta-decr", "--max-iterations",
+        ]
 
     def test_flag_overrides_file_overrides_default(self, tmp_path, c5_file):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"seed": 7, "beta": 2.0}))
+        cfgfile.write_text(json.dumps({"seed": 7, "min_viol": 0.5}))
         parser = build_parser()
         args = parser.parse_args(
             ["bound", str(c5_file), "--k", "2", "--config", str(cfgfile),
-             "--beta", "1.5"]
+             "--min-viol", "0.25"]
         )
         cfg = resolve_config(args)
-        assert cfg.admm.seed == 7        # from file
-        assert cfg.admm.beta == 1.5      # flag wins
-        assert cfg.admm.gamma == 1.617   # default preserved
+        assert cfg.admm.seed == 7             # from file
+        assert cfg.admm.min_viol == 0.25      # flag wins
+        assert cfg.admm.min_impr == 0.025     # default preserved
 
     @pytest.mark.parametrize(
         "table, f", SOLVER_SETTINGS, ids=[f.name for _, f in SOLVER_SETTINGS]
@@ -261,12 +303,12 @@ class TestConfigResolution:
 
     def test_int_config_value_accepted_for_a_float(self, tmp_path, c5_file):
         cfgfile = tmp_path / "cfg.json"
-        cfgfile.write_text(json.dumps({"beta": 2, "families": ["t1"]}))
+        cfgfile.write_text(json.dumps({"min_viol": 2, "families": ["t1"]}))
         args = build_parser().parse_args(
             ["bound", str(c5_file), "--config", str(cfgfile)]
         )
         cfg = resolve_config(args)
-        assert cfg.admm.beta == 2
+        assert cfg.admm.min_viol == 2
         assert cfg.admm.families == (CutFamily.T1,)
 
     def test_families_by_name(self, c5_file):

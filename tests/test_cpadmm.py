@@ -30,6 +30,7 @@ from mkcs.cuts import (
     CutFamily,
     CutPool,
     cluster_cuts,
+    select_cuts,
     separate_clique_external,
     separate_triangle,
 )
@@ -100,7 +101,7 @@ class TestInnerAdmm:
         )
         assert stopped and iters == 1 and calls == [1]
 
-    def test_dykstra_capouts_logged_once_per_call(self, caplog):
+    def test_dykstra_capouts_logged_once_per_call(self, caplog, monkeypatch):
         import logging
 
         from mkcs.cuts import cluster_cuts
@@ -116,7 +117,9 @@ class TestInnerAdmm:
         ]
         pool = pool_of(cuts)
         clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
-        params = AdmmParams(max_inner_iter=5, dyk_max_cycles=1, eps_dyk=1e-12)
+        monkeypatch.setattr(mkcs.cpadmm, "DYK_MAX_CYCLES", 1)
+        monkeypatch.setattr(mkcs.cpadmm, "EPS_DYK", 1e-12)
+        params = AdmmParams(max_inner_iter=5)
         with caplog.at_level(logging.WARNING, logger="mkcs.cpadmm"):
             iters, _ = inner_admm(initial_state(g, 1), fmap, params, clustered)
         records = [r for r in caplog.records if "Dykstra cycle cap" in r.message]
@@ -134,25 +137,26 @@ class TestInnerAdmm:
         assert not [r for r in caplog.records if "Dykstra" in r.message]
 
     def test_gamma_validated(self):
-        with pytest.raises(ValueError):
-            AdmmParams(gamma=1.7)
-        with pytest.raises(ValueError):
-            AdmmParams(gamma=0.0)
+        # the dual step converges for step lengths in (0, (1+sqrt(5))/2)
+        assert 0.0 < mkcs.cpadmm.GAMMA < (1.0 + math.sqrt(5.0)) / 2.0
 
     @pytest.mark.parametrize("setting", [
-        {"beta": 0.0}, {"beta": -1.0}, {"eps_dyk": 0.0}, {"eps_dyk": -1.0},
-        {"dyk_max_cycles": 0}, {"max_inner_iter": 0}, {"max_inner_iter_final": 0},
-        {"max_outer": 0}, {"beta": math.nan}, {"max_cuts_per_var": 0},
-        {"eps_admm": 0.0}, {"eps_admm": -1.0}, {"eps_admm_final": 0.0},
+        {"max_inner_iter": 0}, {"max_outer": 0}, {"eps_admm": 0.0},
+        {"eps_admm": -1.0}, {"eps_admm": math.inf}, {"eps_admm": math.nan},
+        {"min_viol": -1.0}, {"min_viol": math.nan}, {"min_viol": math.inf},
+        {"min_ineq": -1.0}, {"min_ineq": math.nan}, {"min_ineq": math.inf},
+        {"min_impr": math.nan}, {"max_cliques": 0}, {"max_cliques": -5},
+        {"seed": -1},
     ])
     def test_out_of_range_settings_rejected(self, setting):
-        with pytest.raises(ValueError, match=next(iter(setting))):
+        with pytest.raises(ValueError, match=f"{next(iter(setting))} must"):
             AdmmParams(**setting)
 
     def test_smallest_valid_settings_accepted(self):
-        AdmmParams(beta=1e-9, eps_dyk=1e-300, dyk_max_cycles=1, max_inner_iter=1,
-                   max_inner_iter_final=1, max_outer=1, max_cuts_per_var=1,
-                   eps_admm=1e-300, eps_admm_final=1e-300)
+        params = AdmmParams(max_inner_iter=1, max_outer=1, eps_admm=1e-300, min_viol=0.0,
+                            min_ineq=0.0, min_impr=-math.inf, max_cliques=1, seed=0)
+        res = cp_admm(cycle_graph(5), 2, params, lb_hint=-1)
+        assert (res.outer_iterations, res.inner_iterations) == (1, 1)
 
 
 class TestValidUpperBound:
@@ -658,6 +662,29 @@ class TestCpAdmm:
         res = cp_admm(g, 1, AdmmParams(), lb_hint=0, ub_stop_below=6.0)
         assert res.termination == "ub_below_target"
         assert res.ub < 6.0
+
+    @pytest.mark.parametrize("fresh, phase", [(36, 1), (35, 2)])
+    def test_phase1_threshold_and_round_cap(self, monkeypatch, fresh, phase):
+        # phase 1 goes on while a round finds at least n = 36 fresh
+        # clique-external cuts, and a round adds at most 5n cuts
+        from bench_instances import queen6_6
+
+        separate = mkcs.cpadmm.separate_clique_external
+        caps = []
+
+        def first_fresh(*args):
+            rep = separate(*args)
+            return rep.take(np.flatnonzero(CutPool().novel(rep.candidates))[:fresh])
+
+        def spy_select(report, phase, max_ineq, max_cuts_per_var):
+            caps.append((max_ineq, max_cuts_per_var))
+            return select_cuts(report, phase, max_ineq, max_cuts_per_var)
+
+        monkeypatch.setattr(mkcs.cpadmm, "separate_clique_external", first_fresh)
+        monkeypatch.setattr(mkcs.cpadmm, "select_cuts", spy_select)
+        res = cp_admm(queen6_6(), 6, AdmmParams(max_outer=2))
+        assert res.records[0].phase == phase
+        assert caps == [(5 * 36, 5)]
 
     def test_sampled_clique_pool_is_not_a_complete_enumeration(self, monkeypatch):
         from bench_instances import petersen

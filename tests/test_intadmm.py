@@ -6,9 +6,11 @@ import pytest
 
 from bench_instances import complete_graph, cycle_graph, myciel_graph
 from reference_helpers import project_sphere_reference, round_and_verify_reference
+import mkcs.intadmm
 from mkcs.cpadmm import AdmmParams, cp_admm
 from mkcs.graph import Graph, random_graph
 from mkcs.intadmm import (
+    BETA_MIN,
     Coloring,
     IntAdmmParams,
     int_admm,
@@ -315,10 +317,9 @@ class TestIntAdmm:
 
     def test_beta_floor_respected(self):
         g = cycle_graph(6)
-        params = IntAdmmParams(beta0=0.002, beta_decr=0.1, beta_min=0.001,
-                               max_iterations=5000)
+        params = IntAdmmParams(beta0=0.002, beta_decr=0.1, max_iterations=5000)
         res = int_admm(g, 2, params=params)
-        assert all(r.beta >= params.beta_min for r in res.records)
+        assert all(r.beta >= BETA_MIN for r in res.records)
 
     def test_deterministic(self):
         g = random_graph(8, 0.4, 7)
@@ -347,11 +348,12 @@ class TestIntAdmm:
             "feasible_value",
         }
 
-    def test_non_finite_iterate_ends_the_run(self):
+    def test_non_finite_iterate_ends_the_run(self, monkeypatch):
         # beta overflows to inf after a few dozen sweeps, and the iterate
         # turns NaN before any convergence event; no numpy warning escapes
         g = myciel_graph(3)
-        params = IntAdmmParams(beta_incr=1e10, eps_int=1e-300)
+        monkeypatch.setattr(mkcs.intadmm, "EPS_INT", 1e-300)
+        params = IntAdmmParams(beta_incr=1e10)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             res = int_admm(g, 2, params)
@@ -365,15 +367,10 @@ class TestIntAdmm:
             IntAdmmParams(beta_incr=1.0)
         with pytest.raises(ValueError):
             IntAdmmParams(beta_decr=1.5)
-        with pytest.raises(ValueError):
-            IntAdmmParams(beta_min=0.0)
 
     @pytest.mark.parametrize("name, value", [
         ("beta0", 0.0), ("beta0", -1.0), ("beta0", math.nan), ("beta0", math.inf),
-        ("beta_incr", math.nan), ("beta_incr", math.inf),
-        ("beta_min", math.nan), ("beta_min", math.inf),
-        ("eps_int", 0.0), ("eps_int", -1.0), ("eps_int", math.nan),
-        ("min_iters_after_reset", -1), ("max_iterations", -1),
+        ("beta_incr", math.nan), ("beta_incr", math.inf), ("max_iterations", -1),
     ])
     def test_degenerate_settings_rejected(self, name, value):
         # each of these ran a degenerate schedule: a zero or negative
@@ -382,8 +379,7 @@ class TestIntAdmm:
             IntAdmmParams(**{name: value})
 
     def test_smallest_valid_settings_accepted(self):
-        params = IntAdmmParams(beta0=1e-300, beta_min=1e-300, eps_int=1e-300,
-                               min_iters_after_reset=0, max_iterations=0)
+        params = IntAdmmParams(beta0=1e-300, max_iterations=0)
         res = int_admm(cycle_graph(5), 2, params)
         assert (res.iterations, res.convergence_events) == (0, 0)
 

@@ -19,6 +19,9 @@ The runs, one subdirectory of OUTDIR each:
   ``--k 3 --seed 14 --max-iterations 12000`` (acceptance criterion 5's
   case 14), an integer run that ends at its sweep cap without a
   convergence event, so the report carries the greedy colouring;
+- ``queen6_6-chromatic`` and ``myciel5-chromatic``: ``chromatic``, whose
+  bound runs use the search's own ``min_ineq`` and ``min_impr`` and stop
+  once a bound probe falls below n;
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
@@ -66,6 +69,10 @@ def runs():
            ["--k", "3"])
     yield ("g12-case14-solve", "g12-case14.col", write_dimacs(random_graph(12, 0.7, 2014)),
            None, "solve", ["--k", "3", "--seed", "14", "--max-iterations", "12000"])
+    for name, graph in (("queen6_6", bench_instances.queen6_6()),
+                        ("myciel5", bench_instances.myciel5())):
+        yield (f"{name}-chromatic", f"{name}.col", write_dimacs(graph), None,
+               "chromatic", [])
     for w in WORKLOADS.values():
         _, dimacs = make_instance(w, BENCHMARK_SEED)
         yield (w.name, f"{w.instance}.col", dimacs, w.config, w.mode,
