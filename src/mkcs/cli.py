@@ -8,6 +8,7 @@ import argparse
 import dataclasses
 import json
 import math
+import re
 import sys
 import time
 from dataclasses import dataclass, field
@@ -403,6 +404,13 @@ def run_report(reports):
 
 
 class _ArgumentParser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # a negative float in exponent or inf form (-1e-3, -inf) is a flag's
+        # value, not an unknown option
+        self._negative_number_matcher = re.compile(
+            r"^-(\d+\.?\d*|\.\d+)(e[-+]?\d+)?$|^-inf(inity)?$", re.IGNORECASE)
+
     # usage errors exit with the invalid-arguments code, not argparse's 2
     def error(self, message):
         self.print_usage(sys.stderr)

@@ -13,9 +13,6 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .cuts import (
-    MAX_CLIQUE_PAIRS,
-    MAX_CLIQUES,
-    MAX_HOLES,
     CutFamily,
     CutPool,
     SeparationReport,
@@ -79,15 +76,15 @@ def scipy_linprog_backend(c, cuts, m):
 @dataclass
 class AdmmParams:
     """Settings of the cutting-plane solver; the defaults are the tuned
-    production values.  The paper's other tuning constants are the module
-    constants above and those of :mod:`mkcs.cuts` and :mod:`mkcs.projection`."""
+    production values; ``seed`` seeds the greedy colouring.  The paper's
+    other tuning constants are the module constants above and those of
+    :mod:`mkcs.graph` and :mod:`mkcs.projection`."""
 
     eps_admm: float = 1e-4
     max_inner_iter: int = 2000
     min_viol: float = 1e-2
     min_ineq: float | None = None          # defaults to n/4 at solve time
     min_impr: float = 0.025
-    max_cliques: int = MAX_CLIQUES
     seed: int = 0
     families: tuple = ALL_FAMILIES
     max_outer: int | None = None
@@ -105,7 +102,6 @@ class AdmmParams:
             ("min_viol", finite(self.min_viol) and self.min_viol >= 0, "finite and >= 0"),
             ("min_ineq", finite(min_ineq) and min_ineq >= 0, "None or finite and >= 0"),
             ("min_impr", not math.isnan(self.min_impr), "a number"),
-            ("max_cliques", self.max_cliques >= 1, "at least 1"),
             ("seed", self.seed >= 0, "at least 0"),
             ("max_outer", max_outer >= 1, "None or at least 1"),
         ):
@@ -306,7 +302,7 @@ class CpAdmmResult:
 
 
 def _separate_families(families, state, g, fmap, k, params, clique_enum,
-                       hole_enum, rng, id_base):
+                       hole_enum, id_base):
     """Run the separators of the requested families against the current
     primal iterate and merge their reports; returns the report and the
     next free cut id."""
@@ -316,14 +312,13 @@ def _separate_families(families, state, g, fmap, k, params, clique_enum,
         tri = separate_triangle(state.X, g, fmap, k, params.min_viol, next_id)
         next_id += len(tri.candidates)
         report.merge(tri.take(np.isin(tri.candidates.family, families)))
-    for family, separate, pool, limit in (
-        (CutFamily.CLIQUE_EXT, separate_clique_external, clique_enum, params.max_cliques),
-        (CutFamily.CLIQUE_UNION, separate_clique_union, clique_enum, MAX_CLIQUE_PAIRS),
-        (CutFamily.HOLE5, separate_odd_hole, hole_enum, MAX_HOLES),
+    for family, separate, pool in (
+        (CutFamily.CLIQUE_EXT, separate_clique_external, clique_enum),
+        (CutFamily.CLIQUE_UNION, separate_clique_union, clique_enum),
+        (CutFamily.HOLE5, separate_odd_hole, hole_enum),
     ):
         if family in families:
-            rep = separate(state.X, g, fmap, pool, k, params.min_viol, limit, rng,
-                           next_id)
+            rep = separate(state.X, g, fmap, pool, k, params.min_viol, next_id)
             next_id += len(rep.candidates)
             report.merge(rep)
     return report, next_id
@@ -346,8 +341,10 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     ``ub_stop_below`` aborts the solve as soon as any valid bound drops
     below the given target, which the chromatic-number driver uses to stop
     early; bound probes run every ``UB_PROBE_INTERVAL`` sweeps of the first
-    outer iteration.  ``enumeration_complete`` is False when an
-    enumeration stopped early or a separator sampled its pool.
+    outer iteration.  ``enumeration_complete`` is False when the clique
+    or 5-hole pool, or the clique pairs of a separation round, stopped
+    with rows left out: at ``MAX_POOL`` rows, the deadline or the
+    enumeration budget.
     """
     if params is None:
         params = AdmmParams()
@@ -451,14 +448,11 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         # a round that the min_impr rule ends adds no cut, so it separates
         # only what decides the phase it records
         ending = outer > 1 and improvement < params.min_impr
-        rng = np.random.default_rng([params.seed, outer])
 
         def separate(fams):
             nonlocal id_counter
             rep, id_counter = _separate_families(
-                fams, state, g, fmap, k, params, clique_enum, hole_enum, rng,
-                id_counter,
-            )
+                fams, state, g, fmap, k, params, clique_enum, hole_enum, id_counter)
             return rep
 
         report = SeparationReport()
@@ -478,7 +472,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
 
         accepted = CutPool()
         if not ending and fresh.sum() >= params.min_ineq:
-            accepted = select_cuts(report.take(fresh), phase, max_ineq, MAX_CUTS_PER_VAR)
+            accepted = select_cuts(report.take(fresh), max_ineq, MAX_CUTS_PER_VAR)
         if not len(accepted):
             record(0)
             run_tightened()

@@ -9,11 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import extend_clique_greedy, pad_rows
-
-# a separator scans at most this many cliques, clique pairs or 5-holes and
-# samples a larger pool (``AdmmParams.max_cliques`` sets a run's clique cap)
-MAX_CLIQUES = MAX_CLIQUE_PAIRS = MAX_HOLES = 100000
+from .graph import extend_clique_greedy, pad_rows, pair_pool_size
 
 
 class CutFamily(enum.IntEnum):
@@ -227,16 +223,6 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     ))
 
 
-def _subset(size, limit, rng):
-    """Sorted indices of a seeded uniform subset of at most ``limit`` of
-    ``size`` items, and whether it leaves any out."""
-    if size <= limit:
-        return np.arange(size), False
-    chosen = rng.choice(size, size=limit, replace=False)
-    chosen.sort()
-    return chosen, True
-
-
 # Each float64 temporary of one chunk of an array separator stays near
 # this many bytes.
 _CHUNK_BYTES = 1 << 19
@@ -291,27 +277,22 @@ def _apex_hits(Xp, members, subtract, min_viol):
     return np.concatenate(rows), np.concatenate(apexes), np.concatenate(viols)
 
 
-def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
-                             max_cliques=MAX_CLIQUES, rng=None, id_base=0):
+def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the cliques of the
     :class:`CliqueEnumeration` ``cliques`` and every external vertex.
 
-    When the clique pool exceeds ``max_cliques`` a seeded uniform subset
-    is drawn.  A violated cut on a non-maximal size-6 clique is first
-    strengthened by greedy extension before being reported.  The
-    violations of a chunk of cliques are computed at once; cuts come
-    clique by clique, apex by apex.
+    A violated cut on a non-maximal size-6 clique is first strengthened
+    by greedy extension before being reported.  The violations of a
+    chunk of cliques are computed at once; cuts come clique by clique,
+    apex by apex.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     xvec = fmap.mat_to_vec(Xs)
-    chosen, truncated = _subset(len(cliques.members), max_cliques, rng)
     Xp = _padded(Xs, -0.0)
-    rows, apexes, _ = _apex_hits(Xp, cliques.members[chosen], np.diagonal(Xp),
-                                 min_viol)
+    rows, apexes, _ = _apex_hits(Xp, cliques.members, np.diagonal(Xp), min_viol)
     pool = cliques.all_cliques()
     targets = []
-    for r, ell in zip(chosen[rows].tolist(), apexes.tolist()):
+    for r, ell in zip(rows.tolist(), apexes.tolist()):
         clique = pool[r]
         if len(clique) == 6 and not clique.maximal:
             clique = extend_clique_greedy(g, clique, ell, Xs)
@@ -329,45 +310,30 @@ def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
     keep = (coords >= 0).any(axis=1) & (viol >= min_viol)
     return _report(np.column_stack([coords, diag])[keep],
                    np.r_[np.ones(coords.shape[1]), -1.0], 0.0,
-                   CutFamily.CLIQUE_EXT, viol[keep], id_base, truncated)
+                   CutFamily.CLIQUE_EXT, viol[keep], id_base)
 
 
-def _distinct_pairs(rng, npool, count):
-    """The first ``count`` distinct unordered pairs (a < b) in a seeded
-    stream of ``4 * count`` draws, in order of first appearance."""
-    draws = rng.integers(0, npool, size=(4 * count, 2))
-    lo = draws.min(axis=1)
-    hi = draws.max(axis=1)
-    proper = np.flatnonzero(lo != hi)
-    _, first = np.unique(lo[proper] * npool + hi[proper], return_index=True)
-    keep = np.sort(proper[first])[:count]
-    return lo[keep], hi[keep]
-
-
-def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
-                          max_pairs=MAX_CLIQUE_PAIRS, rng=None, id_base=0):
+def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
     pairs of maximal cliques of ``cliques`` whose sizes sum to more
-    than k.
+    than k.  The pairs are those among the first maximal cliques, as
+    many as have at most ``graph.MAX_POOL`` pairs; the report is
+    truncated when that leaves a maximal clique out.
 
     A chunk of pairs is screened at once with sums that may round
     differently from the per-pair expression.  The screen keeps every
     pair within a margin far wider than that rounding, and the per-pair
     expression then decides and gives the violation.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     members = cliques.members[cliques.maximal_rows]
+    npool = pair_pool_size(len(members))
+    truncated = npool < len(members)
+    members = members[:npool]
     sizes = (members >= 0).sum(axis=1)
     diag = np.diagonal(Xs)
-    npool = len(members)
-    truncated = npool * (npool - 1) // 2 > max_pairs
-    if truncated:
-        # rejection-sample distinct unordered pairs; generous retry budget
-        first, second = _distinct_pairs(rng, npool, max_pairs)
-    else:
-        first, second = np.triu_indices(npool, 1)
+    first, second = np.triu_indices(npool, 1)
     large = sizes[first] + sizes[second] > k
     first, second = first[large], second[large]
     Xp = _padded(Xs, -0.0)
@@ -406,42 +372,36 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
     )
 
 
-def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2,
-                      max_holes=MAX_HOLES, rng=None, id_base=0):
+def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2, id_base=0):
     """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over the 5-holes of the
     :class:`HoleEnumeration` ``holes`` and external vertices.
 
     The violations of a chunk of holes are computed at once; cuts come
     hole by hole, apex by apex.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
-    chosen, truncated = _subset(len(holes.holes), max_holes, rng)
-    pool = holes.holes[chosen]
+    pool = holes.holes
     Xp = _padded(Xs, -0.0)
     rows, apexes, viols = _apex_hits(Xp, pool, 2.0 * np.diagonal(Xp), min_viol)
     coords = fmap.coord[pool[rows], apexes[:, None]]
     keep = (coords >= 0).any(axis=1)
     return _report(np.column_stack([coords, fmap.diag_coord(apexes)])[keep],
                    (1.0, 1.0, 1.0, 1.0, 1.0, -2.0), 0.0, CutFamily.HOLE5,
-                   viols[keep], id_base, truncated)
+                   viols[keep], id_base)
 
 
-def select_cuts(report, phase, max_ineq, max_cuts_per_var):
+def select_cuts(report, max_ineq, max_cuts_per_var):
     """Pick the rows of ``report.candidates`` to add this round, as a pool
     in the order picked.
 
     Candidates are sorted by violation descending (ties by family order,
     then id); one is accepted only if every coordinate of its support
     appears in fewer than ``max_cuts_per_var`` cuts already accepted this
-    round, up to ``max_ineq`` in total.  In phase 1 only external-clique
-    cuts are considered.  Duplicates are the caller's to drop
-    (``CutPool.novel``).
+    round, up to ``max_ineq`` in total.  Duplicates are the caller's to
+    drop (``CutPool.novel``).
     """
     pool = report.candidates
     order = np.lexsort((pool.id, pool.family, -report.violation))
-    if phase == 1:
-        order = order[pool.family[order] == CutFamily.CLIQUE_EXT]
     rows = pool.rows()
     load = [0] * (int(pool.indices.max(initial=-1)) + 1)
     accepted = []

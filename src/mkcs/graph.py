@@ -5,12 +5,17 @@ from __future__ import annotations
 
 import functools
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
+
+# every pool a separator scans stops at this many rows, in the order
+# found: cliques, 5-holes, and pairs of maximal cliques
+MAX_POOL = 200_000
 
 
 class DimacsError(ValueError):
@@ -98,7 +103,7 @@ class CliqueEnumeration:
 
     maximal: list          # maximal cliques of size 2..5
     size6: list            # every clique of exactly 6 vertices
-    complete: bool = True  # False when the deadline truncated the search
+    complete: bool = True  # False when the search stopped with cliques left
 
     @functools.cached_property
     def members(self):
@@ -130,7 +135,7 @@ class HoleEnumeration:
     5-vertex rows is accepted and stored in that array form."""
 
     holes: np.ndarray = field(default_factory=lambda: np.empty((0, 5), np.intp))
-    complete: bool = True  # False when the deadline truncated the search
+    complete: bool = True  # False when the search stopped with holes left
 
     def __post_init__(self):
         self.holes = np.asarray(self.holes, dtype=np.intp).reshape(-1, 5)
@@ -226,8 +231,9 @@ def enumerate_cliques(g, deadline=None):
     recurse further.  Pivoting is deliberately not used because it skips
     the non-maximal six-vertex cliques that the caller needs.
 
-    Returns a :class:`CliqueEnumeration`; ``complete`` is False when the
-    search stopped at ``deadline``, a ``time.monotonic()`` value.
+    Returns a :class:`CliqueEnumeration` of the first ``MAX_POOL``
+    cliques found; ``complete`` is False when a clique was left out,
+    at that cap or at ``deadline``, a ``time.monotonic()`` value.
     """
     maximal = []
     size6 = []
@@ -239,12 +245,13 @@ def enumerate_cliques(g, deadline=None):
         if deadline is not None and time.monotonic() > deadline:
             complete = False
             return
-        if len(r) == 6:
-            size6.append(Clique(frozenset(r), maximal=not p and not x))
-            return
-        if not p and not x:
-            if 2 <= len(r) <= 5:
-                maximal.append(Clique(frozenset(r), maximal=True))
+        if len(r) == 6 or not p and not x:
+            if len(r) >= 2:
+                if len(maximal) + len(size6) == MAX_POOL:
+                    complete = False
+                    return
+                clique = Clique(frozenset(r), maximal=not p and not x)
+                (size6 if len(r) == 6 else maximal).append(clique)
             return
         for v in sorted(p):
             if not complete:
@@ -292,23 +299,23 @@ def enumerate_5holes(g, deadline=None):
     DFS over paths of length four anchored at the least vertex of the
     cycle, with chordlessness checked incrementally.  The canonical form
     anchors at the least id and takes the direction whose second vertex
-    is smaller than its last.  The pool is one ``(H, 5)`` array, rows in
-    the order found; ``complete`` is False if it stopped at ``deadline``.
+    is smaller than its last.  The pool is one ``(H, 5)`` array of the
+    first ``MAX_POOL`` holes, rows in the order found; ``complete`` is
+    False if a hole was left out, at that cap or at ``deadline``.
     """
-    flat, chunks = [], []  # five vertex ids per hole, as a list and as arrays
-    complete = _walk_5holes(g, deadline, flat, chunks)
-    return HoleEnumeration(np.concatenate([*chunks, np.array(flat, np.intp)]), complete)
+    flat = []  # five vertex ids per hole
+    complete = _walk_5holes(g, deadline, flat)
+    return HoleEnumeration(np.array(flat, dtype=np.intp), complete)
 
 
-def _walk_5holes(g, deadline, flat, chunks):
-    """Append the vertices of each canonical 5-hole of ``g`` to ``flat``, moved
-    to an array in ``chunks`` at each anchor so that little is left to
-    convert when ``deadline`` cuts the search short; False if it does."""
+def _walk_5holes(g, deadline, flat):
+    """Append the vertices of each canonical 5-hole of ``g`` to ``flat``
+    until ``MAX_POOL`` holes or ``deadline``; False if either cut the
+    search short."""
     adj = g.adj
+    cap = 5 * MAX_POOL
     counter = 0
     for a in g.vertices:
-        chunks.append(np.array(flat, dtype=np.intp))
-        flat.clear()
         na = adj[a]
         for v1 in sorted(na):
             if v1 < a:
@@ -327,8 +334,16 @@ def _walk_5holes(g, deadline, flat, chunks):
                     for v4 in sorted(adj[v3] & na):
                         if v4 <= v1 or v4 == v2 or v4 in adj[v1] or v4 in adj[v2]:
                             continue
+                        if len(flat) == cap:
+                            return False
                         flat.extend((a, v1, v2, v3, v4))
     return True
+
+
+def pair_pool_size(count):
+    """How many of ``count`` items have all their pairs in one pool: the
+    most m, at most ``count``, with m(m - 1)/2 <= ``MAX_POOL``."""
+    return min(count, (1 + math.isqrt(1 + 8 * MAX_POOL)) // 2)
 
 
 def random_graph(n, edge_prob, seed):

@@ -157,7 +157,6 @@ class FreeIndexMap:
         self.m = n + len(pairs)
         self.pair_rows = np.array([p[0] for p in pairs], dtype=np.intp)
         self.pair_cols = np.array([p[1] for p in pairs], dtype=np.intp)
-        self.pair_index = {pair: n + idx for idx, pair in enumerate(pairs)}
         self.weights = np.concatenate(
             [np.full(n, 3.0), np.full(len(pairs), 2.0)]
         )
@@ -192,9 +191,9 @@ class FreeIndexMap:
 
     def pair_coord(self, i, j):
         """Coordinate of the off-diagonal non-edge {i, j}; KeyError on edges."""
-        if i > j:
-            i, j = j, i
-        return self.pair_index[(i, j)]
+        if i == j or self.coord[i, j] < 0:
+            raise KeyError((i, j))
+        return int(self.coord[i, j])
 
     def mat_to_vec(self, a):
         """Free-entry vector of a bordered matrix.

@@ -1,9 +1,10 @@
 """Reference separators: the four cut separators as they were written
 before their array rewrite, one Python loop per pool entry and apex
-vertex.  They are kept verbatim as the yardstick for ``mkcs.cuts``,
-whose separators must return the same candidates: the same order, ids,
+vertex.  They are kept as the yardstick for ``mkcs.cuts``, whose
+separators must return the same candidates: the same order, ids,
 families, coefficients and right-hand sides, and the same violation
-values bit for bit.  ``Cut`` and the list of candidates they fill
+values bit for bit.  They scan the pools they are given whole, but for
+the clique pairs, which stop at ``mkcs.graph.MAX_POOL`` on both sides.  ``Cut`` and the list of candidates they fill
 are the reference-side forms kept in ``reference_helpers``.
 
 ``assert_same_candidates`` is the comparison.  The reference hole
@@ -16,6 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
+import mkcs.graph
 from mkcs.cuts import CutFamily
 from mkcs.graph import Clique
 from reference_helpers import Cut, CutList as SeparationReport, Hole5
@@ -84,9 +86,8 @@ def _pair_coeff(fmap, coeffs, i, j, value):
     if i == j:
         p = fmap.diag_coord(i)
     else:
-        a, b = (i, j) if i < j else (j, i)
-        p = fmap.pair_index.get((a, b))
-        if p is None:
+        p = int(fmap.coord[i, j])
+        if p < 0:
             return
     coeffs[p] = coeffs.get(p, 0.0) + value
 
@@ -149,15 +150,6 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     return report
 
 
-def _subset(items, limit, rng):
-    """Seeded uniform subset of at most ``limit`` items, order preserved."""
-    if len(items) <= limit:
-        return items, False
-    chosen = rng.choice(len(items), size=limit, replace=False)
-    chosen.sort()
-    return [items[i] for i in chosen], True
-
-
 def _clique_external_cut(fmap, g, clique_vertices, ell, cut_id):
     coeffs = {}
     for i in clique_vertices:
@@ -168,21 +160,17 @@ def _clique_external_cut(fmap, g, clique_vertices, ell, cut_id):
     return Cut(cut_id, CutFamily.CLIQUE_EXT, coeffs, 0.0)
 
 
-def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
-                             max_cliques=100000, rng=None, id_base=0):
+def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the enumerated
     cliques and every external vertex.
 
-    When the clique pool exceeds ``max_cliques`` a seeded uniform subset
-    is drawn.  A violated cut on a non-maximal size-6 clique is first
-    strengthened by greedy extension before being reported.
+    A violated cut on a non-maximal size-6 clique is first strengthened
+    by greedy extension before being reported.
     """
-    rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     xvec = fmap.mat_to_vec(Xs)
     report = SeparationReport()
     pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
-    pool, report.truncated = _subset(pool, max_cliques, rng)
     next_id = id_base
     diag = np.diagonal(Xs)
     for clique in pool:
@@ -205,38 +193,23 @@ def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2,
     return report
 
 
-def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
-                          max_pairs=100000, rng=None, id_base=0):
+def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
-    pairs of maximal cliques whose sizes sum to more than k."""
-    rng = rng if rng is not None else np.random.default_rng(0)
+    pairs of maximal cliques whose sizes sum to more than k: the pairs
+    among the leading maximal cliques, as many as have at most
+    ``MAX_POOL`` pairs."""
     Xs = _sanitize(X, fmap, k)
     report = SeparationReport()
     pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
     pool = [c for c in pool if c.maximal]
     next_id = id_base
     diag = np.diagonal(Xs)
-    npool = len(pool)
-    total_pairs = npool * (npool - 1) // 2
-    if total_pairs > max_pairs:
-        report.truncated = True
-        seen = set()
-        pairs = []
-        # rejection-sample distinct unordered pairs; generous retry budget
-        draws = rng.integers(0, npool, size=(4 * max_pairs, 2))
-        for a, b in draws:
-            if a == b:
-                continue
-            pair = (min(a, b), max(a, b))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            pairs.append(pair)
-            if len(pairs) >= max_pairs:
-                break
-    else:
-        pairs = [(a, b) for a in range(npool) for b in range(a + 1, npool)]
+    npool = 0
+    while npool < len(pool) and (npool + 1) * npool // 2 <= mkcs.graph.MAX_POOL:
+        npool += 1
+    report.truncated = npool < len(pool)
+    pairs = [(a, b) for a in range(npool) for b in range(a + 1, npool)]
     for a, b in pairs:
         qa, qb = pool[a], pool[b]
         if qa.vertices & qb.vertices:
@@ -260,15 +233,12 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2,
     return report
 
 
-def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2,
-                      max_holes=100000, rng=None, id_base=0):
+def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2, id_base=0):
     """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over 5-holes and
     external vertices."""
-    rng = rng if rng is not None else np.random.default_rng(0)
     Xs = _sanitize(X, fmap, k)
     report = SeparationReport()
     pool = holes.holes if hasattr(holes, "holes") else list(holes)
-    pool, report.truncated = _subset(pool, max_holes, rng)
     next_id = id_base
     diag = np.diagonal(Xs)
     for hole in pool:

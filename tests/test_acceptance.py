@@ -167,7 +167,6 @@ def test_criterion_4_cut_validity_suite():
             vecs = _integer_vecs(fmap, enumerate_Dnk(n, k, g))
             ce = enumerate_cliques(g)
             he = enumerate_5holes(g)
-            srng = np.random.default_rng([5, case])
             iterates = [
                 fmap.vec_to_mat(np.ones(fmap.m), k),
                 fmap.vec_to_mat(rng.uniform(0, 1, fmap.m), k),
@@ -175,11 +174,11 @@ def test_criterion_4_cut_validity_suite():
             for X in iterates:
                 cands = candidate_pairs(separate_triangle(X, g, fmap, k, 1e-7))
                 cands += candidate_pairs(separate_clique_external(
-                    X, g, fmap, ce, k, 1e-7, rng=srng))
+                    X, g, fmap, ce, k, 1e-7))
                 cands += candidate_pairs(separate_clique_union(
-                    X, g, fmap, ce, k, 1e-7, rng=srng))
+                    X, g, fmap, ce, k, 1e-7))
                 cands += candidate_pairs(separate_odd_hole(
-                    X, g, fmap, he, k, 1e-7, rng=srng))
+                    X, g, fmap, he, k, 1e-7))
                 for cut, _ in cands:
                     idx = np.array(sorted(cut.coeffs))
                     a = np.array([cut.coeffs[q] for q in idx])
@@ -292,8 +291,7 @@ def test_criterion_7_projection_oracles():
             x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
             cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
             cands += candidate_pairs(separate_clique_external(
-                x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
-                rng=np.random.default_rng(0)))
+                x_adv, g, fmap, enumerate_cliques(g), k, 1e-6))
             if not cands:
                 continue
             pick = rng_case.permutation(len(cands))[:3]

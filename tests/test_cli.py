@@ -12,7 +12,7 @@ import pytest
 
 import mkcs
 from bench_instances import complete_graph, cycle_graph, myciel5
-from mkcs import cli, cpadmm, cuts, intadmm, projection
+from mkcs import cli, cpadmm, graph, intadmm, projection
 from mkcs.cli import (
     EXIT_INVALID_ARGS,
     EXIT_OK,
@@ -166,6 +166,21 @@ class TestExitCodes:
         # --time-limit sets the one deadline of the whole run
         assert_neither_key_nor_flag(c5_file, tmp_path, capsys, key)
 
+    def test_max_cliques_is_neither_a_key_nor_a_flag(self, c5_file, tmp_path, capsys):
+        # every pool stops at the fixed MAX_POOL rows instead
+        assert_neither_key_nor_flag(c5_file, tmp_path, capsys, "max_cliques")
+
+    @pytest.mark.parametrize("value", ["-inf", "-1e-3", "-.5E-2", "-Infinity"])
+    def test_negative_float_forms_are_flag_values(self, c5_file, value):
+        # not taken for an unknown option: "expected one argument"
+        args = build_parser().parse_args(["bound", str(c5_file), "--min-impr", value])
+        assert resolve_config(args).admm.min_impr == float(value)
+
+    def test_negative_exponent_value_reaches_the_range_check(self, c5_file, capsys):
+        assert main(["bound", str(c5_file), "--k", "2", "--min-viol", "-1e-3"]) \
+            == EXIT_INVALID_ARGS
+        assert "min_viol must" in capsys.readouterr().err
+
     @pytest.mark.parametrize("key", FIXED_CONSTANTS)
     def test_fixed_constants_are_neither_keys_nor_flags(self, c5_file, tmp_path,
                                                         capsys, key):
@@ -194,7 +209,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("config, key", [
         ({"seed": -1}, "seed"),
-        ({"max_cliques": -5}, "max_cliques"),
+        ({"beta_incr": 1.0}, "beta_incr"),
         ({"max_inner_iter": 0}, "max_inner_iter"),
         ({"min_viol": math.nan}, "min_viol"),
         ({"min_viol": -1}, "min_viol"),
@@ -209,7 +224,7 @@ class TestExitCodes:
         ({"beta0": -1}, "beta0"),
         ({"beta_incr": math.nan}, "beta_incr"),
         ({"min_impr": math.nan}, "min_impr"),
-        ({"max_cliques": 0}, "max_cliques"),
+        ({"beta_decr": 0.0}, "beta_decr"),
         ({"min_ineq": -1}, "min_ineq"),
         ({"max_iterations": -1}, "max_iterations"),
         ({"min_viol": math.inf}, "min_viol"),
@@ -241,7 +256,7 @@ class TestConfigResolution:
         assert admm.min_viol == 1e-2 and cpadmm.MAX_CUTS_PER_VAR == 5
         assert (admm.min_impr, cpadmm.MIN_IMPR_PHASE1) == (0.025, 0.25)
         assert cfg.time_limit == 3600.0
-        assert admm.max_cliques == cuts.MAX_CLIQUE_PAIRS == cuts.MAX_HOLES == 100000
+        assert graph.MAX_POOL == 200_000
         assert (projection.EPS_DYK, projection.DYK_MAX_CYCLES) == (1e-2, 100)
         assert admm.resolved(20).min_ineq == 5.0
         intp = cfg.intp
@@ -254,7 +269,7 @@ class TestConfigResolution:
         # a new setting is a deliberate edit of this list
         assert set(cli._TABLE_OF) | set(cli._RUN_KEYS) == {
             "eps_admm", "max_inner_iter", "min_viol", "min_ineq", "min_impr",
-            "max_cliques", "seed", "families", "max_outer",
+            "seed", "families", "max_outer",
             "beta0", "beta_incr", "beta_decr", "max_iterations",
             "time_limit", "expensive_tests", "stable_timing", "per_k_time_limit",
             "k", "out",
@@ -264,7 +279,7 @@ class TestConfigResolution:
                      for a in group._group_actions]
         assert generated == [
             "--eps-admm", "--max-inner-iter", "--min-viol", "--min-ineq",
-            "--min-impr", "--max-cliques", "--max-outer",
+            "--min-impr", "--max-outer",
             "--beta0", "--beta-incr", "--beta-decr", "--max-iterations",
         ]
 

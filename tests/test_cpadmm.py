@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import time
 
@@ -34,7 +35,7 @@ from mkcs.cuts import (
     separate_clique_external,
     separate_triangle,
 )
-from mkcs.graph import Graph, enumerate_cliques, random_graph
+from mkcs.graph import Graph, enumerate_5holes, enumerate_cliques, random_graph
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
 from mkcs.projection import ClusteredCuts, dykstra
@@ -145,7 +146,7 @@ class TestInnerAdmm:
         {"eps_admm": -1.0}, {"eps_admm": math.inf}, {"eps_admm": math.nan},
         {"min_viol": -1.0}, {"min_viol": math.nan}, {"min_viol": math.inf},
         {"min_ineq": -1.0}, {"min_ineq": math.nan}, {"min_ineq": math.inf},
-        {"min_impr": math.nan}, {"max_cliques": 0}, {"max_cliques": -5},
+        {"min_impr": math.nan}, {"max_inner_iter": -1}, {"max_outer": -1},
         {"seed": -1},
     ])
     def test_out_of_range_settings_rejected(self, setting):
@@ -154,7 +155,7 @@ class TestInnerAdmm:
 
     def test_smallest_valid_settings_accepted(self):
         params = AdmmParams(max_inner_iter=1, max_outer=1, eps_admm=1e-300, min_viol=0.0,
-                            min_ineq=0.0, min_impr=-math.inf, max_cliques=1, seed=0)
+                            min_ineq=0.0, min_impr=-math.inf, seed=0)
         res = cp_admm(cycle_graph(5), 2, params, lb_hint=-1)
         assert (res.outer_iterations, res.inner_iterations) == (1, 1)
 
@@ -397,8 +398,7 @@ def criterion_7_instances(count):
         x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
         cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
         cands += candidate_pairs(separate_clique_external(
-            x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
-            rng=np.random.default_rng(0)))
+            x_adv, g, fmap, enumerate_cliques(g), k, 1e-6))
         if not cands:
             continue
         pick = rng_case.permutation(len(cands))[:3]
@@ -676,9 +676,9 @@ class TestCpAdmm:
             rep = separate(*args)
             return rep.take(np.flatnonzero(CutPool().novel(rep.candidates))[:fresh])
 
-        def spy_select(report, phase, max_ineq, max_cuts_per_var):
+        def spy_select(report, max_ineq, max_cuts_per_var):
             caps.append((max_ineq, max_cuts_per_var))
-            return select_cuts(report, phase, max_ineq, max_cuts_per_var)
+            return select_cuts(report, max_ineq, max_cuts_per_var)
 
         monkeypatch.setattr(mkcs.cpadmm, "separate_clique_external", first_fresh)
         monkeypatch.setattr(mkcs.cpadmm, "select_cuts", spy_select)
@@ -686,22 +686,50 @@ class TestCpAdmm:
         assert res.records[0].phase == phase
         assert caps == [(5 * 36, 5)]
 
-    def test_sampled_clique_pool_is_not_a_complete_enumeration(self, monkeypatch):
-        from bench_instances import petersen
+    def test_phase1_rounds_add_only_clique_external_cuts(self):
+        # queen6_6 at k = 6 adds cuts in three phase-1 rounds, then
+        # clique-union cuts among others in phase 2
+        from bench_instances import queen6_6
 
-        truncated = []
-        separate = mkcs.cpadmm.separate_clique_external
+        res = cp_admm(queen6_6(), 6, AdmmParams(max_outer=5))
+        families = [json.loads(line)["family"] for line in res.cuts.to_jsonl().splitlines()]
+        phase1 = [r for r in res.records if r.phase == 1 and r.n_cuts_added]
+        assert phase1
+        for r in phase1:
+            added = families[r.n_cuts_total - r.n_cuts_added:r.n_cuts_total]
+            assert set(added) == {"CLIQUE_EXT"}
+        assert set(families) != {"CLIQUE_EXT"}  # phase 2 adds other families
 
-        def spy(*args, **kwargs):
-            rep = separate(*args, **kwargs)
-            truncated.append(rep.truncated)
-            return rep
+    def test_capped_pools_are_not_a_complete_enumeration(self, monkeypatch):
+        # each separator scans the first MAX_POOL rows found
+        full_cliques = enumerate_cliques(petersen()).all_cliques()
+        full_holes = enumerate_5holes(petersen()).holes
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", 3)
+        pools = {}
+        for name in ("separate_clique_external", "separate_odd_hole"):
+            def spy(X, g, fmap, pool, *args, _sep=getattr(mkcs.cpadmm, name), _name=name):
+                pools[_name] = pool
+                return _sep(X, g, fmap, pool, *args)
 
-        monkeypatch.setattr(mkcs.cpadmm, "separate_clique_external", spy)
-        res = cp_admm(petersen(), 2, AdmmParams(max_cliques=3, max_outer=2))
-        assert truncated == [True]
+            monkeypatch.setattr(mkcs.cpadmm, name, spy)
+        res = cp_admm(petersen(), 2, AdmmParams(max_outer=2), lb_hint=-1)
         assert not res.enumeration_complete
+        assert pools["separate_clique_external"].all_cliques() == full_cliques[:3]
+        assert pools["separate_odd_hole"].holes.tolist() == full_holes[:3].tolist()
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", 105)  # pools and pairs whole
         assert cp_admm(petersen(), 2, AdmmParams(max_outer=2)).enumeration_complete
+
+    def test_cuts_do_not_depend_on_the_seed(self, monkeypatch):
+        # the seed reaches only the greedy colouring, which lb_hint
+        # replaces; capped pools are prefixes, not seeded samples
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", 30)
+        g = random_graph(20, 0.5, 1)
+        runs = [cp_admm(g, 3, AdmmParams(seed=seed, max_outer=4, min_impr=-math.inf),
+                        lb_hint=-1)
+                for seed in (0, 7)]
+        assert not runs[0].enumeration_complete
+        assert {"CLIQUE_EXT", "HOLE5"} <= set(runs[0].family_counts)
+        assert runs[0].cuts.to_jsonl() == runs[1].cuts.to_jsonl()
 
     def test_time_limit_termination(self):
         g = random_graph(14, 0.5, 2)

@@ -27,6 +27,7 @@ from mkcs.graph import (
     extend_clique_greedy,
     random_graph,
 )
+import mkcs.graph
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import enumerate_Dnk
 from mkcs.projection import ClusteredCuts, dykstra
@@ -60,16 +61,13 @@ def coloring_matrix(g, assignment):
 
 
 def all_candidates(g, fmap, k, X, min_viol=1e-9):
-    rng = np.random.default_rng(0)
     ce = enumerate_cliques(g)
     he = enumerate_5holes(g)
     cands = []
     cands += candidate_pairs(separate_triangle(X, g, fmap, k, min_viol))
-    cands += candidate_pairs(
-        separate_clique_external(X, g, fmap, ce, k, min_viol, rng=rng))
-    cands += candidate_pairs(
-        separate_clique_union(X, g, fmap, ce, k, min_viol, rng=rng))
-    cands += candidate_pairs(separate_odd_hole(X, g, fmap, he, k, min_viol, rng=rng))
+    cands += candidate_pairs(separate_clique_external(X, g, fmap, ce, k, min_viol))
+    cands += candidate_pairs(separate_clique_union(X, g, fmap, ce, k, min_viol))
+    cands += candidate_pairs(separate_odd_hole(X, g, fmap, he, k, min_viol))
     return cands
 
 
@@ -194,21 +192,6 @@ class TestSeparateCliqueExternal:
         # 7 clique pairs + the apex diagonal
         assert (np.diff(rep.candidates.indptr) == 8).all()
 
-    def test_truncation_flag_and_seeded_subset(self):
-        g = random_graph(12, 0.6, 5)
-        fmap = FreeIndexMap(g)
-        x = np.ones(fmap.m)
-        X = fmap.vec_to_mat(x, 2)
-        enum = enumerate_cliques(g)
-        r1 = separate_clique_external(
-            X, g, fmap, enum, 2, 1e-9, max_cliques=3, rng=np.random.default_rng(11)
-        )
-        r2 = separate_clique_external(
-            X, g, fmap, enum, 2, 1e-9, max_cliques=3, rng=np.random.default_rng(11)
-        )
-        assert r1.truncated
-        assert r1.candidates.row_keys() == r2.candidates.row_keys()
-
 
 class TestSeparateCliqueUnion:
     def test_two_disjoint_edges(self):
@@ -292,7 +275,7 @@ class TestSeparatorsMatchReference:
     separators kept in ``tests/separation_reference.py``."""
 
     @staticmethod
-    def compare(X, g, fmap, ce, he, k, min_viol, limit, seed):
+    def compare(X, g, fmap, ce, he, k, min_viol):
         ref.assert_same_candidates(
             separate_triangle(X, g, fmap, k, min_viol, 7),
             ref.separate_triangle(X, g, fmap, k, min_viol, 7),
@@ -304,13 +287,8 @@ class TestSeparatorsMatchReference:
             (separate_odd_hole, ref.separate_odd_hole, he),
         ):
             ref_pool = ref.hole_objects(pool.holes) if pool is he else pool
-            got = new(X, g, fmap, pool, k, min_viol, limit,
-                      np.random.default_rng(seed), 11)
-            ref.assert_same_candidates(
-                got,
-                old(X, g, fmap, ref_pool, k, min_viol, limit,
-                    np.random.default_rng(seed), 11),
-            )
+            got = new(X, g, fmap, pool, k, min_viol, 11)
+            ref.assert_same_candidates(got, old(X, g, fmap, ref_pool, k, min_viol, 11))
             truncated |= got.truncated
         return truncated
 
@@ -325,22 +303,30 @@ class TestSeparatorsMatchReference:
         for k in (1, 2, 3, 5):
             for X in reference_iterates(g, fmap, k, rng):
                 for min_viol in (1e-2, 1e-9, 0.0):
-                    self.compare(X, g, fmap, ce, he, k, min_viol, 100000, seed)
+                    self.compare(X, g, fmap, ce, he, k, min_viol)
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_truncated_pools(self, seed):
-        # pools above max_cliques / max_clique_pairs / max_holes draw a
-        # seeded subset, the same draws on both sides
+    def test_truncated_pools(self, seed, monkeypatch):
+        # each pool stops at MAX_POOL rows in the order found, and the
+        # clique pairs are those of the first four maximal cliques (six
+        # pairs), the reference's own count
         g = random_graph(14, 0.5, 900 + seed)
         fmap = FreeIndexMap(g)
+        full_ce = enumerate_cliques(g)
+        full_he = enumerate_5holes(g)
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", 6)
         ce = enumerate_cliques(g)
         he = enumerate_5holes(g)
-        assert len(he.holes) > 6 and len(ce.all_cliques()) > 6
+        assert not ce.complete and not he.complete
+        assert len(ce.all_cliques()) == len(he.holes) == 6
+        assert ce.maximal == full_ce.maximal[: len(ce.maximal)]
+        assert ce.size6 == full_ce.size6[: len(ce.size6)]
+        assert he.holes.tolist() == full_he.holes[:6].tolist()
         rng = np.random.default_rng([8, seed])
         for k in (2, 3):
             for X in reference_iterates(g, fmap, k, rng):
-                for limit in (1, 6):
-                    assert self.compare(X, g, fmap, ce, he, k, 0.0, limit, seed)
+                for min_viol in (1e-2, 0.0):
+                    assert self.compare(X, g, fmap, ce, he, k, min_viol)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_threshold_at_a_candidate_violation(self, seed):
@@ -361,25 +347,23 @@ class TestSeparatorsMatchReference:
             values = sorted({float(v) for _, v in found})
             assert len(values) > 20
             for min_viol in values[:: len(values) // 20]:
-                self.compare(X, g, fmap, ce, he, k, min_viol, 100000, seed)
+                self.compare(X, g, fmap, ce, he, k, min_viol)
 
-    def test_sampled_pairs_keep_the_draw_order(self):
-        # many repeated draws: only 15 distinct pairs among 6 cliques
+    @pytest.mark.parametrize("cap, cliques", [(2, 2), (3, 3), (5, 3), (6, 4), (15, 6)])
+    def test_clique_pairs_of_a_prefix(self, monkeypatch, cap, cliques):
+        # six disjoint edges, every pair violated by 3: the pairs are those
+        # of the most leading cliques whose pairs fit in MAX_POOL
         g = Graph(12, [(2 * i + 1, 2 * i + 2) for i in range(6)])
         fmap = FreeIndexMap(g)
         ce = enumerate_cliques(g)
         x = np.zeros(fmap.m)
-        x[: g.n] = 1.0  # every pair of cliques violated by 3
+        x[: g.n] = 1.0
         X = fmap.vec_to_mat(x, 1)
-        for limit in (3, 14):
-            got = separate_clique_union(X, g, fmap, ce, 1, 0.0, limit,
-                                        np.random.default_rng(5))
-            assert got.truncated and len(got.candidates) == limit
-            ref.assert_same_candidates(
-                got,
-                ref.separate_clique_union(X, g, fmap, ce, 1, 0.0, limit,
-                                          np.random.default_rng(5)),
-            )
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
+        got = separate_clique_union(X, g, fmap, ce, 1, 0.0)
+        assert got.truncated == (cliques < 6)
+        assert len(got.candidates) == cliques * (cliques - 1) // 2
+        ref.assert_same_candidates(got, ref.separate_clique_union(X, g, fmap, ce, 1, 0.0))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_empty_pools(self, k):
@@ -589,35 +573,27 @@ class TestSelectCuts:
 
     def test_single_candidate_accepted(self):
         rep = self._report([(make_cut(0, [1, 2], family=CutFamily.CLIQUE_EXT), 0.5)])
-        assert len(select_cuts(rep, 2, 10, 5)) == 1
+        assert len(select_cuts(rep, 10, 5)) == 1
 
     def test_per_variable_cap(self):
         entries = [
             (make_cut(i, [0, 10 + i], family=CutFamily.CLIQUE_EXT), 1.0 - i * 0.01)
             for i in range(6)
         ]
-        out = select_cuts(self._report(entries), 2, 100, 5)
+        out = select_cuts(self._report(entries), 100, 5)
         assert len(out) == 5
 
     def test_max_ineq_cap(self):
         entries = [
             (make_cut(i, [i], family=CutFamily.CLIQUE_EXT), 1.0) for i in range(10)
         ]
-        assert len(select_cuts(self._report(entries), 2, 4, 5)) == 4
-
-    def test_phase1_only_clique_external(self):
-        entries = [
-            (make_cut(0, [0, 1], family=CutFamily.T1), 2.0),
-            (make_cut(1, [2, 3], family=CutFamily.CLIQUE_EXT), 1.0),
-        ]
-        out = select_cuts(self._report(entries), 1, 10, 5)
-        assert out.family.tolist() == [CutFamily.CLIQUE_EXT]
+        assert len(select_cuts(self._report(entries), 4, 5)) == 4
 
     def test_violation_then_family_then_id_order(self):
         a = make_cut(7, [0], family=CutFamily.HOLE5)
         b = make_cut(3, [1], family=CutFamily.T1)
         c = make_cut(1, [2], family=CutFamily.T1)
-        out = select_cuts(self._report([(a, 1.0), (b, 1.0), (c, 1.0)]), 2, 2, 5)
+        out = select_cuts(self._report([(a, 1.0), (b, 1.0), (c, 1.0)]), 2, 5)
         assert out.id.tolist() == [1, 3]
 
     def test_deterministic(self):
@@ -625,8 +601,8 @@ class TestSelectCuts:
             (make_cut(i, [i % 4, 4 + i % 3], family=CutFamily.CLIQUE_EXT), 1.0)
             for i in range(12)
         ]
-        first = select_cuts(self._report(entries), 2, 6, 2).id.tolist()
-        second = select_cuts(self._report(entries), 2, 6, 2).id.tolist()
+        first = select_cuts(self._report(entries), 6, 2).id.tolist()
+        second = select_cuts(self._report(entries), 6, 2).id.tolist()
         assert first == second
 
 

@@ -14,11 +14,13 @@ from mkcs.graph import (
     enumerate_5holes,
     enumerate_cliques,
     extend_clique_greedy,
+    pair_pool_size,
     parse_dimacs,
     random_graph,
     write_dimacs,
 )
 
+import mkcs.graph
 import numpy as np
 
 
@@ -230,6 +232,45 @@ class TestEnumerate5Holes:
         he = enumerate_5holes(random_graph(60, 0.5, 0), time.monotonic())
         assert not he.complete
         assert he.holes.dtype == np.intp and he.holes.shape[1] == 5
+
+
+class TestMaxPool:
+    """Each enumeration stops at ``MAX_POOL`` rows, and reports itself
+    incomplete only when a row was left out."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_cap_at_the_pool_size(self, monkeypatch, seed):
+        g = random_graph(14, 0.5, seed)
+        cliques = enumerate_cliques(g)
+        holes = enumerate_5holes(g)
+        for enumerate_pool, size in ((enumerate_cliques, len(cliques.all_cliques())),
+                                     (enumerate_5holes, len(holes.holes))):
+            monkeypatch.setattr(mkcs.graph, "MAX_POOL", size)
+            assert enumerate_pool(g).complete
+            monkeypatch.setattr(mkcs.graph, "MAX_POOL", size - 1)
+            assert not enumerate_pool(g).complete
+
+    def test_capped_cliques_are_the_first_found(self, monkeypatch):
+        # each cap takes one more clique, in the order the search finds them
+        g = random_graph(12, 0.8, 0)
+        full = enumerate_cliques(g)
+        assert len(full.size6) == 10 and len(full.maximal) == 9
+        last = (0, 0)
+        for cap in range(1, len(full.all_cliques()) + 1):
+            monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
+            ce = enumerate_cliques(g)
+            sizes = (len(ce.maximal), len(ce.size6))
+            assert sum(sizes) == cap and min(np.subtract(sizes, last)) == 0
+            assert ce.maximal == full.maximal[:sizes[0]]
+            assert ce.size6 == full.size6[:sizes[1]]
+            last = sizes
+
+    @pytest.mark.parametrize("pool, pairs", [(0, 1), (1, 2), (2, 2), (3, 3), (5, 3),
+                                             (6, 4), (200_000, 632)])
+    def test_pair_pool_size(self, monkeypatch, pool, pairs):
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", pool)
+        assert pair_pool_size(10_000) == pairs
+        assert pair_pool_size(2) == min(2, pairs)
 
 
 class TestGraphBasics:

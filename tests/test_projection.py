@@ -53,9 +53,7 @@ def _instance_cuts(g, fmap, k, rng):
     x_adv = fmap.vec_to_mat(np.ones(fmap.m), k)
     cands = candidate_pairs(separate_triangle(x_adv, g, fmap, k, 1e-6))
     cands += candidate_pairs(separate_clique_external(
-        x_adv, g, fmap, enumerate_cliques(g), k, 1e-6,
-        rng=np.random.default_rng(0),
-    ))
+        x_adv, g, fmap, enumerate_cliques(g), k, 1e-6))
     rng.shuffle(cands)
     return [c for c, _ in cands[:3]]
 
@@ -429,9 +427,7 @@ class TestFusedKernelMatchesReference:
         x_sep = fmap.vec_to_mat(rng.uniform(0.2, 1.2, fmap.m), k)
         cands = candidate_pairs(separate_triangle(x_sep, g, fmap, k, 1e-6))
         cands += candidate_pairs(separate_clique_external(
-            x_sep, g, fmap, enumerate_cliques(g), k, 1e-6,
-            rng=np.random.default_rng(0), id_base=len(cands),
-        ))
+            x_sep, g, fmap, enumerate_cliques(g), k, 1e-6, id_base=len(cands)))
         return fmap, [c for c, _ in cands], rng
 
     @staticmethod

@@ -22,6 +22,9 @@ The runs, one subdirectory of OUTDIR each:
 - ``queen6_6-chromatic`` and ``myciel5-chromatic``: ``chromatic``, whose
   bound runs use the search's own ``min_ineq`` and ``min_impr`` and stop
   once a bound probe falls below n;
+- ``gnp70-k8-bound``: ``bound`` on ``random_graph(70, 0.5, 1)`` at
+  ``--k 8`` with the default parameters, the one run whose clique pairs
+  stop at ``MAX_POOL`` (its report's ``enumeration_complete`` is false);
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
@@ -73,6 +76,8 @@ def runs():
                         ("myciel5", bench_instances.myciel5())):
         yield (f"{name}-chromatic", f"{name}.col", write_dimacs(graph), None,
                "chromatic", [])
+    yield ("gnp70-k8-bound", "gnp70.col", write_dimacs(random_graph(70, 0.5, 1)),
+           None, "bound", ["--k", "8"])
     for w in WORKLOADS.values():
         _, dimacs = make_instance(w, BENCHMARK_SEED)
         yield (w.name, f"{w.instance}.col", dimacs, w.config, w.mode,
