@@ -14,7 +14,6 @@ from .cpadmm import (
 )
 from .cuts import CutFamily, CutPool, SeparationReport, cluster_cuts, select_cuts
 from .graph import (
-    Clique,
     DimacsError,
     Graph,
     complement,
@@ -30,7 +29,6 @@ from .projection import dykstra, project_affine_set, project_box
 
 __all__ = [
     "AdmmParams",
-    "Clique",
     "Coloring",
     "CpAdmmResult",
     "CutFamily",

@@ -296,7 +296,6 @@ class CpAdmmResult:
     cuts: CutPool
     records: list = field(default_factory=list)
     family_counts: dict = field(default_factory=dict)
-    elapsed_s: float = 0.0
     enumeration_complete: bool = True
     greedy: Coloring | None = None  # the colouring behind lb_hint, if computed here
 
@@ -362,7 +361,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     clique_enum = (
         enumerate_cliques(g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
         if need_cliques
-        else CliqueEnumeration([], [])
+        else CliqueEnumeration()
     )
     hole_enum = (
         enumerate_5holes(g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
@@ -496,7 +495,6 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         records=records,
         family_counts={CutFamily(f).name: int(n) for f, n in
                        zip(*np.unique(cut_list.family, return_counts=True))},
-        elapsed_s=time.monotonic() - t0,
         enumeration_complete=enum_complete,
         greedy=greedy,
     )

@@ -290,13 +290,15 @@ def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     xvec = fmap.mat_to_vec(Xs)
     Xp = _padded(Xs, -0.0)
     rows, apexes, _ = _apex_hits(Xp, cliques.members, np.diagonal(Xp), min_viol)
-    pool = cliques.all_cliques()
+    hits = cliques.members[rows]
+    sizes = (hits >= 0).sum(axis=1)
     targets = []
-    for r, ell in zip(rows.tolist(), apexes.tolist()):
-        clique = pool[r]
-        if len(clique) == 6 and not clique.maximal:
+    for row, size, maximal, ell in zip(hits.tolist(), sizes.tolist(),
+                                       cliques.maximal[rows].tolist(), apexes.tolist()):
+        clique = frozenset(row[:size])
+        if size == 6 and not maximal:
             clique = extend_clique_greedy(g, clique, ell, Xs)
-        targets.append(list(clique.vertices))
+        targets.append(list(clique))
     coords = _padded(fmap.coord, -1)[pad_rows(targets), apexes[:, None]]
     # the violation summed term by term in each clique's own (frozenset)
     # vertex order, bit for bit the per-cut sum the selection order was
@@ -327,7 +329,7 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     expression then decides and gives the violation.
     """
     Xs = _sanitize(X, fmap, k)
-    members = cliques.members[cliques.maximal_rows]
+    members = cliques.members[cliques.maximal]
     npool = pair_pool_size(len(members))
     truncated = npool < len(members)
     members = members[:npool]

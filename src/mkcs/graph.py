@@ -3,7 +3,6 @@ cliques and 5-holes that parameterize cutting planes."""
 
 from __future__ import annotations
 
-import functools
 import logging
 import math
 import time
@@ -81,40 +80,20 @@ class Graph:
         return f"Graph(n={self.n}, m={len(self.edges)}{tag})"
 
 
-@dataclass(frozen=True)
-class Clique:
-    """A set of pairwise-adjacent vertices; ``maximal`` marks that no
-    vertex of the host graph is adjacent to all members."""
-
-    vertices: frozenset
-    maximal: bool = False
-
-    def __len__(self):
-        return len(self.vertices)
-
-
 @dataclass
 class CliqueEnumeration:
-    """The enumerated cliques, ``maximal`` then ``size6``.  ``members``
-    holds the sorted vertices of each as the rows of one intp array,
-    padded with -1 to the largest size, and ``maximal_rows`` marks the
-    rows of maximal cliques; both are built once, on first use, so a run
-    that never separates (its deadline passed) never builds them."""
+    """The enumerated cliques, the maximal ones of size 2..5 and then
+    every 6-clique, each in the order found: ``members`` holds the
+    ascending vertices of each as the rows of one intp array, padded with
+    -1 to the largest size, and ``maximal`` marks the rows of maximal
+    cliques, 6-cliques included."""
 
-    maximal: list          # maximal cliques of size 2..5
-    size6: list            # every clique of exactly 6 vertices
+    members: np.ndarray = field(default_factory=lambda: np.empty((0, 1), np.intp))
+    maximal: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
     complete: bool = True  # False when the search stopped with cliques left
 
-    @functools.cached_property
-    def members(self):
-        return pad_rows([sorted(c.vertices) for c in self.all_cliques()])
-
-    @functools.cached_property
-    def maximal_rows(self):
-        return np.array([c.maximal for c in self.all_cliques()], dtype=bool)
-
     def all_cliques(self):
-        return self.maximal + self.size6
+        return self.members
 
 
 def pad_rows(rows):
@@ -233,10 +212,13 @@ def enumerate_cliques(g, deadline=None):
 
     Returns a :class:`CliqueEnumeration` of the first ``MAX_POOL``
     cliques found; ``complete`` is False when a clique was left out,
-    at that cap or at ``deadline``, a ``time.monotonic()`` value.
+    at that cap or at ``deadline``, a ``time.monotonic()`` value.  Each
+    row is the branch's vertex list, ascending as ``visit`` takes the
+    vertices of ``p`` in order.
     """
-    maximal = []
-    size6 = []
+    small = []    # maximal cliques of 2..5 vertices
+    six = []      # every 6-clique
+    six_maximal = []
     complete = True
     adj = g.adj
 
@@ -247,11 +229,14 @@ def enumerate_cliques(g, deadline=None):
             return
         if len(r) == 6 or not p and not x:
             if len(r) >= 2:
-                if len(maximal) + len(size6) == MAX_POOL:
+                if len(small) + len(six) == MAX_POOL:
                     complete = False
                     return
-                clique = Clique(frozenset(r), maximal=not p and not x)
-                (size6 if len(r) == 6 else maximal).append(clique)
+                if len(r) == 6:
+                    six.append(r)
+                    six_maximal.append(not p and not x)
+                else:
+                    small.append(r)
             return
         for v in sorted(p):
             if not complete:
@@ -262,11 +247,13 @@ def enumerate_cliques(g, deadline=None):
             x.add(v)
 
     visit([], set(g.vertices), set())
-    return CliqueEnumeration(maximal, size6, complete)
+    maximal = np.array([True] * len(small) + six_maximal, dtype=bool)
+    return CliqueEnumeration(pad_rows(small + six), maximal, complete)
 
 
 def extend_clique_greedy(g, clique, ell, X):
-    """Greedily grow ``clique`` (which must exclude ``ell``) to a larger one.
+    """Greedily grow the vertex set ``clique`` (which must exclude
+    ``ell``) to a larger clique, returned as a frozenset.
 
     At each step the vertex with the highest value of ``X[i, ell]`` among
     the common neighbors of the current clique is added, ties broken by
@@ -274,7 +261,7 @@ def extend_clique_greedy(g, clique, ell, X):
     remains.  ``X`` is the bordered matrix, so vertex ids index it
     directly.
     """
-    members = set(clique.vertices if isinstance(clique, Clique) else clique)
+    members = set(clique)
     if ell in members:
         raise ValueError("external vertex must not belong to the clique")
     common = None
@@ -287,10 +274,7 @@ def extend_clique_greedy(g, clique, ell, X):
         members.add(best)
         common &= g.adj[best]
         common.discard(ell)
-    # no common neighbour but ell is left, so the result is maximal
-    # unless ell is adjacent to every member
-    still_extendable = all(ell in g.adj[v] for v in members)
-    return Clique(frozenset(members), maximal=not still_extendable)
+    return frozenset(members)
 
 
 def enumerate_5holes(g, deadline=None):

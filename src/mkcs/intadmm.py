@@ -12,7 +12,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .linalg import FreeIndexMap, augmented_identity, initial_iterate, project_psd
+from .linalg import (
+    FreeIndexMap,
+    _frobenius_norm,
+    augmented_identity,
+    initial_iterate,
+    project_psd,
+)
 from .projection import project_affine_set
 
 # the paper's tuning constants of the integer stage
@@ -107,12 +113,6 @@ def integrality_sphere(n, k, fix_corner=False):
     return Sphere(sphere_center(n, k), radius)
 
 
-def _norm(a):
-    """Frobenius norm, bitwise ``np.linalg.norm(a)`` for a float64 array."""
-    r = a.ravel()
-    return math.sqrt(r.dot(r))
-
-
 def project_sphere(a, k, fix_corner=False, sphere=None, out=None):
     """Project a bordered symmetric matrix onto the integrality sphere.
 
@@ -132,7 +132,7 @@ def project_sphere(a, k, fix_corner=False, sphere=None, out=None):
     offset = np.subtract(a, center, out=out)
     if fix_corner:
         offset[0, 0] = 0.0  # corner replaced by the pinned value
-    norm = _norm(offset)
+    norm = _frobenius_norm(offset)
     if norm < 1e-12:
         offset[...] = augmented_identity(n)
         norm = math.sqrt(n)
@@ -225,7 +225,6 @@ class IntAdmmResult:
     convergence_events: int
     termination: str
     records: list = field(default_factory=list)
-    elapsed_s: float = 0.0
 
 
 def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
@@ -252,7 +251,6 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
         params = IntAdmmParams()
     if not 1 <= k <= g.n:
         raise ValueError(f"k must lie in [1, {g.n}]; got {k}")
-    t0 = time.monotonic()
     fmap = FreeIndexMap(g)
     ibar = augmented_identity(g.n)
     sphere = integrality_sphere(g.n, k, fix_corner=True)
@@ -302,15 +300,15 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
             np.add(x, z, out=z)
             project_sphere(z, k, fix_corner=True, sphere=sphere, out=z)
             np.subtract(x, y, out=diff)
-            dist_y = _norm(diff)
+            dist_y = _frobenius_norm(diff)
             diff *= beta
             lam += diff
             np.subtract(x, z, out=work)
-            dist_z = _norm(work)
+            dist_z = _frobenius_norm(work)
             work *= beta
             mu += work
             beta *= params.beta_incr
-            scale = 1.0 + _norm(x)
+            scale = 1.0 + _frobenius_norm(x)
             res_y = dist_y / scale
             res_z = dist_z / scale
             if suppress > 0:
@@ -348,5 +346,4 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
         convergence_events=events,
         termination=termination,
         records=records,
-        elapsed_s=time.monotonic() - t0,
     )

@@ -1,26 +1,89 @@
-"""Reference code that only the tests use: the ``Hole5`` object that once
-held each enumerated 5-hole, the ``Cut`` object that once held each cut
-(with its list of candidates and conversions to and from a ``CutPool``),
-the LP bound over a dense constraint matrix, the rank of a clique or odd
-hole under a colour budget, the weighted projection onto one cut's
-halfspace, the objective of a bordered iterate, the cut-free affine
-projection and sphere projection as they were written before their
-buffered rewrites, and the rounding verifier as it was written before
-it became one equivalence test.  The solver never calls these; the
-tests check the production code against them."""
+"""Reference code that only the tests use: the ``Clique`` object that
+once held each enumerated clique and the enumeration that built them,
+the ``Hole5`` object that once held each enumerated 5-hole, the ``Cut``
+object that once held each cut (with its list of candidates and
+conversions to and from a ``CutPool``), the LP bound over a dense
+constraint matrix, the rank of a clique or odd hole under a colour
+budget, the weighted projection onto one cut's halfspace, the objective
+of a bordered iterate, the cut-free affine projection and sphere
+projection as they were written before their buffered rewrites, and the
+rounding verifier as it was written before it became one equivalence
+test.  The solver never calls these; the tests check the production
+code against them."""
 
 from __future__ import annotations
 
 import json
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mkcs.cuts import CutFamily, CutPool
-from mkcs.graph import Clique
+import mkcs.graph
 from mkcs.intadmm import Coloring, RoundingResult, sphere_center
 from mkcs.linalg import augmented_identity
+
+
+@dataclass(frozen=True)
+class Clique:
+    """A set of pairwise-adjacent vertices; ``maximal`` marks that no
+    vertex of the host graph is adjacent to all members.  The enumeration
+    now returns cliques as the rows of one padded array."""
+
+    vertices: frozenset
+    maximal: bool = False
+
+    def __len__(self):
+        return len(self.vertices)
+
+
+@dataclass
+class CliqueLists:
+    """The enumerated ``Clique``s as the enumeration once returned them:
+    the maximal ones of size 2..5, then every 6-clique."""
+
+    maximal: list
+    size6: list
+    complete: bool = True
+
+    def all_cliques(self):
+        return self.maximal + self.size6
+
+
+def enumerate_cliques(g, deadline=None):
+    """``mkcs.graph.enumerate_cliques`` as it was written, one ``Clique``
+    object per clique: the same Bron-Kerbosch search without pivoting,
+    stopping at ``mkcs.graph.MAX_POOL`` cliques or at ``deadline``."""
+    maximal = []
+    size6 = []
+    complete = True
+    adj = g.adj
+
+    def visit(r, p, x):
+        nonlocal complete
+        if deadline is not None and time.monotonic() > deadline:
+            complete = False
+            return
+        if len(r) == 6 or not p and not x:
+            if len(r) >= 2:
+                if len(maximal) + len(size6) == mkcs.graph.MAX_POOL:
+                    complete = False
+                    return
+                clique = Clique(frozenset(r), maximal=not p and not x)
+                (size6 if len(r) == 6 else maximal).append(clique)
+            return
+        for v in sorted(p):
+            if not complete:
+                return
+            nv = adj[v]
+            visit(r + [v], p & nv, x & nv)
+            p.remove(v)
+            x.add(v)
+
+    visit([], set(g.vertices), set())
+    return CliqueLists(maximal, size6, complete)
 
 
 @dataclass(frozen=True)

@@ -7,10 +7,12 @@ values bit for bit.  They scan the pools they are given whole, but for
 the clique pairs, which stop at ``mkcs.graph.MAX_POOL`` on both sides.  ``Cut`` and the list of candidates they fill
 are the reference-side forms kept in ``reference_helpers``.
 
-``assert_same_candidates`` is the comparison.  The reference hole
-separator iterates ``Hole5`` objects; ``hole_objects`` turns an
-``(H, 5)`` hole pool into them.  ``extend_clique_greedy`` is the greedy
-clique extension as it was, with its maximality test over every vertex.
+``assert_same_candidates`` is the comparison.  The reference clique
+separators iterate ``Clique`` objects and the reference hole separator
+``Hole5`` objects; ``clique_objects`` turns a padded clique pool and
+``hole_objects`` an ``(H, 5)`` hole pool into them.
+``extend_clique_greedy`` is the greedy clique extension as it was, with
+its maximality test over every vertex.
 """
 
 from __future__ import annotations
@@ -19,8 +21,7 @@ import numpy as np
 
 import mkcs.graph
 from mkcs.cuts import CutFamily
-from mkcs.graph import Clique
-from reference_helpers import Cut, CutList as SeparationReport, Hole5
+from reference_helpers import Clique, Cut, CutList as SeparationReport, Hole5
 
 
 def assert_same_candidates(new, old):
@@ -37,6 +38,14 @@ def assert_same_candidates(new, old):
             ref_cut.id, ref_cut.family, ref_cut.rhs)
         assert list(zip(*row)) == sorted(ref_cut.coeffs.items())
         assert new.violation[r].tobytes() == np.float64(ref_viol).tobytes()
+
+
+def clique_objects(cliques):
+    """``Clique`` objects of the rows of a :class:`CliqueEnumeration`, each
+    built from its ascending vertex list as the old enumeration built it,
+    so that each frozenset iterates in the same order."""
+    return [Clique(frozenset(v for v in row if v >= 0), maximal)
+            for row, maximal in zip(cliques.members.tolist(), cliques.maximal.tolist())]
 
 
 def hole_objects(holes):

@@ -702,7 +702,7 @@ class TestCpAdmm:
 
     def test_capped_pools_are_not_a_complete_enumeration(self, monkeypatch):
         # each separator scans the first MAX_POOL rows found
-        full_cliques = enumerate_cliques(petersen()).all_cliques()
+        full_cliques = enumerate_cliques(petersen())
         full_holes = enumerate_5holes(petersen()).holes
         monkeypatch.setattr(mkcs.graph, "MAX_POOL", 3)
         pools = {}
@@ -714,7 +714,9 @@ class TestCpAdmm:
             monkeypatch.setattr(mkcs.cpadmm, name, spy)
         res = cp_admm(petersen(), 2, AdmmParams(max_outer=2), lb_hint=-1)
         assert not res.enumeration_complete
-        assert pools["separate_clique_external"].all_cliques() == full_cliques[:3]
+        capped = pools["separate_clique_external"]
+        assert capped.members.tolist() == full_cliques.members[:3].tolist()
+        assert capped.maximal.tolist() == full_cliques.maximal[:3].tolist()
         assert pools["separate_odd_hole"].holes.tolist() == full_holes[:3].tolist()
         monkeypatch.setattr(mkcs.graph, "MAX_POOL", 105)  # pools and pairs whole
         assert cp_admm(petersen(), 2, AdmmParams(max_outer=2)).enumeration_complete
@@ -756,9 +758,11 @@ class TestCpAdmm:
         assert res.termination == "time_limit"
         assert not res.enumeration_complete
 
-    def test_passed_deadline_builds_no_clique_member_array(self, monkeypatch):
-        # the member array is built on the first separation, which a run
-        # whose deadline has passed never reaches
+    def test_passed_deadline_enumerates_no_clique(self, monkeypatch):
+        # the member array is built once, as the enumeration ends, and a
+        # run whose deadline has passed enumerates no clique into it
+        g = random_graph(30, 0.5, 1)
+        pool = len(enumerate_cliques(g).members)
         pad = mkcs.graph.pad_rows
         calls = []
 
@@ -767,13 +771,12 @@ class TestCpAdmm:
             return pad(rows)
 
         monkeypatch.setattr(mkcs.graph, "pad_rows", spy)
-        g = random_graph(30, 0.5, 1)
         res = cp_admm(g, 3, AdmmParams(), deadline=time.monotonic() - 1.0)
         assert (res.termination, res.inner_iterations) == ("time_limit", 1)
-        assert calls == []
+        assert calls == [0] and not res.enumeration_complete
         res = cp_admm(g, 3, AdmmParams(max_outer=3))
         assert res.outer_iterations == 3 and len(res.cuts) > 0
-        assert len(calls) == 1  # once, for the first separation of the run
+        assert calls == [0, pool] and pool > 0
 
     def test_tightened_pass_cut_by_the_deadline(self, monkeypatch):
         # petersen at k = 2 ends on min_ineq within milliseconds; the spy

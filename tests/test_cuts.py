@@ -5,7 +5,8 @@ import pytest
 
 from bench_instances import complete_graph, cycle_graph
 import separation_reference as ref
-from reference_helpers import Cut, Hole5, candidate_pairs, kappa_rank, pool_of
+from reference_helpers import Clique, Cut, Hole5, candidate_pairs, kappa_rank, pool_of
+from reference_helpers import enumerate_cliques as reference_cliques
 from mkcs.cuts import (
     CutFamily,
     CutPool,
@@ -18,7 +19,6 @@ from mkcs.cuts import (
     SeparationReport,
 )
 from mkcs.graph import (
-    Clique,
     CliqueEnumeration,
     Graph,
     HoleEnumeration,
@@ -286,7 +286,8 @@ class TestSeparatorsMatchReference:
             (separate_clique_union, ref.separate_clique_union, ce),
             (separate_odd_hole, ref.separate_odd_hole, he),
         ):
-            ref_pool = ref.hole_objects(pool.holes) if pool is he else pool
+            ref_pool = (ref.hole_objects(pool.holes) if pool is he
+                        else ref.clique_objects(pool))
             got = new(X, g, fmap, pool, k, min_viol, 11)
             ref.assert_same_candidates(got, old(X, g, fmap, ref_pool, k, min_viol, 11))
             truncated |= got.truncated
@@ -312,15 +313,17 @@ class TestSeparatorsMatchReference:
         # pairs), the reference's own count
         g = random_graph(14, 0.5, 900 + seed)
         fmap = FreeIndexMap(g)
-        full_ce = enumerate_cliques(g)
+        full_ce = reference_cliques(g)
         full_he = enumerate_5holes(g)
         monkeypatch.setattr(mkcs.graph, "MAX_POOL", 6)
         ce = enumerate_cliques(g)
         he = enumerate_5holes(g)
         assert not ce.complete and not he.complete
-        assert len(ce.all_cliques()) == len(he.holes) == 6
-        assert ce.maximal == full_ce.maximal[: len(ce.maximal)]
-        assert ce.size6 == full_ce.size6[: len(ce.size6)]
+        assert len(ce.members) == len(ce.maximal) == len(he.holes) == 6
+        capped = reference_cliques(g)
+        assert ref.clique_objects(ce) == capped.all_cliques()
+        assert capped.maximal == full_ce.maximal[: len(capped.maximal)]
+        assert capped.size6 == full_ce.size6[: len(capped.size6)]
         assert he.holes.tolist() == full_he.holes[:6].tolist()
         rng = np.random.default_rng([8, seed])
         for k in (2, 3):
@@ -340,8 +343,8 @@ class TestSeparatorsMatchReference:
         k = 2
         for X in reference_iterates(g, fmap, k, rng)[:2]:
             found = ref.separate_triangle(X, g, fmap, k, 0.0).candidates
-            for old, pool in ((ref.separate_clique_external, ce),
-                              (ref.separate_clique_union, ce),
+            for old, pool in ((ref.separate_clique_external, ref.clique_objects(ce)),
+                              (ref.separate_clique_union, ref.clique_objects(ce)),
                               (ref.separate_odd_hole, ref.hole_objects(he.holes))):
                 found += old(X, g, fmap, pool, k, 0.0).candidates
             values = sorted({float(v) for _, v in found})
@@ -363,19 +366,21 @@ class TestSeparatorsMatchReference:
         got = separate_clique_union(X, g, fmap, ce, 1, 0.0)
         assert got.truncated == (cliques < 6)
         assert len(got.candidates) == cliques * (cliques - 1) // 2
-        ref.assert_same_candidates(got, ref.separate_clique_union(X, g, fmap, ce, 1, 0.0))
+        ref.assert_same_candidates(
+            got, ref.separate_clique_union(X, g, fmap, ref.clique_objects(ce), 1, 0.0))
 
     @pytest.mark.parametrize("k", [1, 2, 3])
     def test_empty_pools(self, k):
         g = cycle_graph(6)
         fmap = FreeIndexMap(g)
         X = fmap.vec_to_mat(np.ones(fmap.m), k)
-        cliques = CliqueEnumeration([], [])
+        cliques = CliqueEnumeration()
         for new, old in ((separate_clique_external, ref.separate_clique_external),
                          (separate_clique_union, ref.separate_clique_union)):
             got = new(X, g, fmap, cliques, k, 0.0)
             assert not len(got.candidates) and not got.truncated
-            ref.assert_same_candidates(got, old(X, g, fmap, cliques, k, 0.0))
+            ref.assert_same_candidates(
+                got, old(X, g, fmap, ref.clique_objects(cliques), k, 0.0))
         for holes in (HoleEnumeration(), enumerate_5holes(g)):
             got = separate_odd_hole(X, g, fmap, holes, k, 0.0)
             assert not len(got.candidates) and not got.truncated
@@ -394,11 +399,11 @@ class TestSeparatorsMatchReference:
         g = random_graph(12, 0.6, 300 + seed)
         rng = np.random.default_rng(seed)
         X = rng.uniform(0, 1, (13, 13))
-        for clique in enumerate_cliques(g).all_cliques():
+        for clique in ref.clique_objects(enumerate_cliques(g)):
             for ell in g.vertices:
                 if ell not in clique.vertices:
-                    assert extend_clique_greedy(g, clique, ell, X) == \
-                        ref.extend_clique_greedy(g, clique, ell, X)
+                    assert extend_clique_greedy(g, clique.vertices, ell, X) == \
+                        ref.extend_clique_greedy(g, clique, ell, X).vertices
 
 
 class TestCutValidity:

@@ -67,5 +67,5 @@ def test_g125_separators_match_reference():
     )
     ref.assert_same_candidates(
         separate_clique_external(state.X, g, fmap, cliques, k),
-        ref.separate_clique_external(state.X, g, fmap, cliques, k),
+        ref.separate_clique_external(state.X, g, fmap, ref.clique_objects(cliques), k),
     )

@@ -6,7 +6,6 @@ import pytest
 
 from bench_instances import complete_graph, cycle_graph, petersen, queen6_6
 from mkcs.graph import (
-    Clique,
     DimacsError,
     Graph,
     HoleEnumeration,
@@ -22,6 +21,12 @@ from mkcs.graph import (
 
 import mkcs.graph
 import numpy as np
+from reference_helpers import enumerate_cliques as reference_cliques
+
+
+def vertex_rows(cliques):
+    """The vertices of each row of a clique pool, padding dropped."""
+    return [[v for v in row if v >= 0] for row in cliques.members.tolist()]
 
 
 class TestParseDimacs:
@@ -93,52 +98,76 @@ class TestComplement:
 class TestEnumerateCliques:
     def test_k4(self):
         enum = enumerate_cliques(complete_graph(4))
-        assert [sorted(c.vertices) for c in enum.maximal] == [[1, 2, 3, 4]]
-        assert enum.size6 == []
+        assert enum.members.tolist() == [[1, 2, 3, 4]]
+        assert enum.maximal.tolist() == [True]
         assert enum.complete
 
     def test_c5_edges_are_the_maximal_cliques(self):
         enum = enumerate_cliques(cycle_graph(5))
-        got = sorted(tuple(sorted(c.vertices)) for c in enum.maximal)
+        got = sorted(map(tuple, enum.members.tolist()))
         assert got == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
-        assert enum.size6 == []
+        assert enum.maximal.all()
 
     def test_k7_has_all_six_subsets(self):
         enum = enumerate_cliques(complete_graph(7))
-        assert len(enum.size6) == 7
-        assert not enum.maximal
-        assert all(not c.maximal for c in enum.size6)
-        subsets = {tuple(sorted(c.vertices)) for c in enum.size6}
+        assert enum.members.shape == (7, 6)
+        assert not enum.maximal.any()
+        subsets = set(map(tuple, enum.members.tolist()))
         assert subsets == {
             tuple(sorted(set(range(1, 8)) - {v})) for v in range(1, 8)
         }
 
     def test_k6_six_clique_is_maximal(self):
         enum = enumerate_cliques(complete_graph(6))
-        assert len(enum.size6) == 1 and enum.size6[0].maximal
+        assert enum.members.tolist() == [[1, 2, 3, 4, 5, 6]]
+        assert enum.maximal.tolist() == [True]
 
     @pytest.mark.parametrize("seed", range(6))
     def test_members_pairwise_adjacent(self, seed):
         g = random_graph(11, 0.5, seed)
         enum = enumerate_cliques(g)
-        for c in enum.maximal + enum.size6:
-            for u, v in itertools.combinations(sorted(c.vertices), 2):
+        for row in vertex_rows(enum):
+            assert len(row) >= 2 and row == sorted(row)
+            for u, v in itertools.combinations(row, 2):
                 assert g.has_edge(u, v)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_reported_maximal_cliques_have_no_common_neighbor(self, seed):
         g = random_graph(11, 0.5, seed)
         enum = enumerate_cliques(g)
-        for c in enum.maximal:
-            common = set(g.vertices) - c.vertices
-            for v in c.vertices:
+        for row, maximal in zip(vertex_rows(enum), enum.maximal.tolist()):
+            common = set(g.vertices) - set(row)
+            for v in row:
                 common &= g.adj[v]
-            assert not common, (sorted(c.vertices), sorted(common))
+            assert maximal == (not common), (row, sorted(common))
 
     def test_time_limit_sets_flag(self):
         g = random_graph(60, 0.9, 1)
         enum = enumerate_cliques(g, time.monotonic() + 1e-4)
         assert not enum.complete
+
+    @pytest.mark.parametrize("seed", range(9))
+    def test_rows_are_the_reference_cliques(self, monkeypatch, seed):
+        # row for row the sorted vertices, padded with -1, and the flags of
+        # the object-based enumeration, whole and at caps that cut each list
+        g = random_graph(13, [0.5, 0.7, 0.8][seed % 3], 40 + seed)
+        full = reference_cliques(g)
+        total = len(full.all_cliques())
+        for cap in (total, total - 1, total // 2, len(full.maximal), 1):
+            monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
+            got = enumerate_cliques(g)
+            want = reference_cliques(g).all_cliques()
+            width = max(map(len, want), default=1)
+            assert got.members.dtype == np.intp and got.maximal.dtype == bool
+            assert got.members.tolist() == [
+                sorted(c.vertices) + [-1] * (width - len(c)) for c in want]
+            assert got.maximal.tolist() == [c.maximal for c in want]
+            assert got.complete == (cap == total)
+
+    def test_empty_pool(self):
+        for enum in (enumerate_cliques(Graph(3)), mkcs.graph.CliqueEnumeration()):
+            assert enum.members.shape == (0, 1) and enum.maximal.shape == (0,)
+            assert enum.members.dtype == np.intp and enum.maximal.dtype == bool
 
 
 class TestExtendCliqueGreedy:
@@ -148,27 +177,26 @@ class TestExtendCliqueGreedy:
         self.X = np.zeros((5, 5))
 
     def test_already_maximal(self):
-        out = extend_clique_greedy(self.g, Clique(frozenset({1, 2, 3})), 4, self.X)
-        assert out.vertices == {1, 2, 3}
+        out = extend_clique_greedy(self.g, frozenset({1, 2, 3}), 4, self.X)
+        assert out == {1, 2, 3}
 
     def test_unique_extension(self):
-        out = extend_clique_greedy(self.g, Clique(frozenset({1, 2})), 4, self.X)
-        assert out.vertices == {1, 2, 3}
-        assert out.maximal
+        out = extend_clique_greedy(self.g, frozenset({1, 2}), 4, self.X)
+        assert isinstance(out, frozenset) and out == {1, 2, 3}
 
     def test_tie_broken_by_smaller_id(self):
         # two disjoint candidate extensions 3 and 4 of the edge {1, 2}
         g = Graph(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
         X = np.zeros((5, 5))
-        out = extend_clique_greedy(g, Clique(frozenset({1, 2})), 5 - 1, X)
-        assert 3 in out.vertices and 4 not in out.vertices
+        out = extend_clique_greedy(g, frozenset({1, 2}), 5 - 1, X)
+        assert 3 in out and 4 not in out
 
     def test_never_adds_external_vertex(self):
         g = complete_graph(5)
         X = np.ones((6, 6))
-        out = extend_clique_greedy(g, Clique(frozenset({1, 2})), 5, X)
-        assert 5 not in out.vertices
-        assert out.vertices == {1, 2, 3, 4}
+        out = extend_clique_greedy(g, frozenset({1, 2}), 5, X)
+        assert 5 not in out
+        assert out == {1, 2, 3, 4}
 
 
 def naive_5holes(g):
@@ -243,7 +271,7 @@ class TestMaxPool:
         g = random_graph(14, 0.5, seed)
         cliques = enumerate_cliques(g)
         holes = enumerate_5holes(g)
-        for enumerate_pool, size in ((enumerate_cliques, len(cliques.all_cliques())),
+        for enumerate_pool, size in ((enumerate_cliques, len(cliques.members)),
                                      (enumerate_5holes, len(holes.holes))):
             monkeypatch.setattr(mkcs.graph, "MAX_POOL", size)
             assert enumerate_pool(g).complete
@@ -253,16 +281,18 @@ class TestMaxPool:
     def test_capped_cliques_are_the_first_found(self, monkeypatch):
         # each cap takes one more clique, in the order the search finds them
         g = random_graph(12, 0.8, 0)
-        full = enumerate_cliques(g)
+        full = reference_cliques(g)
         assert len(full.size6) == 10 and len(full.maximal) == 9
         last = (0, 0)
         for cap in range(1, len(full.all_cliques()) + 1):
             monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
             ce = enumerate_cliques(g)
-            sizes = (len(ce.maximal), len(ce.size6))
+            six = (ce.members >= 0).sum(axis=1) == 6
+            sizes = (int((~six).sum()), int(six.sum()))
             assert sum(sizes) == cap and min(np.subtract(sizes, last)) == 0
-            assert ce.maximal == full.maximal[:sizes[0]]
-            assert ce.size6 == full.size6[:sizes[1]]
+            want = full.maximal[:sizes[0]] + full.size6[:sizes[1]]
+            assert vertex_rows(ce) == [sorted(c.vertices) for c in want]
+            assert ce.maximal.tolist() == [c.maximal for c in want]
             last = sizes
 
     @pytest.mark.parametrize("pool, pairs", [(0, 1), (1, 2), (2, 2), (3, 3), (5, 3),

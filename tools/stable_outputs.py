@@ -25,6 +25,9 @@ The runs, one subdirectory of OUTDIR each:
 - ``gnp70-k8-bound``: ``bound`` on ``random_graph(70, 0.5, 1)`` at
   ``--k 8`` with the default parameters, the one run whose clique pairs
   stop at ``MAX_POOL`` (its report's ``enumeration_complete`` is false);
+- ``gnp125-k8-capped``: ``bound`` on ``random_graph(125, 0.5, 1)`` at
+  ``--k 8`` with config ``{"max_outer": 2}``, the one run whose clique
+  pool (113,536 cliques) is large enough for its memory to matter;
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
@@ -78,6 +81,8 @@ def runs():
                "chromatic", [])
     yield ("gnp70-k8-bound", "gnp70.col", write_dimacs(random_graph(70, 0.5, 1)),
            None, "bound", ["--k", "8"])
+    yield ("gnp125-k8-capped", "gnp125.col", write_dimacs(random_graph(125, 0.5, 1)),
+           {"max_outer": 2}, "bound", ["--k", "8"])
     for w in WORKLOADS.values():
         _, dimacs = make_instance(w, BENCHMARK_SEED)
         yield (w.name, f"{w.instance}.col", dimacs, w.config, w.mode,
