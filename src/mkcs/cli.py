@@ -472,6 +472,11 @@ def _parse_k_values(raw):
         raise CliError(f"malformed k value {raw!r}", EXIT_INVALID_ARGS) from None
     if not values:
         raise CliError("empty k list", EXIT_INVALID_ARGS)
+    for i, value in enumerate(values):
+        if value in values[:i]:
+            # a second run would write the same row and overwrite the
+            # first run's side files
+            raise CliError(f"k value {value} repeated in {raw!r}", EXIT_INVALID_ARGS)
     return values
 
 

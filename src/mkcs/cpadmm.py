@@ -7,6 +7,8 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
+import random
 import time
 from dataclasses import dataclass, field, replace
 
@@ -231,14 +233,15 @@ def greedy_lower_bound(g, k, seed=0):
     sets (highest residual degree last, seeded tie shuffling).  Returns
     ``(number_of_colored_vertices, coloring)``; the value is always a
     valid lower bound."""
-    rng = np.random.default_rng(seed)
+    rng = random.Random(operator.index(seed))
     remaining = list(g.vertices)
     assignment = {}
     for color in range(1, k + 1):
         if not remaining:
             break
         remaining_set = set(remaining)
-        shuffled = [remaining[i] for i in rng.permutation(len(remaining))]
+        shuffled = remaining[:]
+        rng.shuffle(shuffled)
         shuffled.sort(key=lambda v: len(g.adj[v] & remaining_set))
         chosen = set()
         for v in shuffled:

@@ -459,6 +459,18 @@ class TestOutputs:
     def test_malformed_k_rejected(self, c5_file):
         assert main(["bound", str(c5_file), "--k", "2,x"]) == EXIT_INVALID_ARGS
 
+    def test_repeated_k_rejected(self, c5_file, tmp_path, capsys):
+        out = tmp_path / "dup.json"
+        assert main(["bound", str(c5_file), "--k", "1,3,3",
+                     "--out", str(out)]) == EXIT_INVALID_ARGS
+        assert "k value 3 repeated" in capsys.readouterr().err
+        cfg = tmp_path / "dup_cfg.json"
+        cfg.write_text(json.dumps({"k": [2, 1, 2]}))
+        assert main(["bound", str(c5_file), "--config", str(cfg),
+                     "--out", str(out)]) == EXIT_INVALID_ARGS
+        assert "k value 2 repeated" in capsys.readouterr().err
+        assert not list(tmp_path.glob("dup*.csv"))
+
     def test_byte_identical_reruns(self, c5_file, tmp_path):
         outs = []
         for name in ("a", "b"):
@@ -528,7 +540,9 @@ def test_importing_the_cli_loads_no_scipy():
 
 def test_solve_loads_lapack_without_scipy_linalg(tmp_path):
     # the low-rank PSD step needs LAPACK, not all of scipy.linalg; within
-    # 100 sweeps the rank of myciel5 at k = 4 falls below its threshold
+    # 100 sweeps the rank of myciel5 at k = 4 falls below its threshold.
+    # The greedy colouring draws from the standard library, so neither
+    # numpy.random nor, through its import of secrets, OpenSSL is loaded
     instance = tmp_path / "myciel5.col"
     instance.write_text(write_dimacs(myciel5()))
     src = Path(mkcs.__file__).resolve().parents[1]
@@ -538,17 +552,18 @@ def test_solve_loads_lapack_without_scipy_linalg(tmp_path):
         "'--max-iterations', '100', "
         f"'--out', {str(tmp_path / 'report.json')!r}]); "
         "print(code, [m in sys.modules for m in ('scipy.linalg._flapack', "
-        "'scipy.linalg', 'scipy._lib._array_api')])"
+        "'scipy.linalg', 'scipy._lib._array_api', 'numpy.random', '_hashlib')])"
     )
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True, timeout=120).stdout
-    assert out.strip().splitlines()[-1] == "0 [True, False, False]"
+    assert out.strip().splitlines()[-1] == "0 [True, False, False, False, False]"
 
 
 def test_bound_loads_no_lp_stack(tmp_path):
     # the cut multipliers come from the projection, so a bound run with
-    # cuts (myciel5 at k = 4 accepts 52) never imports the LP solver
+    # cuts (myciel5 at k = 4 accepts 52) never imports the LP solver; nor
+    # does its greedy colouring import numpy.random or OpenSSL
     instance = tmp_path / "myciel5.col"
     instance.write_text(write_dimacs(myciel5()))
     src = Path(mkcs.__file__).resolve().parents[1]
@@ -556,8 +571,8 @@ def test_bound_loads_no_lp_stack(tmp_path):
         "import sys, mkcs.cli; "
         f"code = mkcs.cli.main(['bound', {str(instance)!r}, '--k', '4', "
         f"'--out', {str(tmp_path / 'report.json')!r}]); "
-        "print(code, sorted(m for m in ('scipy.optimize', 'scipy.sparse') "
-        "if m in sys.modules))"
+        "print(code, sorted(m for m in ('scipy.optimize', 'scipy.sparse', "
+        "'numpy.random', '_hashlib') if m in sys.modules))"
     )
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,

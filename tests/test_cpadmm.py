@@ -1,12 +1,13 @@
 import itertools
 import json
 import math
+import random
 import time
 
 import numpy as np
 import pytest
 
-from bench_instances import complete_graph, cycle_graph, petersen
+from bench_instances import complete_graph, cycle_graph, petersen, queen6_6
 from reference_helpers import (
     Cut,
     admm_objective,
@@ -617,6 +618,27 @@ class TestGreedyLowerBound:
         a = greedy_lower_bound(g, 3, seed=9)
         b = greedy_lower_bound(g, 3, seed=9)
         assert a[0] == b[0] and a[1].assignment == b[1].assignment
+
+    def test_numpy_integer_seed(self):
+        g = random_graph(12, 0.5, 4)
+        res = cp_admm(g, 2, AdmmParams(seed=np.int64(3)))
+        assert res.ub == cp_admm(g, 2, AdmmParams(seed=3)).ub
+        assert greedy_lower_bound(g, 3, np.int64(3)) == greedy_lower_bound(g, 3, 3)
+
+    def test_leaves_the_module_random_state_alone(self):
+        saved = random.getstate()
+        try:
+            random.seed(21)
+            expected = random.random()
+            random.seed(21)
+            greedy_lower_bound(queen6_6(), 6, seed=4)
+            assert random.random() == expected
+        finally:
+            random.setstate(saved)
+
+    def test_seed_reaches_the_tie_order(self):
+        g = queen6_6()
+        assert len({greedy_lower_bound(g, 6, seed)[0] for seed in range(10)}) > 1
 
 
 class TestCpAdmm:
