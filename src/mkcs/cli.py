@@ -37,55 +37,55 @@ class CliError(Exception):
         self.code = code
 
 
-# Every field of the two parameter tables is a config key and, but for these,
-# a generated flag: the seed has its own flag, and the families go by name.
-_NOT_FLAGS = ("seed", "families")
-_FLAG_TYPES = {"float": float, "int": int, "float | None": float, "int | None": int}
-_TABLE_OF = {f.name: attr
-             for attr, table in (("admm", AdmmParams), ("intp", IntAdmmParams))
-             for f in dataclasses.fields(table)}
-_RUN_KEYS = ("time_limit", "expensive_tests", "stable_timing", "per_k_time_limit",
-             "k", "out")
-
-
 @dataclass
 class RunConfig:
     """Resolved run configuration: defaults, then config-file values, then
-    command-line flags.  Solver fields default to the production values
-    of the two parameter tables."""
+    command-line flags.  Apart from the positional ``instance`` and ``mode``
+    and the two parameter tables, each field here and each field of those
+    tables is a setting: a config key and a flag of the same name."""
 
     instance: str | None = None
-    k: int | None = None
     mode: str = "bound"
-    out: str | None = None
-    time_limit: float = 3600.0         # wall-clock budget of the whole run
-    expensive_tests: bool = False
-    stable_timing: bool = False
-    per_k_time_limit: float = 600.0    # chromatic mode: budget per k value
+    # an int, or a list or comma-separated string of them: _parse_k_values
+    k: int | str | list | None = field(
+        default=None, metadata={"help": "number of colors, or a comma-separated list"})
+    out: str | None = field(default=None, metadata={"help": "write the JSON report here"})
+    time_limit: float = field(default=3600.0, metadata={
+        "help": "wall-clock budget of the whole run in seconds (default 3600)"})
+    expensive_tests: bool = field(default=False,
+                                  metadata={"help": "lift the oracle size guard"})
+    stable_timing: bool = field(default=False, metadata={
+        "help": "write zeros for wall times so outputs are reproducible"})
+    per_k_time_limit: float = field(
+        default=600.0, metadata={"help": "chromatic mode: budget per k value"})
     admm: AdmmParams = field(default_factory=AdmmParams)
     intp: IntAdmmParams = field(default_factory=IntAdmmParams)
 
-    @property
-    def seed(self):
-        return self.admm.seed
+    def __post_init__(self):
+        for name in ("time_limit", "per_k_time_limit"):
+            value = getattr(self, name)
+            if not value >= 0.0:
+                raise ValueError(f"{name} must not be negative; got {value!r}")
 
 
-# the type of every numeric or boolean config key but k, which may also
-# be a list
-_VALUE_TYPES = {**_FLAG_TYPES, "bool": bool}
-_KEY_TYPES = {
-    f.name: _VALUE_TYPES[f.type]
-    for table in (AdmmParams, IntAdmmParams, RunConfig)
-    for f in dataclasses.fields(table)
-    if f.type in _VALUE_TYPES and f.name != "k"
+# every setting, in flag order: its field, and the RunConfig attribute of
+# the table that holds it (None for RunConfig itself)
+_SETTINGS = {
+    f.name: (table, f)
+    for table, cls in ((None, RunConfig), ("admm", AdmmParams), ("intp", IntAdmmParams))
+    for f in dataclasses.fields(cls)
+    if f.name not in ("instance", "mode", "admm", "intp")
 }
-_KINDS = {float: "a number", int: "an integer", bool: "true or false"}
+# the value type of each annotation; families and k have converters instead
+_TYPES = {"float": float, "float | None": float, "int": int, "int | None": int,
+          "bool": bool, "str | None": str}
+_KINDS = {float: "a number", int: "an integer", bool: "true or false", str: "a string"}
 
 
 def _check_type(key, value, source):
     """Reject a config value of the wrong type: an int is a valid float,
     and a bool is valid only where a bool is expected."""
-    expected = _KEY_TYPES.get(key)
+    expected = _TYPES.get(_SETTINGS[key][1].type)
     if expected is None:
         return
     allowed = (int, float) if expected is float else expected
@@ -94,48 +94,40 @@ def _check_type(key, value, source):
                        EXIT_INVALID_ARGS)
 
 
+def _families(value, source):
+    """The cut families named by a comma-separated string or a list."""
+    names = value.split(",") if isinstance(value, str) else value
+    if not isinstance(names, (list, tuple)) or not all(isinstance(v, str) for v in names):
+        raise CliError(f"{source}: families must be a string or a list of strings; "
+                       f"got {value!r}", EXIT_INVALID_ARGS)
+    names = [s.strip().upper() for s in names if s.strip()]
+    for name in names:
+        if name not in CutFamily.__members__:
+            raise CliError(f"{source}: unknown cut family {name!r}", EXIT_INVALID_ARGS)
+    return tuple(CutFamily[name] for name in names)
+
+
 def _apply_overrides(cfg, overrides, source):
-    kwargs = {"admm": {}, "intp": {}}
+    """``cfg`` with every value of ``overrides`` but None set, each checked
+    for its field's type and then by the dataclass that holds it."""
+    changes = {None: {}, "admm": {}, "intp": {}}
     for key, value in overrides.items():
         if value is None:
             continue
-        _check_type(key, value, source)
-        if key == "families":
-            if isinstance(value, str):
-                names = value.split(",")
-            elif isinstance(value, (list, tuple)) and all(
-                isinstance(v, str) for v in value
-            ):
-                names = value
-            else:
-                raise CliError(
-                    f"{source}: families must be a string or a list of strings; "
-                    f"got {value!r}",
-                    EXIT_INVALID_ARGS,
-                )
-            names = [s.strip().upper() for s in names if s.strip()]
-            for name in names:
-                if name not in CutFamily.__members__:
-                    raise CliError(
-                        f"{source}: unknown cut family {name!r}", EXIT_INVALID_ARGS
-                    )
-            kwargs["admm"][key] = tuple(CutFamily[name] for name in names)
-        elif key in _TABLE_OF:
-            kwargs[_TABLE_OF[key]][key] = value
-        elif key in _RUN_KEYS:
-            if key in ("time_limit", "per_k_time_limit") and not value >= 0.0:
-                raise CliError(f"{source}: {key} must not be negative; got {value!r}",
-                               EXIT_INVALID_ARGS)
-            setattr(cfg, key, value)
-        else:
+        if key not in _SETTINGS:
             raise CliError(f"{source}: unknown configuration key {key!r}",
                            EXIT_INVALID_ARGS)
-    for attr, changes in kwargs.items():
-        try:
-            setattr(cfg, attr, dataclasses.replace(getattr(cfg, attr), **changes))
-        except ValueError as exc:
-            raise CliError(f"{source}: {exc}", EXIT_INVALID_ARGS) from exc
-    return cfg
+        _check_type(key, value, source)
+        if key == "families":
+            value = _families(value, source)
+        changes[_SETTINGS[key][0]][key] = value
+    try:
+        for table in ("admm", "intp"):
+            changes[None][table] = dataclasses.replace(getattr(cfg, table),
+                                                       **changes[table])
+        return dataclasses.replace(cfg, **changes[None])
+    except ValueError as exc:
+        raise CliError(f"{source}: {exc}", EXIT_INVALID_ARGS) from exc
 
 
 def load_config_file(path):
@@ -182,7 +174,7 @@ def _base_report(cfg, g, mode):
         "n": g.n,
         "density": round(g.density, 6),
         "k": cfg.k,
-        "seed": cfg.seed,
+        "seed": cfg.admm.seed,
     }
 
 
@@ -340,7 +332,7 @@ def run_oracle(cfg):
     try:
         if cfg.k is not None:
             _require_k(cfg, g)
-            lb_hint, _ = greedy_lower_bound(g, cfg.k, cfg.seed)
+            lb_hint, _ = greedy_lower_bound(g, cfg.k, cfg.admm.seed)
             report["alpha_k"] = alpha_k_exact(
                 g, cfg.k, max_vertices=guard, initial_lb=lb_hint
             )
@@ -369,22 +361,11 @@ def _cell(value):
 def report_rows(reports):
     rows = []
     for rep in reports:
-        cuts = rep.get("cuts")
-        rows.append(
-            {
-                "graph": rep.get("graph"),
-                "n": rep.get("n"),
-                "density": rep.get("density"),
-                "k": rep.get("k"),
-                "ub": rep.get("ub"),
-                "lb": rep.get("lb", rep.get("lb_hint")),
-                "time_ub": rep.get("time_ub"),
-                "time_lb": rep.get("time_lb"),
-                "inner_iters": rep.get("inner_iters"),
-                "outer_iters": rep.get("outer_iters"),
-                "cuts": cuts.get("total") if isinstance(cuts, dict) else cuts,
-            }
-        )
+        row = {col: rep.get(col) for col in REPORT_COLUMNS}
+        row["lb"] = rep.get("lb", rep.get("lb_hint"))
+        cuts = row["cuts"]
+        row["cuts"] = cuts.get("total") if isinstance(cuts, dict) else cuts
+        rows.append(row)
     return rows
 
 
@@ -427,30 +408,16 @@ def build_parser():
     )
     parser.add_argument("mode", choices=("bound", "solve", "chromatic", "oracle"))
     parser.add_argument("instance", help="path to a DIMACS edge-format file")
-    parser.add_argument("--k", default=None,
-                        help="number of colors, or a comma-separated list")
     parser.add_argument("--config", default=None, help="flat JSON config file")
-    parser.add_argument("--seed", type=int, default=None)
-    parser.add_argument("--out", default=None, help="write the JSON report here")
-    parser.add_argument("--time-limit", type=float, default=None,
-                        help="wall-clock budget of the whole run in seconds "
-                             "(default 3600)")
-    parser.add_argument("--families", default=None,
-                        help="comma-separated cut families to separate")
-    parser.add_argument("--expensive-tests", action=argparse.BooleanOptionalAction,
-                        default=None, help="lift the oracle size guard")
-    parser.add_argument("--stable-timing", action=argparse.BooleanOptionalAction,
-                        default=None,
-                        help="write zeros for wall times so outputs are reproducible")
-    parser.add_argument("--per-k-time-limit", type=float, default=None,
-                        help="chromatic mode: budget per k value")
-    for title, table in (("solver parameters", AdmmParams),
-                         ("integer solver parameters", IntAdmmParams)):
-        group = parser.add_argument_group(title)
-        for f in dataclasses.fields(table):
-            if f.name not in _NOT_FLAGS:
-                group.add_argument("--" + f.name.replace("_", "-"),
-                                   type=_FLAG_TYPES[f.type], default=None)
+    groups = {table: parser.add_argument_group(title) for table, title in (
+        (None, "run settings"), ("admm", "solver parameters"),
+        ("intp", "integer solver parameters"))}
+    for key, (table, f) in _SETTINGS.items():
+        kind = _TYPES.get(f.type)  # None: a string for _families or _parse_k_values
+        options = ({"action": argparse.BooleanOptionalAction} if kind is bool
+                   else {"type": kind})
+        groups[table].add_argument("--" + key.replace("_", "-"), default=None,
+                                   help=f.metadata.get("help"), **options)
     return parser
 
 
@@ -484,14 +451,9 @@ def resolve_config(args):
     """Defaults, then config-file entries, then explicit CLI flags."""
     cfg = RunConfig(instance=args.instance, mode=args.mode)
     if args.config:
-        _apply_overrides(cfg, load_config_file(args.config), args.config)
-    flag_overrides = {
-        key: value
-        for key, value in vars(args).items()
-        if key not in ("mode", "instance", "config")
-    }
-    _apply_overrides(cfg, flag_overrides, "command line")
-    return cfg
+        cfg = _apply_overrides(cfg, load_config_file(args.config), args.config)
+    flags = {key: value for key, value in vars(args).items() if key in _SETTINGS}
+    return _apply_overrides(cfg, flags, "command line")
 
 
 def _write_side_files(cfg, out, suffix, bound_res, int_res):

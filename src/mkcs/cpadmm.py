@@ -10,7 +10,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -87,8 +87,9 @@ class AdmmParams:
     min_viol: float = 1e-2
     min_ineq: float | None = None          # defaults to n/4 at solve time
     min_impr: float = 0.025
-    seed: int = 0
-    families: tuple = ALL_FAMILIES
+    seed: int = field(default=0, metadata={"help": "seed of the greedy colouring"})
+    families: tuple = field(default=ALL_FAMILIES, metadata={
+        "help": "comma-separated cut families to separate"})
     max_outer: int | None = None
 
     def __post_init__(self):
@@ -269,18 +270,9 @@ class OuterRecord:
     def to_json(self, timing=True):
         import json
 
-        return json.dumps(
-            {
-                "outer": self.outer,
-                "inner_iters": self.inner_iters,
-                "ub": self.ub,
-                "n_cuts_added": self.n_cuts_added,
-                "n_cuts_total": self.n_cuts_total,
-                "phase": self.phase,
-                "elapsed_s": round(self.elapsed_s, 3) if timing else 0.0,
-            },
-            separators=(",", ":"),
-        )
+        record = asdict(self)
+        record["elapsed_s"] = round(self.elapsed_s, 3) if timing else 0.0
+        return json.dumps(record, separators=(",", ":"))
 
 
 def records_to_jsonl(records, timing=True):

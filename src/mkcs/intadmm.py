@@ -7,7 +7,7 @@ from __future__ import annotations
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -107,39 +107,35 @@ class Sphere(NamedTuple):
     radius: float
 
 
-def integrality_sphere(n, k, fix_corner=False):
+def integrality_sphere(n, k):
     """Center and radius of the sphere that ``project_sphere`` targets."""
-    radius = math.sqrt((n + 1) ** 2 - 1) / 2.0 if fix_corner else (n + 1) / 2.0
-    return Sphere(sphere_center(n, k), radius)
+    return Sphere(sphere_center(n, k), math.sqrt((n + 1) ** 2 - 1) / 2.0)
 
 
-def project_sphere(a, k, fix_corner=False, sphere=None, out=None):
-    """Project a bordered symmetric matrix onto the integrality sphere.
+def project_sphere(a, k, sphere=None, out=None):
+    """Project a bordered symmetric matrix onto the integrality sphere with
+    its corner entry pinned to k.
 
-    Without ``fix_corner`` the target is the sphere of radius (n+1)/2
-    around the center; with it, the subset with corner entry pinned to k,
-    whose projection rescales the corner-corrected offset to radius
-    sqrt((n+1)^2 - 1)/2.  A matrix sitting exactly at the center is
-    nudged along the bordered-identity direction so the result is
-    deterministic.  ``sphere`` is ``integrality_sphere(n, k, fix_corner)``,
-    passed by callers that project repeatedly; the result is written into
-    ``out`` when given, which may be ``a`` itself.
+    The projection rescales the corner-corrected offset from the center
+    to radius sqrt((n+1)^2 - 1)/2.  A matrix sitting exactly at the center
+    is nudged along the bordered-identity direction so the result is
+    deterministic.  ``sphere`` is ``integrality_sphere(n, k)``, passed by
+    callers that project repeatedly; the result is written into ``out``
+    when given, which may be ``a`` itself.
     """
     n = a.shape[0] - 1
     if sphere is None:
-        sphere = integrality_sphere(n, k, fix_corner)
+        sphere = integrality_sphere(n, k)
     center, radius = sphere
     offset = np.subtract(a, center, out=out)
-    if fix_corner:
-        offset[0, 0] = 0.0  # corner replaced by the pinned value
+    offset[0, 0] = 0.0  # corner replaced by the pinned value
     norm = _frobenius_norm(offset)
     if norm < 1e-12:
         offset[...] = augmented_identity(n)
         norm = math.sqrt(n)
     np.multiply(offset, radius / norm, out=offset)
     offset += center
-    if fix_corner:
-        offset[0, 0] = float(k)
+    offset[0, 0] = float(k)
     return offset
 
 
@@ -199,17 +195,10 @@ class IntTraceRecord:
     feasible_value: int | None
 
     def to_json(self):
-        return json.dumps(
-            {
-                "t": self.t,
-                "beta": round(self.beta, 9),
-                "primal_res_Y": round(self.primal_res_Y, 9),
-                "primal_res_Z": round(self.primal_res_Z, 9),
-                "converged_event": self.converged_event,
-                "feasible_value": self.feasible_value,
-            },
-            separators=(",", ":"),
-        )
+        record = asdict(self)
+        for key in ("beta", "primal_res_Y", "primal_res_Z"):
+            record[key] = round(record[key], 9)
+        return json.dumps(record, separators=(",", ":"))
 
 
 def int_trace_to_jsonl(records):
@@ -253,13 +242,13 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
         raise ValueError(f"k must lie in [1, {g.n}]; got {k}")
     fmap = FreeIndexMap(g)
     ibar = augmented_identity(g.n)
-    sphere = integrality_sphere(g.n, k, fix_corner=True)
+    sphere = integrality_sphere(g.n, k)
     if warm is None:
         warm = initial_iterate(g.n, k)
     beta = params.beta0
     x = project_affine_set(warm, fmap, k).matrix
     y = project_psd(warm)
-    z = project_sphere(warm, k, fix_corner=True, sphere=sphere)
+    z = project_sphere(warm, k, sphere=sphere)
     lam = beta * (x - y)
     mu = beta * (x - z)
     # sweep buffers: work holds the affine target, then the PSD input,
@@ -298,7 +287,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
             # z = sphere(x + mu / beta), in place
             np.divide(mu, beta, out=z)
             np.add(x, z, out=z)
-            project_sphere(z, k, fix_corner=True, sphere=sphere, out=z)
+            project_sphere(z, k, sphere=sphere, out=z)
             np.subtract(x, y, out=diff)
             dist_y = _frobenius_norm(diff)
             diff *= beta

@@ -1,4 +1,3 @@
-import dataclasses
 import importlib.util
 import json
 import math
@@ -27,22 +26,21 @@ from mkcs.cli import (
     run_report,
     run_solve,
 )
-from mkcs.cpadmm import AdmmParams
 from mkcs.cuts import CutFamily
 from mkcs.graph import random_graph, write_dimacs
-from mkcs.intadmm import IntAdmmParams
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# every parameter-table field with a generated flag, as (table, field)
-SOLVER_SETTINGS = [
-    (table, f)
-    for table, cls in (("admm", AdmmParams), ("intp", IntAdmmParams))
-    for f in dataclasses.fields(cls)
-    if f.name not in ("seed", "families")
-]
-# values that pass the tables' checks where default + 1 would not
-SETTING_SAMPLES = {"beta_decr": 0.25}
+# every setting, as (table, field), where table None is RunConfig itself
+SETTINGS = list(cli._SETTINGS.values())
+# values that pass the checks where default + 1 would not, each with the
+# value that the resolved config then holds
+SETTING_SAMPLES = {
+    "beta_decr": (0.25, 0.25),
+    "k": ("2,3", "2,3"),
+    "out": ("report.json", "report.json"),
+    "families": ("t1,HOLE5", (CutFamily.T1, CutFamily.HOLE5)),
+}
 # the paper's tuning constants, fixed in the module that reads each of them
 FIXED_CONSTANTS = (
     "beta", "gamma", "eps_admm_final", "max_inner_iter_final", "min_ineq_phase1",
@@ -53,12 +51,17 @@ FIXED_CONSTANTS = (
 
 
 def sample_value(f):
-    """A valid value of the field's type that differs from its default."""
+    """A valid value of the field's type that differs from its default,
+    and the value that the resolved config holds for it."""
     if f.name in SETTING_SAMPLES:
         return SETTING_SAMPLES[f.name]
-    if f.default is None:
-        return 7 if f.type.startswith("int") else 2.5
-    return f.default + 1
+    if f.type == "bool":
+        value = not f.default
+    elif f.default is None:
+        value = 7 if f.type.startswith("int") else 2.5
+    else:
+        value = f.default + 1
+    return value, value
 
 
 def assert_neither_key_nor_flag(instance, tmp_path, capsys, key):
@@ -195,6 +198,7 @@ class TestExitCodes:
         ({"stable_timing": "no"}, "stable_timing"),
         ({"k": [2.7]}, "k"),
         ({"k": True}, "k"),
+        ({"out": 5}, "out"),
     ])
     def test_mistyped_config_value_invalid_args(self, c5_file, tmp_path, capsys,
                                                 config, key):
@@ -266,22 +270,28 @@ class TestConfigResolution:
         assert (intp.max_iterations, intadmm.MIN_ITERS_AFTER_RESET) == (60000, 10)
 
     def test_settable_keys_and_generated_flags(self):
-        # a new setting is a deliberate edit of this list
-        assert set(cli._TABLE_OF) | set(cli._RUN_KEYS) == {
+        # a new setting is a deliberate edit of these lists
+        assert list(cli._SETTINGS) == [
+            "k", "out", "time_limit", "expensive_tests", "stable_timing",
+            "per_k_time_limit",
             "eps_admm", "max_inner_iter", "min_viol", "min_ineq", "min_impr",
             "seed", "families", "max_outer",
             "beta0", "beta_incr", "beta_decr", "max_iterations",
-            "time_limit", "expensive_tests", "stable_timing", "per_k_time_limit",
-            "k", "out",
-        }
-        generated = [a.option_strings[0] for group in build_parser()._action_groups
-                     if group.title.endswith("solver parameters")
-                     for a in group._group_actions]
+        ]
+        groups = build_parser()._action_groups
+        # only the positionals and --config are written by hand
+        assert [a.dest for g in groups[:2] for a in g._group_actions] == [
+            "mode", "instance", "help", "config"]
+        generated = [a.option_strings[0] for g in groups[2:] for a in g._group_actions]
         assert generated == [
+            "--k", "--out", "--time-limit", "--expensive-tests", "--stable-timing",
+            "--per-k-time-limit",
             "--eps-admm", "--max-inner-iter", "--min-viol", "--min-ineq",
-            "--min-impr", "--max-outer",
+            "--min-impr", "--seed", "--families", "--max-outer",
             "--beta0", "--beta-incr", "--beta-decr", "--max-iterations",
         ]
+        assert [g.title for g in groups[2:]] == [
+            "run settings", "solver parameters", "integer solver parameters"]
 
     def test_flag_overrides_file_overrides_default(self, tmp_path, c5_file):
         cfgfile = tmp_path / "cfg.json"
@@ -296,25 +306,29 @@ class TestConfigResolution:
         assert cfg.admm.min_viol == 0.25      # flag wins
         assert cfg.admm.min_impr == 0.025     # default preserved
 
-    @pytest.mark.parametrize(
-        "table, f", SOLVER_SETTINGS, ids=[f.name for _, f in SOLVER_SETTINGS]
-    )
+    @pytest.mark.parametrize("table, f", SETTINGS, ids=[f.name for _, f in SETTINGS])
     def test_flag_and_config_key_set_the_same_value(self, table, f, tmp_path,
                                                      c5_file):
-        value = sample_value(f)
+        value, held = sample_value(f)
         cfgfile = tmp_path / "cfg.json"
         cfgfile.write_text(json.dumps({f.name: value}))
         parser = build_parser()
         flag = "--" + f.name.replace("_", "-")
+        flag_args = [flag] if f.type == "bool" else [flag, str(value)]
         by_flag = resolve_config(
-            parser.parse_args(["bound", str(c5_file), flag, str(value)])
+            parser.parse_args(["bound", str(c5_file), *flag_args])
         )
         by_file = resolve_config(
             parser.parse_args(["bound", str(c5_file), "--config", str(cfgfile)])
         )
         for cfg in (by_flag, by_file):
-            got = getattr(getattr(cfg, table), f.name)
-            assert got == value and type(got) is type(value)
+            got = getattr(cfg if table is None else getattr(cfg, table), f.name)
+            assert got == held and type(got) is type(held)
+        if f.type == "bool":
+            # --no-x overrides the file's true
+            cfg = resolve_config(parser.parse_args(
+                ["bound", str(c5_file), "--config", str(cfgfile), "--no-" + flag[2:]]))
+            assert getattr(cfg, f.name) is False
 
     def test_int_config_value_accepted_for_a_float(self, tmp_path, c5_file):
         cfgfile = tmp_path / "cfg.json"
@@ -522,6 +536,13 @@ class TestRunReport:
         report, _ = run_bound(cfg)
         rows = report_rows([report])
         assert rows[0]["lb"] == report["lb_hint"]
+
+
+def test_readme_cli_section_names_every_setting():
+    # the README lists the keys by hand; the flags are generated
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    assert [key for key in cli._SETTINGS if f"`{key}`" not in section] == []
 
 
 def test_importing_the_cli_loads_no_scipy():

@@ -72,23 +72,38 @@ def near_coloring_matrix(rng):
     return g, k, x
 
 
+def pinned_radius(n):
+    """Radius of the sphere around the center with the corner pinned to k."""
+    return math.sqrt((n + 1) ** 2 - 1) / 2.0
+
+
+def off_corner(out, n, k):
+    """``out`` minus the center, corner excluded."""
+    shifted = out - sphere_center(n, k)
+    shifted[0, 0] = 0.0
+    return shifted
+
+
 class TestProjectSphere:
     def test_idempotent_on_sphere(self, rng):
         n, k = 6, 2
-        u = rng.normal(size=(n + 1, n + 1))
-        u = symmetrize(u)
+        u = symmetrize(rng.normal(size=(n + 1, n + 1)))
+        u[0, 0] = 0.0
         u /= np.linalg.norm(u)
-        a = sphere_center(n, k) + ((n + 1) / 2.0) * u
+        a = sphere_center(n, k) + pinned_radius(n) * u
+        a[0, 0] = float(k)
         assert np.allclose(project_sphere(a, k), a, atol=1e-10)
 
     def test_radius_one_case(self):
-        # two vertices... order 2 matrices: radius (n+1)/2 = 1 for n = 1
+        # order-2 matrices: n = 1, radius sqrt(3)/2
         c = sphere_center(1, 1)
         a = c.copy()
-        a[0, 0] += 2.0
+        a[1, 1] += 2.0
+        a[0, 0] = 5.0  # ignored: the corner is pinned
         out = project_sphere(a, 1)
-        assert np.linalg.norm(out - c) == pytest.approx(1.0)
-        assert out[0, 0] == pytest.approx(c[0, 0] + 1.0)
+        assert np.linalg.norm(off_corner(out, 1, 1)) == pytest.approx(math.sqrt(3) / 2)
+        assert out[1, 1] == pytest.approx(c[1, 1] + math.sqrt(3) / 2)
+        assert out[0, 0] == 1.0
 
     def test_radius_condition_bulk(self):
         rng = np.random.default_rng(12345)
@@ -96,8 +111,7 @@ class TestProjectSphere:
         for _ in range(1000):
             a = symmetrize(rng.normal(size=(n + 1, n + 1)) * 3)
             out = project_sphere(a, k)
-            r = np.linalg.norm(out - sphere_center(n, k))
-            assert abs(r - (n + 1) / 2.0) < 1e-9
+            assert abs(np.linalg.norm(off_corner(out, n, k)) - pinned_radius(n)) < 1e-9
             assert np.array_equal(out, out.T)
 
     @pytest.mark.parametrize("seed", range(20))
@@ -105,13 +119,11 @@ class TestProjectSphere:
         rng = np.random.default_rng(seed)
         n, k = 5, 3
         a = symmetrize(rng.normal(size=(n + 1, n + 1)) * 3)
-        out = project_sphere(a, k, fix_corner=True)
+        out = project_sphere(a, k)
         assert out[0, 0] == float(k)
         shifted = out - sphere_center(n, k)
         shifted[0, 0] += 0.5
-        assert np.linalg.norm(shifted) == pytest.approx(
-            math.sqrt((n + 1) ** 2 - 1) / 2.0, abs=1e-9
-        )
+        assert np.linalg.norm(shifted) == pytest.approx(pinned_radius(n), abs=1e-9)
 
     def test_center_input_is_deterministic(self):
         n, k = 4, 2
@@ -119,7 +131,8 @@ class TestProjectSphere:
         a = project_sphere(c.copy(), k)
         b = project_sphere(c.copy(), k)
         assert np.array_equal(a, b)
-        assert np.linalg.norm(a - c) == pytest.approx((n + 1) / 2.0)
+        assert a[0, 0] == float(k)
+        assert np.linalg.norm(off_corner(a, n, k)) == pytest.approx(pinned_radius(n))
 
 
 class TestProjectSphereMatchesReference:
@@ -131,39 +144,39 @@ class TestProjectSphereMatchesReference:
     def _same_bits(a, b):
         assert a.shape == b.shape and a.tobytes() == b.tobytes()
 
-    @pytest.mark.parametrize("fix_corner", [False, True])
+    # the reference's pinned case, the only sphere that project_sphere targets
+    @pytest.mark.parametrize("fix_corner", [True])
     @pytest.mark.parametrize("seed", range(8))
     def test_bitwise(self, seed, fix_corner):
         rng = np.random.default_rng([17, seed])
         n = int(rng.integers(1, 10))
         k = int(rng.integers(1, n + 1))
-        sphere = integrality_sphere(n, k, fix_corner)
+        sphere = integrality_sphere(n, k)
         for _ in range(5):
             a = symmetrize(rng.normal(size=(n + 1, n + 1)) * 2.0)
             mask = rng.random(a.shape) < 0.3
             a[mask] = rng.choice([0.0, -0.0, 0.5, 1.0], size=int(mask.sum()))
             ref = project_sphere_reference(a, k, fix_corner)
-            self._same_bits(project_sphere(a, k, fix_corner), ref)
-            self._same_bits(project_sphere(a, k, fix_corner, sphere=sphere), ref)
+            self._same_bits(project_sphere(a, k), ref)
+            self._same_bits(project_sphere(a, k, sphere=sphere), ref)
             buf = np.full_like(a, np.nan)
-            got = project_sphere(a, k, fix_corner, sphere=sphere, out=buf)
+            got = project_sphere(a, k, sphere=sphere, out=buf)
             assert got is buf
             self._same_bits(got, ref)
             inplace = a.copy()
-            project_sphere(inplace, k, fix_corner, sphere=sphere, out=inplace)
+            project_sphere(inplace, k, sphere=sphere, out=inplace)
             self._same_bits(inplace, ref)
 
-    @pytest.mark.parametrize("fix_corner", [False, True])
+    @pytest.mark.parametrize("fix_corner", [True])
     def test_center_input(self, fix_corner):
         n, k = 4, 2
         a = sphere_center(n, k)
-        if fix_corner:
-            a[0, 0] = -0.0
+        a[0, 0] = -0.0
         ref = project_sphere_reference(a, k, fix_corner)
-        sphere = integrality_sphere(n, k, fix_corner)
-        self._same_bits(project_sphere(a.copy(), k, fix_corner, sphere, a.copy()), ref)
+        sphere = integrality_sphere(n, k)
+        self._same_bits(project_sphere(a.copy(), k, sphere, a.copy()), ref)
         inplace = a.copy()
-        project_sphere(inplace, k, fix_corner, sphere, out=inplace)
+        project_sphere(inplace, k, sphere, out=inplace)
         self._same_bits(inplace, ref)
 
 
