@@ -14,12 +14,12 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cpadmm import AdmmParams, cp_admm, greedy_lower_bound, records_to_jsonl
+from .cpadmm import AdmmParams, cp_admm, greedy_lower_bound
 # no solve path calls it: the benchmark's tracer wraps it under this name
 from .cpadmm import scipy_linprog_backend  # noqa: F401
 from .cuts import CutFamily
 from .graph import DimacsError, parse_dimacs
-from .intadmm import IntAdmmParams, int_admm, int_trace_to_jsonl
+from .intadmm import IntAdmmParams, int_admm
 from .oracle import OracleSizeError, alpha_k_exact, chi_exact
 
 SCHEMA_VERSION = 1
@@ -155,17 +155,7 @@ def _load_instance(cfg):
         raise CliError(f"cannot parse instance: {exc}", EXIT_PARSE_ERROR) from exc
 
 
-def _require_k(cfg, g):
-    if cfg.k is None:
-        raise CliError("this mode requires --k", EXIT_INVALID_ARGS)
-    if not 1 <= cfg.k <= g.n:
-        raise CliError(
-            f"k must lie in [1, {g.n}] for this instance; got {cfg.k}",
-            EXIT_INVALID_ARGS,
-        )
-
-
-def _base_report(cfg, g, mode):
+def _base_report(cfg, g, k, mode):
     return {
         "schema": SCHEMA_VERSION,
         "mode": mode,
@@ -173,7 +163,7 @@ def _base_report(cfg, g, mode):
         "graph": g.name or Path(str(cfg.instance)).stem,
         "n": g.n,
         "density": round(g.density, 6),
-        "k": cfg.k,
+        "k": k,
         "seed": cfg.admm.seed,
     }
 
@@ -182,21 +172,16 @@ def _clock(cfg, seconds):
     return 0.0 if cfg.stable_timing else round(seconds, 3)
 
 
-def run_bound(cfg, g=None, deadline=None):
+def run_bound(cfg, g, k, deadline):
     """Greedy lower bound followed by the cutting-plane bound solver,
-    which stops at ``deadline`` (by default ``cfg.time_limit`` from now).
+    which stops at ``deadline`` (a ``time.monotonic()`` value).
 
     Returns ``(report, solver_result)``; the report is the stable
     machine-readable summary, the result carries the iterate and traces.
     """
-    if g is None:
-        g = _load_instance(cfg)
-    _require_k(cfg, g)
     t0 = time.monotonic()
-    if deadline is None:
-        deadline = t0 + cfg.time_limit
-    res = cp_admm(g, cfg.k, cfg.admm, deadline=deadline)
-    report = _base_report(cfg, g, "bound")
+    res = cp_admm(g, k, cfg.admm, deadline=deadline)
+    report = _base_report(cfg, g, k, "bound")
     report.update(
         {
             "lb_hint": res.lb_hint,
@@ -213,18 +198,15 @@ def run_bound(cfg, g=None, deadline=None):
     return report, res
 
 
-def run_solve(cfg, deadline=None):
+def run_solve(cfg, g, k, deadline):
     """Bound phase, then the integer solver warm-started from its iterate
     with the bound as the optimality target, both stopping at ``deadline``
     as in :func:`run_bound`; reports the integer colouring or a larger greedy one."""
-    g = _load_instance(cfg)
-    if deadline is None:
-        deadline = time.monotonic() + cfg.time_limit
-    report, bound_res = run_bound(cfg, g, deadline)
+    report, bound_res = run_bound(cfg, g, k, deadline)
     t0 = time.monotonic()
     int_res = int_admm(
         g,
-        cfg.k,
+        k,
         cfg.intp,
         warm=bound_res.matrix,
         known_ub=bound_res.ub,
@@ -233,8 +215,8 @@ def run_solve(cfg, deadline=None):
     source, coloring = "int_admm", int_res.coloring
     if bound_res.greedy.value > coloring.value:
         source, coloring = "greedy", bound_res.greedy
-    if not coloring.check(g, cfg.k):
-        raise RuntimeError(f"the {source} colouring is not a proper {cfg.k}-colouring")
+    if not coloring.check(g, k):
+        raise RuntimeError(f"the {source} colouring is not a proper {k}-colouring")
     report["mode"] = "solve"
     report.update(
         {
@@ -303,38 +285,33 @@ def chromatic_search(g, cfg=None, deadline=None):
     return k, steps
 
 
-def chromatic_lower_bound(cfg, deadline=None):
-    """File-based wrapper around :func:`chromatic_search` producing the
-    machine-readable report."""
-    g = _load_instance(cfg)
-    report = _base_report(cfg, g, "chromatic")
+def run_chromatic(cfg, g, deadline):
+    """The report of :func:`chromatic_search` on ``g``."""
+    report = _base_report(cfg, g, None, "chromatic")
     t0 = time.monotonic()
     k, steps = chromatic_search(g, cfg, deadline)
     report.update(
         {
-            "k": None,
             "chi_lower_bound": k,
             "steps": steps,
             "time_total": _clock(cfg, time.monotonic() - t0),
         }
     )
-    return k, report
+    return report
 
 
-def run_oracle(cfg):
-    """Exact reference values: alpha_k when --k is given, else the
+def run_oracle(cfg, g, k):
+    """Exact reference values: alpha_k when ``k`` is given, else the
     chromatic number.  Guarded by instance size unless expensive runs
     are enabled."""
-    g = _load_instance(cfg)
     guard = 64 if cfg.expensive_tests else 15
-    report = _base_report(cfg, g, "oracle")
+    report = _base_report(cfg, g, k, "oracle")
     t0 = time.monotonic()
     try:
-        if cfg.k is not None:
-            _require_k(cfg, g)
-            lb_hint, _ = greedy_lower_bound(g, cfg.k, cfg.admm.seed)
+        if k is not None:
+            lb_hint, _ = greedy_lower_bound(g, k, cfg.admm.seed)
             report["alpha_k"] = alpha_k_exact(
-                g, cfg.k, max_vertices=guard, initial_lb=lb_hint
+                g, k, max_vertices=guard, initial_lb=lb_hint
             )
         else:
             report["chi"] = chi_exact(g, max_vertices=guard)
@@ -370,18 +347,13 @@ def report_rows(reports):
 
 
 def run_report(reports):
-    """Aggregate per-run reports into byte-stable CSV and JSON tables.
-
-    Returns ``(csv_text, json_text)`` with one row per report in input
-    order; fields missing from a report become empty cells / nulls.
+    """Aggregate per-run reports into a byte-stable CSV table, one row per
+    report in input order; fields missing from a report become empty cells.
     """
-    rows = report_rows(reports)
     lines = [",".join(REPORT_COLUMNS)]
-    for row in rows:
+    for row in report_rows(reports):
         lines.append(",".join(_cell(row[col]) for col in REPORT_COLUMNS))
-    csv_text = "\n".join(lines) + "\n"
-    json_text = json.dumps(rows, indent=2, sort_keys=True) + "\n"
-    return csv_text, json_text
+    return "\n".join(lines) + "\n"
 
 
 class _ArgumentParser(argparse.ArgumentParser):
@@ -456,16 +428,36 @@ def resolve_config(args):
     return _apply_overrides(cfg, flags, "command line")
 
 
+def _jsonl(rows):
+    """One compact JSON object per line."""
+    return "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+
+
+def _cut_rows(pool):
+    """The side-file line of each cut: id, family name, right-hand side and
+    its ``[coordinate, coefficient]`` pairs."""
+    for cid, fam, rhs, (idx, coeffs) in zip(pool.id.tolist(), pool.family.tolist(),
+                                            pool.rhs.tolist(), pool.rows()):
+        yield {"id": cid, "family": CutFamily(fam).name, "rhs": rhs,
+               "coeffs": [list(pair) for pair in zip(idx, coeffs)]}
+
+
 def _write_side_files(cfg, out, suffix, bound_res, int_res):
-    timing = not cfg.stable_timing
+    """The JSONL side files of one run: the outer trace and the cut pool of
+    the bound phase, and the integer stage's trace."""
+    files = {}
     if bound_res is not None:
-        trace = out.parent / (out.stem + suffix + ".trace.jsonl")
-        trace.write_text(records_to_jsonl(bound_res.records, timing=timing))
-        cuts = out.parent / (out.stem + suffix + ".cuts.jsonl")
-        cuts.write_text(bound_res.cuts.to_jsonl())
+        files["trace"] = ({**dataclasses.asdict(r), "elapsed_s": _clock(cfg, r.elapsed_s)}
+                          for r in bound_res.records)
+        files["cuts"] = _cut_rows(bound_res.cuts)
     if int_res is not None:
-        trace = out.parent / (out.stem + suffix + ".int_trace.jsonl")
-        trace.write_text(int_trace_to_jsonl(int_res.records))
+        files["int_trace"] = (
+            {**dataclasses.asdict(r), "beta": round(r.beta, 9),
+             "primal_res_Y": round(r.primal_res_Y, 9),
+             "primal_res_Z": round(r.primal_res_Z, 9)}
+            for r in int_res.records)
+    for name, rows in files.items():
+        (out.parent / f"{out.stem}{suffix}.{name}.jsonl").write_text(_jsonl(rows))
 
 
 def _write_outputs(cfg, runs):
@@ -492,8 +484,7 @@ def _write_outputs(cfg, runs):
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(text)
     if not single:
-        csv_text, _ = run_report(doc["runs"])
-        (out.parent / (out.stem + ".csv")).write_text(csv_text)
+        (out.parent / (out.stem + ".csv")).write_text(run_report(doc["runs"]))
     for k, _, bound_res, int_res in runs:
         _write_side_files(cfg, out, "" if single else f".k{k}", bound_res, int_res)
 
@@ -506,26 +497,30 @@ def main(argv=None):
         # the chromatic search picks its own k values
         ks = [None] if cfg.mode == "chromatic" else _parse_k_values(cfg.k) or [None]
         deadline = time.monotonic() + cfg.time_limit  # one for every k of the run
+        g = _load_instance(cfg)
+        # every k is checked before the first run, so none is solved in vain
+        for k in ks:
+            if k is None and cfg.mode in ("bound", "solve"):
+                raise CliError("this mode requires --k", EXIT_INVALID_ARGS)
+            if k is not None and not 1 <= k <= g.n:
+                raise CliError(f"k must lie in [1, {g.n}] for this instance; got {k}",
+                               EXIT_INVALID_ARGS)
         runs = []
         for k in ks:
-            cfg.k = k
             bound_res = int_res = None
             if cfg.mode == "bound":
-                report, bound_res = run_bound(cfg, deadline=deadline)
+                report, bound_res = run_bound(cfg, g, k, deadline)
             elif cfg.mode == "solve":
-                report, bound_res, int_res = run_solve(cfg, deadline)
+                report, bound_res, int_res = run_solve(cfg, g, k, deadline)
             elif cfg.mode == "oracle":
-                report = run_oracle(cfg)
+                report = run_oracle(cfg, g, k)
             else:
-                _, report = chromatic_lower_bound(cfg, deadline)
+                report = run_chromatic(cfg, g, deadline)
             runs.append((k, report, bound_res, int_res))
         _write_outputs(cfg, runs)
     except CliError as exc:
         print(f"mkcs: error: {exc}", file=sys.stderr)
         return exc.code
-    except DimacsError as exc:
-        print(f"mkcs: error: {exc}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     return EXIT_OK
 
 

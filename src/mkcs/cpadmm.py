@@ -10,7 +10,7 @@ import math
 import operator
 import random
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -266,17 +266,6 @@ class OuterRecord:
     n_cuts_total: int
     phase: int
     elapsed_s: float
-
-    def to_json(self, timing=True):
-        import json
-
-        record = asdict(self)
-        record["elapsed_s"] = round(self.elapsed_s, 3) if timing else 0.0
-        return json.dumps(record, separators=(",", ":"))
-
-
-def records_to_jsonl(records, timing=True):
-    return "".join(r.to_json(timing) + "\n" for r in records)
 
 
 @dataclass

@@ -4,7 +4,6 @@ array-backed cut pool, separation, selection, and clustering."""
 from __future__ import annotations
 
 import enum
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -110,18 +109,6 @@ class CutPool:
             mask[r] = key not in seen
             seen.add(key)
         return mask
-
-    def to_jsonl(self):
-        """One JSON object per row, for reproducibility audits."""
-        return "".join(
-            json.dumps(
-                {"id": cid, "family": CutFamily(fam).name, "rhs": rhs,
-                 "coeffs": [list(pa) for pa in zip(idx, coeffs)]},
-                separators=(",", ":"),
-            ) + "\n"
-            for cid, fam, rhs, (idx, coeffs) in zip(
-                self.id.tolist(), self.family.tolist(), self.rhs.tolist(), self.rows())
-        )
 
 
 @dataclass

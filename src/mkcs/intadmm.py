@@ -4,11 +4,9 @@ schedule and an escape mechanism, plus rounding to verified colorings."""
 
 from __future__ import annotations
 
-import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -94,47 +92,28 @@ class Coloring:
         return True
 
 
-def sphere_center(n, k):
-    """Center of the sphere whose intersection with the unit box is the
-    set of 0/1 bordered matrices with corner k."""
-    c = np.full((n + 1, n + 1), 0.5)
-    c[0, 0] += k
-    return c
-
-
-class Sphere(NamedTuple):
-    center: np.ndarray
-    radius: float
-
-
-def integrality_sphere(n, k):
-    """Center and radius of the sphere that ``project_sphere`` targets."""
-    return Sphere(sphere_center(n, k), math.sqrt((n + 1) ** 2 - 1) / 2.0)
-
-
-def project_sphere(a, k, sphere=None, out=None):
+def project_sphere(a, k, out=None):
     """Project a bordered symmetric matrix onto the integrality sphere with
     its corner entry pinned to k.
 
-    The projection rescales the corner-corrected offset from the center
-    to radius sqrt((n+1)^2 - 1)/2.  A matrix sitting exactly at the center
-    is nudged along the bordered-identity direction so the result is
-    deterministic.  ``sphere`` is ``integrality_sphere(n, k)``, passed by
-    callers that project repeatedly; the result is written into ``out``
-    when given, which may be ``a`` itself.
+    The sphere's intersection with the unit box is the set of 0/1 bordered
+    matrices with corner k: its center is 0.5 off the corner (the corner
+    is overwritten with k), its radius sqrt((n+1)^2 - 1)/2.  The
+    projection rescales the offset from the center, corner zeroed, to
+    that radius.  A matrix sitting exactly at the center is nudged along
+    the bordered-identity direction so the result is deterministic.  The
+    result is written into ``out`` when given, which may be ``a`` itself.
     """
     n = a.shape[0] - 1
-    if sphere is None:
-        sphere = integrality_sphere(n, k)
-    center, radius = sphere
-    offset = np.subtract(a, center, out=out)
+    radius = math.sqrt((n + 1) ** 2 - 1) / 2.0
+    offset = np.subtract(a, 0.5, out=out)
     offset[0, 0] = 0.0  # corner replaced by the pinned value
     norm = _frobenius_norm(offset)
     if norm < 1e-12:
         offset[...] = augmented_identity(n)
         norm = math.sqrt(n)
     np.multiply(offset, radius / norm, out=offset)
-    offset += center
+    offset += 0.5
     offset[0, 0] = float(k)
     return offset
 
@@ -194,16 +173,6 @@ class IntTraceRecord:
     converged_event: bool
     feasible_value: int | None
 
-    def to_json(self):
-        record = asdict(self)
-        for key in ("beta", "primal_res_Y", "primal_res_Z"):
-            record[key] = round(record[key], 9)
-        return json.dumps(record, separators=(",", ":"))
-
-
-def int_trace_to_jsonl(records):
-    return "".join(r.to_json() + "\n" for r in records)
-
 
 @dataclass
 class IntAdmmResult:
@@ -242,13 +211,12 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
         raise ValueError(f"k must lie in [1, {g.n}]; got {k}")
     fmap = FreeIndexMap(g)
     ibar = augmented_identity(g.n)
-    sphere = integrality_sphere(g.n, k)
     if warm is None:
         warm = initial_iterate(g.n, k)
     beta = params.beta0
     x = project_affine_set(warm, fmap, k).matrix
     y = project_psd(warm)
-    z = project_sphere(warm, k, sphere=sphere)
+    z = project_sphere(warm, k)
     lam = beta * (x - y)
     mu = beta * (x - z)
     # sweep buffers: work holds the affine target, then the PSD input,
@@ -287,7 +255,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
             # z = sphere(x + mu / beta), in place
             np.divide(mu, beta, out=z)
             np.add(x, z, out=z)
-            project_sphere(z, k, sphere=sphere, out=z)
+            project_sphere(z, k, out=z)
             np.subtract(x, y, out=diff)
             dist_y = _frobenius_norm(diff)
             diff *= beta

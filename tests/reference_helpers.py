@@ -22,7 +22,7 @@ import numpy as np
 
 from mkcs.cuts import CutFamily, CutPool
 import mkcs.graph
-from mkcs.intadmm import Coloring, RoundingResult, sphere_center
+from mkcs.intadmm import Coloring, RoundingResult
 from mkcs.linalg import augmented_identity
 
 
@@ -239,6 +239,14 @@ def affine_box_reference(u, fmap, k):
     a[fmap.pair_rows, fmap.pair_cols] = v[n:]
     a[fmap.pair_cols, fmap.pair_rows] = v[n:]
     return a
+
+
+def sphere_center(n, k):
+    """Center of the sphere whose intersection with the unit box is the
+    set of 0/1 bordered matrices with corner k."""
+    c = np.full((n + 1, n + 1), 0.5)
+    c[0, 0] += k
+    return c
 
 
 def project_sphere_reference(a, k, fix_corner=False):

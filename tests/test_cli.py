@@ -18,11 +18,11 @@ from mkcs.cli import (
     EXIT_PARSE_ERROR,
     RunConfig,
     build_parser,
-    chromatic_lower_bound,
     main,
     report_rows,
     resolve_config,
     run_bound,
+    run_chromatic,
     run_report,
     run_solve,
 )
@@ -116,6 +116,18 @@ class TestExitCodes:
 
     def test_out_of_range_k_invalid_args(self, c5_file):
         assert main(["bound", str(c5_file), "--k", "7"]) == EXIT_INVALID_ARGS
+
+    def test_k_list_checked_before_the_first_run(self, c5_file, monkeypatch, capsys):
+        solves = []
+
+        def counting_cp_admm(*args, _real=cli.cp_admm, **kwargs):
+            solves.append(args[1])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cp_admm", counting_cp_admm)
+        assert main(["bound", str(c5_file), "--k", "2,99"]) == EXIT_INVALID_ARGS
+        assert "k must lie in [1, 5]" in capsys.readouterr().err
+        assert solves == []
 
     def test_k_equal_to_n_accepted(self, c5_file, capsys):
         assert main(["bound", str(c5_file), "--k", "5"]) == EXIT_OK
@@ -350,8 +362,8 @@ class TestConfigResolution:
 
 class TestRunModes:
     def test_run_bound_report_fields(self, c5_file):
-        cfg = RunConfig(instance=str(c5_file), k=2, stable_timing=True)
-        report, res = run_bound(cfg)
+        cfg = RunConfig(instance=str(c5_file), stable_timing=True)
+        report, res = run_bound(cfg, cycle_graph(5), 2, math.inf)
         assert report["schema"] == 1
         assert report["n"] == 5 and report["k"] == 2
         assert report["ub"] >= report["lb_hint"]
@@ -359,8 +371,8 @@ class TestRunModes:
         assert report["cuts"]["total"] == len(res.cuts)
 
     def test_run_solve_adds_lower_bound(self, c5_file):
-        cfg = RunConfig(instance=str(c5_file), k=2, stable_timing=True)
-        report, _, int_res = run_solve(cfg)
+        cfg = RunConfig(instance=str(c5_file), stable_timing=True)
+        report, _, int_res = run_solve(cfg, cycle_graph(5), 2, math.inf)
         assert report["mode"] == "solve"
         assert report["lb"] == 4
         assert report["lb"] <= int(report["ub"] + 1e-9)
@@ -369,8 +381,8 @@ class TestRunModes:
         assert int_res.coloring.check(cycle_graph(5), 2)
 
     def test_solve_k5_optimal(self, k5_file):
-        cfg = RunConfig(instance=str(k5_file), k=2)
-        report, _, _ = run_solve(cfg)
+        cfg = RunConfig(instance=str(k5_file))
+        report, _, _ = run_solve(cfg, complete_graph(5), 2, math.inf)
         assert report["lb"] == 2
         assert report["optimal"] is True
 
@@ -399,18 +411,19 @@ class TestRunModes:
         assert gate.check_report(report, SimpleNamespace(mode="solve", k=3), g) == []
 
     def test_chromatic_k5_exact(self, k5_file):
-        cfg = RunConfig(instance=str(k5_file))
-        value, report = chromatic_lower_bound(cfg)
-        assert value == 5
+        report = run_chromatic(RunConfig(instance=str(k5_file)), complete_graph(5),
+                               math.inf)
         assert report["chi_lower_bound"] == 5
+        assert report["k"] is None
         ks = [s["k"] for s in report["steps"]]
         assert ks[0] == 1 and ks == sorted(ks)
 
-    def test_chromatic_empty_graph(self, tmp_path):
+    def test_chromatic_empty_graph(self, tmp_path, capsys):
         path = tmp_path / "empty.col"
         path.write_text("p edge 6 0\n")
-        value, report = chromatic_lower_bound(RunConfig(instance=str(path)))
-        assert value == 1
+        assert main(["chromatic", str(path)]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        assert report["chi_lower_bound"] == 1
         assert len(report["steps"]) == 1
 
     def test_chromatic_petersen(self):
@@ -424,8 +437,8 @@ class TestRunModes:
         assert value == 3
 
     def test_bound_k5_value(self, k5_file):
-        cfg = RunConfig(instance=str(k5_file), k=2)
-        report, _ = run_bound(cfg)
+        cfg = RunConfig(instance=str(k5_file))
+        report, _ = run_bound(cfg, complete_graph(5), 2, math.inf)
         assert 1.95 <= report["ub"] <= 2.1
 
     def test_oracle_alpha(self, k5_file, capsys):
@@ -508,22 +521,19 @@ class TestRunReport:
         }
 
     def test_single_row(self):
-        csv_text, json_text = run_report([self._fake_report()])
-        lines = csv_text.strip().split("\n")
+        lines = run_report([self._fake_report()]).strip().split("\n")
         assert len(lines) == 2
         assert lines[0].count(",") == 10  # 11 columns
-        assert json.loads(json_text)[0]["cuts"] == 3
+        assert report_rows([self._fake_report()])[0]["cuts"] == 3
 
     def test_empty_gives_header_only(self):
-        csv_text, _ = run_report([])
-        assert csv_text.strip().split("\n") == [
+        assert run_report([]).strip().split("\n") == [
             "graph,n,density,k,ub,lb,time_ub,time_lb,inner_iters,outer_iters,cuts"
         ]
 
     def test_same_instance_two_rows(self):
         reports = [self._fake_report(k=2), self._fake_report(k=3)]
-        csv_text, _ = run_report(reports)
-        rows = csv_text.strip().split("\n")[1:]
+        rows = run_report(reports).strip().split("\n")[1:]
         assert len(rows) == 2
         assert rows[0].split(",")[0] == rows[1].split(",")[0] == "g"
 
@@ -532,8 +542,8 @@ class TestRunReport:
         assert run_report(reports) == run_report(reports)
 
     def test_bound_report_uses_lb_hint(self, c5_file):
-        cfg = RunConfig(instance=str(c5_file), k=2, stable_timing=True)
-        report, _ = run_bound(cfg)
+        cfg = RunConfig(instance=str(c5_file), stable_timing=True)
+        report, _ = run_bound(cfg, cycle_graph(5), 2, math.inf)
         rows = report_rows([report])
         assert rows[0]["lb"] == report["lb_hint"]
 

@@ -22,7 +22,6 @@ from mkcs.cpadmm import (
     greedy_lower_bound,
     initial_state,
     inner_admm,
-    records_to_jsonl,
     scipy_linprog_backend,
     valid_upper_bound,
 )
@@ -36,10 +35,16 @@ from mkcs.cuts import (
     separate_clique_external,
     separate_triangle,
 )
-from mkcs.graph import Graph, enumerate_5holes, enumerate_cliques, random_graph
+from mkcs.cli import main
+from mkcs.graph import Graph, enumerate_5holes, enumerate_cliques, random_graph, write_dimacs
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
 from mkcs.projection import ClusteredCuts, dykstra
+
+
+def pool_identity(pool):
+    """A cut pool's rows with the id and family of each."""
+    return pool.row_keys(), pool.id.tolist(), pool.family.tolist()
 
 
 class TestInnerAdmm:
@@ -661,7 +666,7 @@ class TestCpAdmm:
         assert [(r.outer, r.inner_iters, r.ub, r.n_cuts_added) for r in a.records] == [
             (r.outer, r.inner_iters, r.ub, r.n_cuts_added) for r in b.records
         ]
-        assert a.cuts.to_jsonl() == b.cuts.to_jsonl()
+        assert pool_identity(a.cuts) == pool_identity(b.cuts)
 
     def test_soundness_against_oracle(self):
         for seed in range(6):
@@ -714,7 +719,7 @@ class TestCpAdmm:
         from bench_instances import queen6_6
 
         res = cp_admm(queen6_6(), 6, AdmmParams(max_outer=5))
-        families = [json.loads(line)["family"] for line in res.cuts.to_jsonl().splitlines()]
+        families = [CutFamily(f).name for f in res.cuts.family.tolist()]
         phase1 = [r for r in res.records if r.phase == 1 and r.n_cuts_added]
         assert phase1
         for r in phase1:
@@ -753,7 +758,7 @@ class TestCpAdmm:
                 for seed in (0, 7)]
         assert not runs[0].enumeration_complete
         assert {"CLIQUE_EXT", "HOLE5"} <= set(runs[0].family_counts)
-        assert runs[0].cuts.to_jsonl() == runs[1].cuts.to_jsonl()
+        assert pool_identity(runs[0].cuts) == pool_identity(runs[1].cuts)
 
     def test_time_limit_termination(self):
         g = random_graph(14, 0.5, 2)
@@ -832,18 +837,19 @@ class TestCpAdmm:
         assert res.termination == "min_ineq"
         assert res.ub == pytest.approx(47.0, abs=0.05)
 
-    def test_trace_jsonl_shape(self):
-        g = cycle_graph(6)
-        res = cp_admm(g, 2, AdmmParams())
-        lines = records_to_jsonl(res.records, timing=False).strip().split("\n")
-        import json
-
-        rec = json.loads(lines[0])
-        assert set(rec) == {
-            "outer", "inner_iters", "ub", "n_cuts_added", "n_cuts_total",
-            "phase", "elapsed_s",
-        }
-        assert rec["elapsed_s"] == 0.0
+    def test_trace_jsonl_shape(self, tmp_path):
+        # the outer trace as the CLI writes it, wall times zeroed
+        path = tmp_path / "c6.col"
+        path.write_text(write_dimacs(cycle_graph(6)))
+        assert main(["bound", str(path), "--k", "2", "--stable-timing",
+                     "--out", str(tmp_path / "c6.json")]) == 0
+        lines = (tmp_path / "c6.trace.jsonl").read_text().strip().split("\n")
+        for rec in map(json.loads, lines):
+            assert set(rec) == {
+                "outer", "inner_iters", "ub", "n_cuts_added", "n_cuts_total",
+                "phase", "elapsed_s",
+            }
+            assert rec["elapsed_s"] == 0.0
 
 
 class TestRelaxationProperties:

@@ -7,6 +7,7 @@ from bench_instances import complete_graph, cycle_graph
 import separation_reference as ref
 from reference_helpers import Clique, Cut, Hole5, candidate_pairs, kappa_rank, pool_of
 from reference_helpers import enumerate_cliques as reference_cliques
+from mkcs.cli import _cut_rows, _jsonl
 from mkcs.cuts import (
     CutFamily,
     CutPool,
@@ -649,7 +650,8 @@ def test_jsonl_serialization():
         Cut(3, CutFamily.CLIQUE_EXT, {5: -1.0, 2: 1.0}, 0.0),
         Cut(4, CutFamily.T2, {0: 1.0}, 2.0),
     ]
-    lines = pool_of(cuts).to_jsonl().strip().split("\n")
+    # the cut-pool side file as the CLI writes it
+    lines = _jsonl(_cut_rows(pool_of(cuts))).strip().split("\n")
     first = json.loads(lines[0])
     assert first == {
         "id": 3,

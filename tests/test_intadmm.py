@@ -1,3 +1,4 @@
+import json
 import math
 import warnings
 
@@ -5,21 +6,23 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph, myciel_graph
-from reference_helpers import project_sphere_reference, round_and_verify_reference
+from reference_helpers import (
+    project_sphere_reference,
+    round_and_verify_reference,
+    sphere_center,
+)
 import mkcs.intadmm
 from mkcs.cpadmm import AdmmParams, cp_admm
-from mkcs.graph import Graph, random_graph
+from mkcs.graph import Graph, random_graph, write_dimacs
 from mkcs.intadmm import (
     BETA_MIN,
     Coloring,
     IntAdmmParams,
     int_admm,
-    int_trace_to_jsonl,
-    integrality_sphere,
     project_sphere,
     round_and_verify,
-    sphere_center,
 )
+from mkcs.cli import main
 from mkcs.linalg import symmetrize
 from mkcs.oracle import alpha_k_exact
 
@@ -136,8 +139,8 @@ class TestProjectSphere:
 
 
 class TestProjectSphereMatchesReference:
-    """``project_sphere`` with a precomputed sphere and an output buffer
-    against the version that rebuilt the center on every call
+    """``project_sphere``, also into an output buffer and in place, against
+    the version that builds the full center matrix on every call
     (``tests/reference_helpers.py``): every output bit must agree."""
 
     @staticmethod
@@ -151,20 +154,18 @@ class TestProjectSphereMatchesReference:
         rng = np.random.default_rng([17, seed])
         n = int(rng.integers(1, 10))
         k = int(rng.integers(1, n + 1))
-        sphere = integrality_sphere(n, k)
         for _ in range(5):
             a = symmetrize(rng.normal(size=(n + 1, n + 1)) * 2.0)
             mask = rng.random(a.shape) < 0.3
             a[mask] = rng.choice([0.0, -0.0, 0.5, 1.0], size=int(mask.sum()))
             ref = project_sphere_reference(a, k, fix_corner)
             self._same_bits(project_sphere(a, k), ref)
-            self._same_bits(project_sphere(a, k, sphere=sphere), ref)
             buf = np.full_like(a, np.nan)
-            got = project_sphere(a, k, sphere=sphere, out=buf)
+            got = project_sphere(a, k, out=buf)
             assert got is buf
             self._same_bits(got, ref)
             inplace = a.copy()
-            project_sphere(inplace, k, sphere=sphere, out=inplace)
+            project_sphere(inplace, k, out=inplace)
             self._same_bits(inplace, ref)
 
     @pytest.mark.parametrize("fix_corner", [True])
@@ -173,10 +174,9 @@ class TestProjectSphereMatchesReference:
         a = sphere_center(n, k)
         a[0, 0] = -0.0
         ref = project_sphere_reference(a, k, fix_corner)
-        sphere = integrality_sphere(n, k)
-        self._same_bits(project_sphere(a.copy(), k, sphere, a.copy()), ref)
+        self._same_bits(project_sphere(a.copy(), k, out=a.copy()), ref)
         inplace = a.copy()
-        project_sphere(inplace, k, sphere, out=inplace)
+        project_sphere(inplace, k, out=inplace)
         self._same_bits(inplace, ref)
 
 
@@ -348,12 +348,13 @@ class TestIntAdmm:
         assert res.value == 0
         assert res.coloring.assignment == {}
 
-    def test_trace_jsonl(self):
-        import json
-
-        g = cycle_graph(5)
-        res = int_admm(g, 2, known_ub=4.9)
-        lines = int_trace_to_jsonl(res.records).strip().splitlines()
+    def test_trace_jsonl(self, tmp_path):
+        # the integer trace as the CLI writes it, one record per convergence event
+        path = tmp_path / "c5.col"
+        path.write_text(write_dimacs(cycle_graph(5)))
+        assert main(["solve", str(path), "--k", "2", "--stable-timing",
+                     "--out", str(tmp_path / "c5.json")]) == 0
+        lines = (tmp_path / "c5.int_trace.jsonl").read_text().strip().splitlines()
         assert lines
         rec = json.loads(lines[0])
         assert set(rec) == {

@@ -9,6 +9,8 @@ The runs, one subdirectory of OUTDIR each:
 - ``g12``: ``solve`` on ``random_graph(12, 0.5, 77)`` with
   ``--k 2 --seed 11 --max-iterations 4000`` (the run that acceptance
   criterion 9 repeats);
+- ``g12-oracle``: ``oracle`` on the same graph at ``--k 2,3``, the exact
+  ``alpha_k`` values and their CSV table;
 - ``queen6_6``: ``bound`` at ``--k 2,3``;
 - ``queen6_6-k6``: ``bound`` at ``--k 6`` with the default parameters
   (the run that acceptance criterion 2 repeats);
@@ -63,6 +65,8 @@ def runs():
     mode, extra CLI arguments)`` for every run."""
     yield ("g12", "g12.col", write_dimacs(random_graph(12, 0.5, 77)), None,
            "solve", ["--k", "2", "--seed", "11", "--max-iterations", "4000"])
+    yield ("g12-oracle", "g12.col", write_dimacs(random_graph(12, 0.5, 77)), None,
+           "oracle", ["--k", "2,3"])
     yield ("queen6_6", "queen6_6.col", write_dimacs(bench_instances.queen6_6()),
            None, "bound", ["--k", "2,3"])
     yield ("queen6_6-k6", "queen6_6.col", write_dimacs(bench_instances.queen6_6()),
