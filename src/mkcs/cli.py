@@ -339,7 +339,9 @@ def report_rows(reports):
     rows = []
     for rep in reports:
         row = {col: rep.get(col) for col in REPORT_COLUMNS}
-        row["lb"] = rep.get("lb", rep.get("lb_hint"))
+        # an exact alpha_k is both bounds
+        row["ub"] = rep.get("ub", rep.get("alpha_k"))
+        row["lb"] = rep.get("lb", rep.get("lb_hint", rep.get("alpha_k")))
         cuts = row["cuts"]
         row["cuts"] = cuts.get("total") if isinstance(cuts, dict) else cuts
         rows.append(row)
@@ -494,12 +496,13 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         cfg = resolve_config(args)
-        # the chromatic search picks its own k values
-        ks = [None] if cfg.mode == "chromatic" else _parse_k_values(cfg.k) or [None]
+        ks = _parse_k_values(cfg.k) or [None]
         deadline = time.monotonic() + cfg.time_limit  # one for every k of the run
         g = _load_instance(cfg)
         # every k is checked before the first run, so none is solved in vain
         for k in ks:
+            if k is not None and cfg.mode == "chromatic":
+                raise CliError("chromatic mode picks its own k values", EXIT_INVALID_ARGS)
             if k is None and cfg.mode in ("bound", "solve"):
                 raise CliError("this mode requires --k", EXIT_INVALID_ARGS)
             if k is not None and not 1 <= k <= g.n:

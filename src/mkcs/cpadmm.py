@@ -126,9 +126,6 @@ class AdmmState:
     L: np.ndarray
     k: int
     iterations: int = 0
-    # the last affine projection's Dykstra corrections, valid for the
-    # clustering it ran on (see projection.dykstra)
-    corrections: tuple = None
 
 
 def initial_state(g, k):
@@ -137,7 +134,7 @@ def initial_state(g, k):
 
 
 def inner_admm(state, fmap, params, clustered=None, tightened=False,
-               ub_probe=None, ub_interval=None, deadline=None):
+               ub_probe=None, deadline=None):
     """Run the alternating projections until the residual criterion or the
     iteration cap is met.
 
@@ -146,11 +143,10 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     ``max(|X - Y| / (1 + |X|), beta |X - X_prev| / (1 + |X|)) <= eps``
     in Frobenius norms on the full bordered matrices.  ``tightened``
     switches to the final-pass tolerance and cap.  ``ub_probe`` is called
-    every ``ub_interval`` sweeps and may stop the loop early by returning
-    True; so does the first sweep that ends past ``deadline``, a
+    every ``UB_PROBE_INTERVAL`` sweeps and may stop the loop early by
+    returning True; so does the first sweep that ends past ``deadline``, a
     ``time.monotonic()`` value.  Each Dykstra projection starts from the
-    corrections of the previous one, kept on ``state`` from call to call;
-    they belong to ``clustered``, and whoever replaces it clears them.
+    corrections that the previous one left on ``clustered``.
 
     Returns ``(iterations_run, stopped_by_probe)``.  Affine projections
     whose Dykstra loop hit ``DYK_MAX_CYCLES`` are counted, and a call
@@ -165,10 +161,7 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     for it in range(1, cap + 1):
         target = state.Y + (ibar - state.L) / BETA
         affine = project_affine_set(
-            target, fmap, state.k, clustered, EPS_DYK, DYK_MAX_CYCLES,
-            corrections=state.corrections,
-        )
-        state.corrections = affine.corrections
+            target, fmap, state.k, clustered, EPS_DYK, DYK_MAX_CYCLES)
         capouts += not affine.feasible
         x_new = affine.matrix
         y_new = project_psd(x_new + state.L / BETA)
@@ -185,7 +178,7 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
         state.iterations += 1
         if max(primal, dual) <= eps:
             break
-        if ub_probe is not None and ub_interval and it % ub_interval == 0:
+        if ub_probe is not None and it % UB_PROBE_INTERVAL == 0:
             if ub_probe(state):
                 stopped = True
                 break
@@ -359,113 +352,86 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     clustered = None
     phase = 1 if CutFamily.CLIQUE_EXT in families else 2
     best_ub = math.inf
-    prev_best = None
     records = []
     outer = 0
-    inner_total = 0
     tightened_total = 0
     id_counter = 0
-    termination = "max_outer"
 
     def bound(st):
         # beta W (u - x) -> c as X -> Y, and its cut part is A' (beta t)
-        y = BETA * clustered.multipliers(st.corrections) if clustered else None
+        y = BETA * clustered.multipliers() if clustered else None
         return valid_upper_bound(st.L, fmap, k, cut_list, y)
 
     def probe(st):
         nonlocal best_ub
         ub_now = bound(st)
         best_ub = min(best_ub, ub_now)
-        return ub_stop_below is not None and ub_now < ub_stop_below - 1e-9
+        return ub_now < ub_stop_below - 1e-9
 
-    def run_tightened():
-        nonlocal tightened_total, best_ub
-        iters, _ = inner_admm(state, fmap, params, clustered, tightened=True,
-                              deadline=deadline)
-        tightened_total += iters
-        ub_t = bound(state)
-        best_ub = min(best_ub, ub_t)
-        records.append(
-            OuterRecord(outer, iters, ub_t, 0, len(cut_list), phase,
-                        time.monotonic() - t0)
-        )
+    def separate(fams):
+        nonlocal id_counter
+        rep, id_counter = _separate_families(
+            fams, state, g, fmap, k, params, clique_enum, hole_enum, id_counter)
+        return rep
 
-    while True:
+    termination = None
+    while termination is None:
         outer += 1
-        iters, probed = inner_admm(
-            state, fmap, params, clustered, ub_interval=UB_PROBE_INTERVAL,
+        iters, _ = inner_admm(
+            state, fmap, params, clustered,
             ub_probe=probe if outer == 1 and ub_stop_below is not None else None,
             deadline=deadline,
         )
-        inner_total += iters
         ub = bound(state)
+        # round 1 improves on nothing, although its probes may have set best_ub
+        improvement = best_ub - min(best_ub, ub) if outer > 1 else math.inf
         best_ub = min(best_ub, ub)
-        improvement = math.inf if prev_best is None else prev_best - best_ub
-        prev_best = best_ub
 
-        def record(n_added):
-            records.append(
-                OuterRecord(outer, iters, ub, n_added, len(cut_list), phase,
-                            time.monotonic() - t0)
-            )
-
-        if probed or (
-            ub_stop_below is not None and best_ub < ub_stop_below - 1e-9
-        ):
+        if ub_stop_below is not None and best_ub < ub_stop_below - 1e-9:
             termination = "ub_below_target"
-            record(0)
-            break
-        if math.floor(best_ub + 1e-9) <= lb_hint:
+        elif math.floor(best_ub + 1e-9) <= lb_hint:
             termination = "lb_match"
-            record(0)
-            break
-        if time.monotonic() > deadline:
+        elif time.monotonic() > deadline:
             termination = "time_limit"
-            record(0)
-            break
-        if params.max_outer is not None and outer >= params.max_outer:
+        elif params.max_outer is not None and outer >= params.max_outer:
             termination = "max_outer"
-            record(0)
-            break
 
         # a round that the min_impr rule ends adds no cut, so it separates
         # only what decides the phase it records
-        ending = outer > 1 and improvement < params.min_impr
-
-        def separate(fams):
-            nonlocal id_counter
-            rep, id_counter = _separate_families(
-                fams, state, g, fmap, k, params, clique_enum, hole_enum, id_counter)
-            return rep
-
-        report = SeparationReport()
-        if phase == 2 and not ending:
-            report = separate(families)
-        elif phase == 1 and not (ending and improvement < MIN_IMPR_PHASE1):
-            report = separate([CutFamily.CLIQUE_EXT])
-        fresh = cut_list.novel(report.candidates)
-        if phase == 1 and (improvement < MIN_IMPR_PHASE1
-                           or fresh.sum() < min_ineq_phase1):
-            phase = 2
-            if not ending:
-                report.merge(separate(
-                    [f for f in families if f != CutFamily.CLIQUE_EXT]))
-                fresh = cut_list.novel(report.candidates)
-        enum_complete = enum_complete and not report.truncated
-
+        ending = improvement < params.min_impr
         accepted = CutPool()
-        if not ending and fresh.sum() >= params.min_ineq:
-            accepted = select_cuts(report.take(fresh), max_ineq, MAX_CUTS_PER_VAR)
-        if not len(accepted):
-            record(0)
-            run_tightened()
+        if termination is None:
+            report = SeparationReport()
+            if phase == 2 and not ending:
+                report = separate(families)
+            elif phase == 1 and not (ending and improvement < MIN_IMPR_PHASE1):
+                report = separate([CutFamily.CLIQUE_EXT])
+            fresh = cut_list.novel(report.candidates)
+            if phase == 1 and (improvement < MIN_IMPR_PHASE1
+                               or fresh.sum() < min_ineq_phase1):
+                phase = 2
+                if not ending:
+                    report.merge(separate(
+                        [f for f in families if f != CutFamily.CLIQUE_EXT]))
+                    fresh = cut_list.novel(report.candidates)
+            enum_complete = enum_complete and not report.truncated
+            if not ending and fresh.sum() >= params.min_ineq:
+                accepted = select_cuts(report.take(fresh), max_ineq, MAX_CUTS_PER_VAR)
+            if len(accepted):
+                cut_list.append(accepted)
+                clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)
+        records.append(OuterRecord(outer, iters, ub, len(accepted), len(cut_list),
+                                   phase, time.monotonic() - t0))
+        if termination is None and not len(accepted):
+            # the plateau rules end the run after one tightened pass
+            tightened_total, _ = inner_admm(state, fmap, params, clustered,
+                                            tightened=True, deadline=deadline)
+            ub = bound(state)
+            best_ub = min(best_ub, ub)
+            records.append(OuterRecord(outer, tightened_total, ub, 0, len(cut_list),
+                                       phase, time.monotonic() - t0))
             termination = ("time_limit" if time.monotonic() > deadline
                            else "min_impr" if ending else "min_ineq")
-            break
-        cut_list.append(accepted)
-        clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)
-        state.corrections = None  # they index the clusters just replaced
-        record(len(accepted))
 
     return CpAdmmResult(
         ub=min(best_ub, float(g.n)),
@@ -473,7 +439,7 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         lb_hint=lb_hint,
         termination=termination,
         outer_iterations=outer,
-        inner_iterations=inner_total,
+        inner_iterations=state.iterations - tightened_total,
         tightened_iterations=tightened_total,
         cuts=cut_list,
         records=records,

@@ -145,7 +145,6 @@ class FreeIndexMap:
     """
 
     def __init__(self, g):
-        self.graph = g
         n = g.n
         self.n = n
         pairs = [

@@ -67,9 +67,12 @@ class ClusteredCuts:
     rows are taken once, cluster after cluster, from the pool rows
     ``order``; ``groups[gid]`` holds the ``CutArrays`` of cluster ``gid``,
     views into the arrays of every cut that the two methods read.
+    ``corrections`` holds Dykstra's corrections from the last projection
+    onto it (None before the first; see :func:`dykstra`).
     """
 
     def __init__(self, cuts, clusters, w):
+        self.corrections = None
         self.order = np.array([ci for members in clusters for ci in members],
                               dtype=np.intp)
         rows = cuts.take(self.order)
@@ -100,15 +103,15 @@ class ClusteredCuts:
             return 0.0
         return float(_excess(self._all, x[self._all.idx]).max())
 
-    def multipliers(self, corrections):
-        """The scalar ``t_i``, clipped at 0, of each pool row ``i`` in
-        Dykstra's ``corrections`` on this clustering (zeros for None): a
+    def multipliers(self):
+        """The scalar ``t_i``, clipped at 0, of each pool row ``i`` in the
+        Dykstra ``corrections`` on this clustering (zeros for None): a
         cluster's correction is ``-t_i W^-1 a_i`` on row ``i``'s coordinates."""
         t = np.zeros(len(self))
-        if corrections is not None and len(self):
+        if self.corrections is not None and len(self):
             # the clusters that dykstra visits, with their corrections
-            pairs = zip([grp for grp in self.groups if len(grp.idx)], corrections[1],
-                        strict=True)
+            pairs = zip([grp for grp in self.groups if len(grp.idx)],
+                        self.corrections[1], strict=True)
             flat = np.concatenate([np.zeros(len(grp.idx)) if c is None else c
                                    for grp, c in pairs])
             # a . correction = -t a' W^-1 a = -t denom
@@ -204,24 +207,23 @@ class AffineProjection:
     matrix: np.ndarray
     feasible: bool
     cycles: int
-    corrections: tuple = None  # Dykstra's final corrections, None without cuts
 
 
 def project_affine_set(u, fmap, k, clustered=None, eps_dyk=EPS_DYK,
-                       max_cycles=DYK_MAX_CYCLES, out=None, corrections=None):
+                       max_cycles=DYK_MAX_CYCLES, out=None):
     """Frobenius projection of a bordered symmetric matrix onto the affine
     set (zero edges, border = diagonal, corner = k, unit box, cuts).
 
     Three steps: extract the weighted free-entry vector, project it onto
     the box (exactly, when there are no cuts) or the box-and-halfspace
-    intersection via Dykstra, warm-started from ``corrections`` (see
-    :func:`dykstra`), and rebuild the bordered matrix, into ``out`` when
-    given (see ``FreeIndexMap.vec_to_mat``).
+    intersection via Dykstra, warm-started from ``clustered.corrections``
+    and leaving its final ones there (see :func:`dykstra`), and rebuild the
+    bordered matrix, into ``out`` when given (see ``FreeIndexMap.vec_to_mat``).
     """
     v = fmap.mat_to_vec(u)
     if clustered is None or len(clustered) == 0:
         return AffineProjection(fmap.vec_to_mat(project_box(v, out=v), k, out), True, 0)
     res = dykstra(v, fmap.weights, clustered, eps=eps_dyk, max_cycles=max_cycles,
-                  corrections=corrections)
-    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible, res.cycles,
-                            res.corrections)
+                  corrections=clustered.corrections)
+    clustered.corrections = res.corrections
+    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible, res.cycles)

@@ -129,6 +129,25 @@ class TestExitCodes:
         assert "k must lie in [1, 5]" in capsys.readouterr().err
         assert solves == []
 
+    @pytest.mark.parametrize("via_config", [False, True])
+    def test_chromatic_rejects_k(self, c5_file, tmp_path, monkeypatch, capsys,
+                                 via_config):
+        solves = []
+
+        def counting_cp_admm(*args, _real=cli.cp_admm, **kwargs):
+            solves.append(args[1])
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "cp_admm", counting_cp_admm)
+        flags = ["--k", "99"]
+        if via_config:
+            cfg = tmp_path / "cfg.json"
+            cfg.write_text(json.dumps({"k": 2}))
+            flags = ["--config", str(cfg)]
+        assert main(["chromatic", str(c5_file), *flags]) == EXIT_INVALID_ARGS
+        assert "chromatic mode picks its own k values" in capsys.readouterr().err
+        assert solves == []
+
     def test_k_equal_to_n_accepted(self, c5_file, capsys):
         assert main(["bound", str(c5_file), "--k", "5"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["ub"] == pytest.approx(5.0, abs=1e-6)
@@ -540,6 +559,13 @@ class TestRunReport:
     def test_byte_stable(self):
         reports = [self._fake_report()]
         assert run_report(reports) == run_report(reports)
+
+    def test_oracle_report_fills_both_bounds_with_alpha_k(self, k5_file, capsys):
+        assert main(["oracle", str(k5_file), "--k", "2", "--stable-timing"]) == EXIT_OK
+        report = json.loads(capsys.readouterr().out)
+        row = report_rows([report])[0]
+        assert row["ub"] == row["lb"] == report["alpha_k"] == 2
+        assert run_report([report]).split("\n")[1].split(",")[4:6] == ["2", "2"]
 
     def test_bound_report_uses_lb_hint(self, c5_file):
         cfg = RunConfig(instance=str(c5_file), stable_timing=True)

@@ -93,7 +93,8 @@ class TestInnerAdmm:
         # any dual iterate gives a valid bound
         assert math.floor(valid_upper_bound(st.L, fmap, 2) + 1e-6) >= alpha_k_exact(g, 2)
 
-    def test_probe_can_stop_early(self):
+    def test_probe_can_stop_early(self, monkeypatch):
+        monkeypatch.setattr(mkcs.cpadmm, "UB_PROBE_INTERVAL", 1)
         g = Graph(8)
         fmap = FreeIndexMap(g)
         st = initial_state(g, 1)
@@ -103,9 +104,7 @@ class TestInnerAdmm:
             calls.append(state.iterations)
             return True
 
-        iters, stopped = inner_admm(
-            st, fmap, AdmmParams(), ub_probe=probe, ub_interval=1
-        )
+        iters, stopped = inner_admm(st, fmap, AdmmParams(), ub_probe=probe)
         assert stopped and iters == 1 and calls == [1]
 
     def test_dykstra_capouts_logged_once_per_call(self, caplog, monkeypatch):
@@ -421,7 +420,8 @@ class TestProjectionMultipliers:
     def _check_corrections(fmap, pool, u, eps, max_cycles):
         clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
         res = dykstra(u, fmap.weights, clustered, eps=eps, max_cycles=max_cycles)
-        t = clustered.multipliers(res.corrections)
+        clustered.corrections = res.corrections
+        t = clustered.multipliers()
         assert t.shape == (len(pool),) and (t >= 0).all()
         a, _ = dense_cut_system(pool, fmap.m)
         cut_part = res.raw - u - res.corrections[0]
@@ -451,10 +451,11 @@ class TestProjectionMultipliers:
         fmap = FreeIndexMap(cycle_graph(5))
         pool = random_pool(np.random.default_rng(0), fmap.m, 4)
         clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
-        assert np.array_equal(clustered.multipliers(None), np.zeros(4))
+        assert np.array_equal(clustered.multipliers(), np.zeros(4))
         extra = [None] * (len(clustered.groups) + 1)
+        clustered.corrections = (np.zeros(fmap.m), extra)
         with pytest.raises(ValueError):
-            clustered.multipliers((np.zeros(fmap.m), extra))
+            clustered.multipliers()
 
     def test_queen6_6_bound_close_to_the_lp_duals(self, monkeypatch):
         # every round with cuts of the benchmark's queen6_6 k = 6 run: the
@@ -825,6 +826,32 @@ class TestCpAdmm:
     def test_invalid_k(self):
         with pytest.raises(ValueError):
             cp_admm(cycle_graph(5), 0, AdmmParams())
+
+    @pytest.mark.parametrize("termination, graph, k, params, kwargs", [
+        ("lb_match", complete_graph(5), 2, AdmmParams(), {"lb_hint": 2}),
+        ("max_outer", random_graph(12, 0.5, 1), 2, AdmmParams(max_outer=3),
+         {"lb_hint": -1}),
+        ("min_impr", random_graph(12, 0.5, 1), 2, AdmmParams(), {"lb_hint": -1}),
+        ("min_ineq", petersen(), 2, AdmmParams(), {}),
+        ("ub_below_target", complete_graph(6), 1, AdmmParams(),
+         {"lb_hint": 0, "ub_stop_below": 6.0}),
+    ])
+    def test_one_record_per_round(self, termination, graph, k, params, kwargs):
+        # one record per round, plus one for the tightened pass that only
+        # the two plateau rules run
+        res = cp_admm(graph, k, params, **kwargs)
+        assert res.termination == termination
+        plateau = termination in ("min_impr", "min_ineq")
+        rounds = list(range(1, res.outer_iterations + 1))
+        assert [r.outer for r in res.records] == rounds + [res.outer_iterations] * plateau
+        if plateau:
+            extra = res.records[-1]
+            assert extra.n_cuts_added == 0
+            assert extra.inner_iters == res.tightened_iterations > 0
+        else:
+            assert res.tightened_iterations == 0
+        assert sum(r.inner_iters for r in res.records) == (
+            res.inner_iterations + res.tightened_iterations)
 
     def test_saturated_instance_stops_in_one_round(self):
         # at five colors the myciel5 optimum violates no inequality, so the

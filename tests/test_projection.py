@@ -326,22 +326,22 @@ class TestWarmStart:
 
     @pytest.mark.parametrize("seed", range(25))
     def test_drifting_targets_match_qp_oracle(self, seed):
-        # each affine projection warm-started from the last one's
-        # corrections, as the ADMM sweeps run them
+        # each affine projection warm-started from the corrections that the
+        # last one left on the clustering, as the ADMM sweeps run them
         fmap, k, cuts, rng = oracle_instance(seed)
         clustered = clustered_of(cuts, fmap.weights)
         u_vec = rng.uniform(-0.5, 1.5, fmap.m)
-        corrections = None
+        assert clustered.corrections is None
         for _ in range(8):
             out = project_affine_set(
                 fmap.vec_to_mat(u_vec, k), fmap, k, clustered,
-                eps_dyk=1e-9, max_cycles=200000, corrections=corrections,
+                eps_dyk=1e-9, max_cycles=200000,
             )
             assert out.feasible
             ref = weighted_projection_oracle(u_vec, fmap.weights, cuts)
             dist = w_dist(fmap.weights, fmap.mat_to_vec(out.matrix), ref)
             assert dist < 1e-3, dist
-            corrections = out.corrections
+            assert clustered.corrections is not None
             u_vec = u_vec + rng.normal(scale=0.05, size=fmap.m)
 
     @pytest.mark.parametrize("seed", range(25))
