@@ -189,18 +189,6 @@ def write_dimacs(g, name=None):
     return "\n".join(lines) + "\n"
 
 
-def complement(g):
-    """Complement graph: the edge set becomes exactly the non-edges of g."""
-    edges = [
-        (i, j)
-        for i in range(1, g.n + 1)
-        for j in range(i + 1, g.n + 1)
-        if not g.has_edge(i, j)
-    ]
-    suffix = "c" if g.name else ""
-    return Graph(g.n, edges, name=g.name + suffix)
-
-
 def enumerate_cliques(g, deadline=None):
     """Enumerate maximal cliques of size 2..5 and every clique of size 6.
 
@@ -329,14 +317,3 @@ def pair_pool_size(count):
     most m, at most ``count``, with m(m - 1)/2 <= ``MAX_POOL``."""
     return min(count, (1 + math.isqrt(1 + 8 * MAX_POOL)) // 2)
 
-
-def random_graph(n, edge_prob, seed):
-    """Seeded Erdos-Renyi graph, used throughout the test-suite."""
-    rng = np.random.default_rng(seed)
-    edges = [
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(i + 1, n + 1)
-        if rng.random() < edge_prob
-    ]
-    return Graph(n, edges, name=f"gnp_{n}_{edge_prob}_{seed}")

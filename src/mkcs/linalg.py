@@ -188,12 +188,6 @@ class FreeIndexMap:
         """Coordinate of the diagonal entry of vertex i."""
         return i - 1
 
-    def pair_coord(self, i, j):
-        """Coordinate of the off-diagonal non-edge {i, j}; KeyError on edges."""
-        if i == j or self.coord[i, j] < 0:
-            raise KeyError((i, j))
-        return int(self.coord[i, j])
-
     def mat_to_vec(self, a):
         """Free-entry vector of a bordered matrix.
 

@@ -1,10 +1,8 @@
 """Exact brute-force references for desk-scale verification: the optimal
-k-colorable-subgraph size, the chromatic number, and exhaustive
-enumeration of the integer feasible matrices."""
+k-colorable-subgraph size and the chromatic number.  The enumeration of
+the integer feasible matrices is in ``tests/reference_helpers.py``."""
 
 from __future__ import annotations
-
-import numpy as np
 
 
 class OracleSizeError(ValueError):
@@ -67,40 +65,3 @@ def chi_exact(g, max_vertices=15):
             return k
     raise AssertionError("unreachable: every graph is n-colorable")
 
-
-def enumerate_Dnk(n, k, g=None, limit=2**20):
-    """All distinct 0/1 matrices X = P P' with binary row-sum-at-most-one
-    assignment matrices P; when a graph is given only edge-compatible
-    matrices (X[i,j] = 0 on edges) are kept.
-
-    Matrices are n x n uint8 arrays indexed 0..n-1 for vertices 1..n,
-    returned in a deterministic order.
-    """
-    total = (k + 1) ** n
-    if total > limit:
-        raise OracleSizeError(
-            f"(k+1)^n = {total} assignment matrices exceed the guard {limit}"
-        )
-    edge_idx = []
-    if g is not None:
-        if g.n != n:
-            raise ValueError("graph order does not match n")
-        edge_idx = [(i - 1, j - 1) for i, j in sorted(g.edges)]
-    seen = {}
-    chunk = 1 << 14
-    for lo in range(0, total, chunk):
-        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        assign = np.empty((len(codes), n), dtype=np.int8)
-        for col in range(n):
-            assign[:, col] = codes % (k + 1)
-            codes //= k + 1
-        x = (assign[:, :, None] == assign[:, None, :]) & (assign[:, :, None] != 0)
-        x = x.astype(np.uint8)
-        if edge_idx:
-            ok = np.ones(len(x), dtype=bool)
-            for i, j in edge_idx:
-                ok &= x[:, i, j] == 0
-            x = x[ok]
-        for mat in x:
-            seen.setdefault(mat.tobytes(), mat)
-    return [seen[key] for key in sorted(seen)]

@@ -66,9 +66,10 @@ class ClusteredCuts:
     coordinates, so one Dykstra pass applies them simultaneously.  The
     rows are taken once, cluster after cluster, from the pool rows
     ``order``; ``groups[gid]`` holds the ``CutArrays`` of cluster ``gid``,
-    views into the arrays of every cut that the two methods read.
-    ``corrections`` holds Dykstra's corrections from the last projection
-    onto it (None before the first; see :func:`dykstra`).
+    views into the arrays of every cut that the two methods read; a row
+    or cluster without coordinates is a ``ValueError``.  ``corrections``
+    holds Dykstra's corrections from the last projection onto it (None
+    before the first; see :func:`dykstra`).
     """
 
     def __init__(self, cuts, clusters, w):
@@ -83,6 +84,9 @@ class ClusteredCuts:
         denom = np.array([a[lo:hi] @ winv_a[lo:hi]
                           for lo, hi in zip(ptr[:-1].tolist(), ptr[1:].tolist())])
         starts, lengths = ptr[:-1], np.diff(ptr)
+        if not (lengths.all() and all(map(len, clusters))):
+            # np.add.reduceat would read an empty row as the next row's term
+            raise ValueError("a cut or a cluster has no coordinates")
         self._all = CutArrays(idx, a, winv_a, starts, lengths, rows.rhs, denom)
         self.groups = []
         first = lo = 0
@@ -109,9 +113,7 @@ class ClusteredCuts:
         cluster's correction is ``-t_i W^-1 a_i`` on row ``i``'s coordinates."""
         t = np.zeros(len(self))
         if self.corrections is not None and len(self):
-            # the clusters that dykstra visits, with their corrections
-            pairs = zip([grp for grp in self.groups if len(grp.idx)],
-                        self.corrections[1], strict=True)
+            pairs = zip(self.groups, self.corrections[1], strict=True)
             flat = np.concatenate([np.zeros(len(grp.idx)) if c is None else c
                                    for grp, c in pairs])
             # a . correction = -t a' W^-1 a = -t denom
@@ -145,12 +147,12 @@ def dykstra(x0, w, clustered, eps=EPS_DYK, max_cycles=DYK_MAX_CYCLES, correction
 
     ``corrections`` warm-starts the method from the ``(box, per-cluster)``
     corrections that an earlier call on the same ``clustered`` returned
-    (a per-cluster entry is None for a zero correction, and empty
-    clusters have none).  The iterate then starts at ``x0`` plus their
-    sum, so ``x - sum(corrections) = x0`` holds as in a cold start and
-    the limit is still the projection of ``x0``: Dykstra's method is
-    block-coordinate ascent on the dual of the projection, and only the
-    dual start moves.  Without them the corrections start at zero.
+    (a per-cluster entry is None for a zero correction).  The iterate
+    then starts at ``x0`` plus their sum, so ``x - sum(corrections) = x0``
+    holds as in a cold start and the limit is still the projection of
+    ``x0``: Dykstra's method is block-coordinate ascent on the dual of the
+    projection, and only the dual start moves.  Without them the
+    corrections start at zero.
 
     Every iterate is bitwise the one of the textbook sequence that
     projects onto the box and then onto each halfspace in turn, each with
@@ -162,7 +164,7 @@ def dykstra(x0, w, clustered, eps=EPS_DYK, max_cycles=DYK_MAX_CYCLES, correction
     x = np.array(x0, dtype=np.float64)
     y = np.empty_like(x)
     step = np.empty_like(x)
-    groups = [grp for grp in clustered.groups if len(grp.idx)]
+    groups = clustered.groups
     if corrections is None:
         corr_box = np.zeros_like(x)
         corr = [None] * len(groups)  # None: a zero correction
@@ -206,7 +208,6 @@ def dykstra(x0, w, clustered, eps=EPS_DYK, max_cycles=DYK_MAX_CYCLES, correction
 class AffineProjection:
     matrix: np.ndarray
     feasible: bool
-    cycles: int
 
 
 def project_affine_set(u, fmap, k, clustered=None, eps_dyk=EPS_DYK,
@@ -222,8 +223,8 @@ def project_affine_set(u, fmap, k, clustered=None, eps_dyk=EPS_DYK,
     """
     v = fmap.mat_to_vec(u)
     if clustered is None or len(clustered) == 0:
-        return AffineProjection(fmap.vec_to_mat(project_box(v, out=v), k, out), True, 0)
+        return AffineProjection(fmap.vec_to_mat(project_box(v, out=v), k, out), True)
     res = dykstra(v, fmap.weights, clustered, eps=eps_dyk, max_cycles=max_cycles,
                   corrections=clustered.corrections)
     clustered.corrections = res.corrections
-    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible, res.cycles)
+    return AffineProjection(fmap.vec_to_mat(res.x, k, out), res.feasible)

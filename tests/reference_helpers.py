@@ -1,6 +1,8 @@
-"""Reference code that only the tests use: the ``Clique`` object that
-once held each enumerated clique and the enumeration that built them,
-the ``Hole5`` object that once held each enumerated 5-hole, the ``Cut``
+"""Reference code that only the tests use: the seeded random graphs of
+the suite and of ``tools/stable_outputs.py``, the exhaustive enumeration
+of the integer feasible matrices, the ``Clique`` object that once held
+each enumerated clique and the enumeration that built them, the
+``Hole5`` object that once held each enumerated 5-hole, the ``Cut``
 object that once held each cut (with its list of candidates and
 conversions to and from a ``CutPool``), the LP bound over a dense
 constraint matrix, the rank of a clique or odd hole under a colour
@@ -22,8 +24,60 @@ import numpy as np
 
 from mkcs.cuts import CutFamily, CutPool
 import mkcs.graph
+from mkcs.graph import Graph
 from mkcs.intadmm import Coloring, RoundingResult
 from mkcs.linalg import augmented_identity
+from mkcs.oracle import OracleSizeError
+
+
+def random_graph(n, edge_prob, seed):
+    """Seeded Erdos-Renyi graph, used throughout the test-suite."""
+    rng = np.random.default_rng(seed)
+    edges = [
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(i + 1, n + 1)
+        if rng.random() < edge_prob
+    ]
+    return Graph(n, edges, name=f"gnp_{n}_{edge_prob}_{seed}")
+
+
+def enumerate_Dnk(n, k, g=None, limit=2**20):
+    """All distinct 0/1 matrices X = P P' with binary row-sum-at-most-one
+    assignment matrices P; when a graph is given only edge-compatible
+    matrices (X[i,j] = 0 on edges) are kept.
+
+    Matrices are n x n uint8 arrays indexed 0..n-1 for vertices 1..n,
+    returned in a deterministic order.
+    """
+    total = (k + 1) ** n
+    if total > limit:
+        raise OracleSizeError(
+            f"(k+1)^n = {total} assignment matrices exceed the guard {limit}"
+        )
+    edge_idx = []
+    if g is not None:
+        if g.n != n:
+            raise ValueError("graph order does not match n")
+        edge_idx = [(i - 1, j - 1) for i, j in sorted(g.edges)]
+    seen = {}
+    chunk = 1 << 14
+    for lo in range(0, total, chunk):
+        codes = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
+        assign = np.empty((len(codes), n), dtype=np.int8)
+        for col in range(n):
+            assign[:, col] = codes % (k + 1)
+            codes //= k + 1
+        x = (assign[:, :, None] == assign[:, None, :]) & (assign[:, :, None] != 0)
+        x = x.astype(np.uint8)
+        if edge_idx:
+            ok = np.ones(len(x), dtype=bool)
+            for i, j in edge_idx:
+                ok &= x[:, i, j] == 0
+            x = x[ok]
+        for mat in x:
+            seen.setdefault(mat.tobytes(), mat)
+    return [seen[key] for key in sorted(seen)]
 
 
 @dataclass(frozen=True)

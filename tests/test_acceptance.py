@@ -20,8 +20,10 @@ from reference_helpers import (
     Cut,
     admm_objective,
     candidate_pairs,
+    enumerate_Dnk,
     pool_of,
     project_halfspace_weighted,
+    random_graph,
 )
 from mkcs.cli import RunConfig, chromatic_search, main
 from mkcs.cpadmm import (
@@ -37,10 +39,10 @@ from mkcs.cuts import (
     separate_odd_hole,
     separate_triangle,
 )
-from mkcs.graph import enumerate_5holes, enumerate_cliques, random_graph, write_dimacs
+from mkcs.graph import enumerate_5holes, enumerate_cliques, write_dimacs
 from mkcs.intadmm import IntAdmmParams, int_admm, round_and_verify
 from mkcs.linalg import FreeIndexMap
-from mkcs.oracle import alpha_k_exact, chi_exact, enumerate_Dnk
+from mkcs.oracle import alpha_k_exact, chi_exact
 from mkcs.projection import ClusteredCuts, project_affine_set
 import mkcs.linalg as linalg
 

@@ -27,7 +27,8 @@ from mkcs.cli import (
     run_solve,
 )
 from mkcs.cuts import CutFamily
-from mkcs.graph import random_graph, write_dimacs
+from mkcs.graph import write_dimacs
+from reference_helpers import random_graph
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -469,8 +470,6 @@ class TestRunModes:
         assert json.loads(capsys.readouterr().out)["chi"] == 3
 
     def test_oracle_guard_maps_to_invalid_args(self, tmp_path):
-        from mkcs.graph import random_graph
-
         path = tmp_path / "big.col"
         path.write_text(write_dimacs(random_graph(20, 0.3, 0)))
         assert main(["oracle", str(path), "--k", "2"]) == EXIT_INVALID_ARGS

@@ -15,6 +15,7 @@ from reference_helpers import (
     cuts_of,
     dense_linprog_reference,
     pool_of,
+    random_graph,
 )
 from mkcs.cpadmm import (
     AdmmParams,
@@ -36,7 +37,7 @@ from mkcs.cuts import (
     separate_triangle,
 )
 from mkcs.cli import main
-from mkcs.graph import Graph, enumerate_5holes, enumerate_cliques, random_graph, write_dimacs
+from mkcs.graph import Graph, enumerate_5holes, enumerate_cliques, write_dimacs
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
 from mkcs.projection import ClusteredCuts, dykstra

@@ -5,7 +5,16 @@ import pytest
 
 from bench_instances import complete_graph, cycle_graph
 import separation_reference as ref
-from reference_helpers import Clique, Cut, Hole5, candidate_pairs, kappa_rank, pool_of
+from reference_helpers import (
+    Clique,
+    Cut,
+    Hole5,
+    candidate_pairs,
+    enumerate_Dnk,
+    kappa_rank,
+    pool_of,
+    random_graph,
+)
 from reference_helpers import enumerate_cliques as reference_cliques
 from mkcs.cli import _cut_rows, _jsonl
 from mkcs.cuts import (
@@ -26,11 +35,9 @@ from mkcs.graph import (
     enumerate_5holes,
     enumerate_cliques,
     extend_clique_greedy,
-    random_graph,
 )
 import mkcs.graph
 from mkcs.linalg import FreeIndexMap
-from mkcs.oracle import enumerate_Dnk
 from mkcs.projection import ClusteredCuts, dykstra
 
 
@@ -465,11 +472,11 @@ class TestPropositions:
             x = np.einsum("i,ij->j", weights, np.array(vecs))
             q = [1, 2, 3, 4]
             ell = 5
-            full = sum(x[fmap.pair_coord(i, ell)] for i in q) - x[fmap.diag_coord(ell)]
+            full = sum(x[fmap.coord[i, ell]] for i in q) - x[fmap.diag_coord(ell)]
             assert full <= 1e-9
             for drop in q:
                 sub = [i for i in q if i != drop]
-                val = sum(x[fmap.pair_coord(i, ell)] for i in sub) - x[fmap.diag_coord(ell)]
+                val = sum(x[fmap.coord[i, ell]] for i in sub) - x[fmap.diag_coord(ell)]
                 assert val <= full + 1e-9
 
     @pytest.mark.parametrize("length", [4, 6])
@@ -485,8 +492,8 @@ class TestPropositions:
         for cid, i in enumerate(range(1, length + 1)):
             j = i % length + 1
             coeffs = {
-                fmap.pair_coord(i, ell): 1.0,
-                fmap.pair_coord(j, ell): 1.0,
+                fmap.coord[i, ell]: 1.0,
+                fmap.coord[j, ell]: 1.0,
                 fmap.diag_coord(ell): -1.0,
             }
             cuts.append(Cut(cid, CutFamily.T1, coeffs, 0.0))
@@ -495,7 +502,7 @@ class TestPropositions:
         for _ in range(20):
             x0 = rng.uniform(0, 1, fmap.m)
             res = dykstra(x0, fmap.weights, clustered, eps=1e-8, max_cycles=5000)
-            lhs = sum(res.x[fmap.pair_coord(i, ell)] for i in range(1, length + 1))
+            lhs = sum(res.x[fmap.coord[i, ell]] for i in range(1, length + 1))
             rhs = (length / 2) * res.x[fmap.diag_coord(ell)]
             assert lhs <= rhs + 1e-6
 

@@ -17,9 +17,10 @@ from bench_instances import queen6_6
 from mkcs.cli import RunConfig, chromatic_search
 from mkcs.cpadmm import AdmmParams, greedy_lower_bound, initial_state, inner_admm
 from mkcs.cuts import separate_clique_external, separate_odd_hole
-from mkcs.graph import enumerate_5holes, enumerate_cliques, parse_dimacs, random_graph
+from mkcs.graph import enumerate_5holes, enumerate_cliques, parse_dimacs
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
+from reference_helpers import random_graph
 
 expensive = pytest.mark.skipif(
     os.environ.get("MKCS_EXPENSIVE") != "1",

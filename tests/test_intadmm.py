@@ -8,12 +8,13 @@ import pytest
 from bench_instances import complete_graph, cycle_graph, myciel_graph
 from reference_helpers import (
     project_sphere_reference,
+    random_graph,
     round_and_verify_reference,
     sphere_center,
 )
 import mkcs.intadmm
 from mkcs.cpadmm import AdmmParams, cp_admm
-from mkcs.graph import Graph, random_graph, write_dimacs
+from mkcs.graph import Graph, write_dimacs
 from mkcs.intadmm import (
     BETA_MIN,
     Coloring,

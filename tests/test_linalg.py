@@ -11,7 +11,7 @@ import pytest
 import scipy.linalg
 
 import mkcs.linalg
-from mkcs.graph import Graph, random_graph
+from mkcs.graph import Graph
 from mkcs.linalg import (
     FreeIndexMap,
     augmented_identity,
@@ -20,6 +20,7 @@ from mkcs.linalg import (
     project_psd,
     symmetrize,
 )
+from reference_helpers import random_graph
 
 
 def random_symmetric(rng, order, scale=1.0):
@@ -286,10 +287,9 @@ class TestFreeIndexMap:
         g = Graph(3, [(2, 3)])
         fmap = FreeIndexMap(g)
         assert list(fmap.weights) == [3.0, 3.0, 3.0, 2.0, 2.0]
-        assert fmap.pair_coord(1, 2) == 3
-        assert fmap.pair_coord(3, 1) == 4  # order-insensitive lookup
-        with pytest.raises(KeyError):
-            fmap.pair_coord(2, 3)  # an edge has no free coordinate
+        assert fmap.coord[1, 2] == 3
+        assert fmap.coord[3, 1] == 4  # order-insensitive lookup
+        assert fmap.coord[2, 3] == -1  # an edge has no free coordinate
 
     def test_mat_to_vec_blend(self):
         g = Graph(2, [])

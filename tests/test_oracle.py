@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bench_instances import complete_graph, cycle_graph, petersen
-from mkcs.graph import Graph, random_graph
-from mkcs.oracle import OracleSizeError, alpha_k_exact, chi_exact, enumerate_Dnk
+from mkcs.graph import Graph
+from mkcs.oracle import OracleSizeError, alpha_k_exact, chi_exact
+from reference_helpers import enumerate_Dnk, random_graph
 
 
 class TestAlphaKExact:

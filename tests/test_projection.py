@@ -9,6 +9,7 @@ from reference_helpers import (
     candidate_pairs,
     pool_of,
     project_halfspace_weighted,
+    random_graph,
 )
 from mkcs.cuts import (
     CutFamily,
@@ -18,8 +19,9 @@ from mkcs.cuts import (
     separate_clique_union,
     separate_triangle,
 )
-from mkcs.graph import Graph, enumerate_cliques, random_graph
+from mkcs.graph import Graph, enumerate_cliques
 from mkcs.linalg import FreeIndexMap
+import mkcs.projection
 from mkcs.projection import (
     ClusteredCuts,
     _project_cluster,
@@ -236,6 +238,24 @@ class TestDykstra:
         assert all(b >= a - 1e-12 for a, b in zip(dists, dists[1:]))
 
 
+class TestClusteredCutsRejectsEmpty:
+    """A cut or cluster with no coordinates is refused up front: the
+    per-cut sums cannot read an empty row."""
+
+    @pytest.mark.parametrize("indptr", [[0, 1, 1], [0, 0, 1]])
+    def test_row_without_coordinates(self, indptr):
+        pool = CutPool(indptr=indptr, indices=[0], data=[1.0], rhs=[0.2, 1.0],
+                       family=[0, 0], id=[0, 1])
+        with pytest.raises(ValueError, match="no coordinates"):
+            ClusteredCuts(pool, [[0], [1]], np.ones(2))
+
+    def test_empty_cluster(self):
+        pool = CutPool(indptr=[0, 1], indices=[0], data=[1.0], rhs=[0.2],
+                       family=[0], id=[0])
+        with pytest.raises(ValueError, match="no coordinates"):
+            ClusteredCuts(pool, [[0], []], np.ones(2))
+
+
 class TestProjectAffineSet:
     def test_fixed_point(self):
         g = Graph(3, [(1, 2)])
@@ -312,9 +332,8 @@ def correction_sum(clustered, corrections):
     vector over the free entries."""
     box, per_cluster = corrections
     total = box.copy()
-    groups = [grp for grp in clustered.groups if len(grp.idx)]
-    assert len(per_cluster) == len(groups)
-    for grp, c in zip(groups, per_cluster):
+    assert len(per_cluster) == len(clustered.groups)
+    for grp, c in zip(clustered.groups, per_cluster):
         if c is not None:
             total[grp.idx] += c
     return total
@@ -530,11 +549,13 @@ class TestCutFreeAffineMatchesReference:
             assert got is out
             assert_same_bits(got, ref)
 
-    def test_empty_clustering_takes_the_box_path(self, rng):
+    def test_empty_clustering_takes_the_box_path(self, rng, monkeypatch):
         g = random_graph(6, 0.4, 3)
         fmap = FreeIndexMap(g)
         u = bordered_with_signed_zeros(rng, 7)
         clustered = ClusteredCuts(CutPool(), [], fmap.weights)
+        # the box path never calls Dykstra
+        monkeypatch.setattr(mkcs.projection, "dykstra", None)
         out = project_affine_set(u, fmap, 2, clustered)
         assert_same_bits(out.matrix, affine_box_reference(u, fmap, 2))
-        assert out.feasible and out.cycles == 0
+        assert out.feasible

@@ -54,7 +54,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "perfbench")]
 
 import bench_instances  # noqa: E402
 from mkcs.cli import main as mkcs_main  # noqa: E402
-from mkcs.graph import random_graph, write_dimacs  # noqa: E402
+from mkcs.graph import write_dimacs  # noqa: E402
+from reference_helpers import random_graph  # noqa: E402
 from workloads import SOLVER_SEED, WORKLOADS, make_instance  # noqa: E402
 
 BENCHMARK_SEED = 1
