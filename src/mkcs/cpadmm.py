@@ -29,6 +29,7 @@ from .graph import CliqueEnumeration, HoleEnumeration, enumerate_5holes, enumera
 from .intadmm import Coloring
 from .linalg import (
     FreeIndexMap,
+    _frobenius_norm,
     augmented_identity,
     initial_iterate,
     project_nsd,
@@ -169,10 +170,11 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
             raise ArithmeticError(
                 f"non-finite ADMM iterate at inner iteration {state.iterations + 1}"
             )
-        scale = 1.0 + float(np.linalg.norm(x_new))
-        primal = float(np.linalg.norm(x_new - y_new)) / scale
-        dual = BETA * float(np.linalg.norm(x_new - state.X)) / scale
-        state.L = state.L + GAMMA * BETA * (x_new - y_new)
+        gap = x_new - y_new
+        scale = 1.0 + _frobenius_norm(x_new)
+        primal = _frobenius_norm(gap) / scale
+        dual = BETA * _frobenius_norm(x_new - state.X) / scale
+        state.L = state.L + GAMMA * BETA * gap
         state.X = x_new
         state.Y = y_new
         state.iterations += 1

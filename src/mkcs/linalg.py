@@ -36,8 +36,11 @@ def initial_iterate(n, k):
     return a
 
 
-def symmetrize(a):
-    return (a + a.T) / 2.0
+def symmetrize(a, out=None):
+    """``(a + a.T) / 2``, into ``out`` when given; ``out`` may be ``a``."""
+    out = np.add(a, a.T, out=out)
+    out /= 2.0
+    return out
 
 
 def project_psd(a, rank_hint=None):
@@ -58,8 +61,9 @@ def project_psd(a, rank_hint=None):
     if rank_hint is not None and 5 * rank_hint < a.shape[0]:
         return _project_psd_positive_part(a)
     vals, vecs = np.linalg.eigh(a)
-    np.clip(vals, 0.0, None, out=vals)
-    out = symmetrize((vecs * vals) @ vecs.T)
+    np.maximum(vals, 0.0, out=vals)  # np.clip's signed zeros, without its wrapper
+    out = (vecs * vals) @ vecs.T
+    symmetrize(out, out=out)
     if rank_hint is None:
         return out
     return out, _rank(vals, a.shape[0], _frobenius_norm(a))
