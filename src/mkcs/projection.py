@@ -88,7 +88,15 @@ class ClusteredCuts:
             # np.add.reduceat would read an empty row as the next row's term
             raise ValueError("a cut or a cluster has no coordinates")
         self._all = CutArrays(idx, a, winv_a, starts, lengths, rows.rhs, denom)
+        # each cut's coordinates and coefficients, and the reciprocals of
+        # these, padded with zero coefficients to its cluster's widest cut
+        filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
+        pad_idx = np.zeros(filled.shape, dtype=np.intp)
+        pad_a = np.zeros(filled.shape)
+        pad_a_inv = np.zeros(filled.shape)
+        pad_idx[filled], pad_a[filled], pad_a_inv[filled] = idx, a, 1.0 / a
         self.groups = []
+        self._padded = []
         first = lo = 0
         for members in clusters:
             last = first + len(members)
@@ -97,6 +105,9 @@ class ClusteredCuts:
                 idx[lo:hi], a[lo:hi], winv_a[lo:hi], starts[first:last] - lo,
                 lengths[first:last], rows.rhs[first:last], denom[first:last],
             ))
+            width = lengths[first:last].max()
+            self._padded.append((pad_idx[first:last, :width], pad_a[first:last, :width],
+                                 pad_a_inv[first:last, :width]))
             first, lo = last, hi
 
     def __len__(self):
@@ -120,6 +131,41 @@ class ClusteredCuts:
             _, a, _, starts, _, _, denom = self._all
             t[self.order] = np.maximum(-np.add.reduceat(a * flat, starts) / denom, 0.0)
         return t
+
+    def polish(self, c, y):
+        """Multipliers, in pool row order, from one Gauss-Seidel pass over
+        the clusters that lowers ``phi(y) = b'y + sum((c - A'y)_+)`` from
+        the multipliers ``y >= 0``; ``c`` is indexed by coordinate.
+
+        The pass sets every cut of a cluster at once to its best value
+        ``s >= 0`` given the other multipliers: the minimum of
+        ``rhs_i s + sum_j max(r_j - a_ij s, 0)`` with ``r = c - A'y +
+        a_i y_i`` on the cut's coordinates ``j``.  That convex piecewise
+        linear function is evaluated at ``y_i``, at 0 and at each
+        breakpoint ``r_j / a_ij >= 0``, keeping ``y_i`` on a tie.  The
+        supports within a cluster are disjoint, so each step is exact and
+        ``phi`` never rises (up to rounding).
+        """
+        _, a, _, _, lengths, _, _ = self._all
+        ys = y[self.order]
+        a_t_y = np.bincount(self._all.idx, a * ys.repeat(lengths), minlength=len(c))
+        first = 0
+        for grp, (pad_idx, pad_a, pad_a_inv) in zip(self.groups, self._padded):
+            last = first + len(grp.rhs)
+            cur = ys[first:last]
+            # a padded entry adds the same max(r, 0) to every candidate of its cut
+            r = c[pad_idx] - a_t_y[pad_idx] + pad_a * cur[:, None]
+            s = np.concatenate([cur[:, None], np.zeros_like(cur)[:, None],
+                                np.maximum(r * pad_a_inv, 0.0)], axis=1)
+            phi = grp.rhs[:, None] * s + np.maximum(
+                r[:, None, :] - pad_a[:, None, :] * s[:, :, None], 0.0).sum(axis=2)
+            best = s[np.arange(len(s)), phi.argmin(axis=1)]
+            a_t_y[grp.idx] += grp.a * (best - cur).repeat(grp.lengths)
+            ys[first:last] = best
+            first = last
+        out = np.empty_like(ys)
+        out[self.order] = ys
+        return out
 
 
 @dataclass

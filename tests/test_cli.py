@@ -287,7 +287,7 @@ class TestConfigResolution:
         cfg = RunConfig()
         admm = cfg.admm
         assert (cpadmm.BETA, cpadmm.GAMMA) == (1.2, 1.617)
-        assert (admm.eps_admm, cpadmm.EPS_ADMM_FINAL) == (1e-4, 1e-5)
+        assert (admm.eps_admm, cpadmm.EPS_ADMM_FINAL) == (2e-4, 1e-5)
         assert (admm.max_inner_iter, cpadmm.MAX_INNER_ITER_FINAL) == (2000, 10000)
         assert admm.min_viol == 1e-2 and cpadmm.MAX_CUTS_PER_VAR == 5
         assert (admm.min_impr, cpadmm.MIN_IMPR_PHASE1) == (0.025, 0.25)

@@ -481,6 +481,69 @@ class TestProjectionMultipliers:
         assert all(-1e-12 <= gap <= 2e-2 for gap in gaps), gaps
 
 
+def polished(pool, c, y, clusters=None):
+    """``ClusteredCuts.polish`` on ``pool``, clustered by ``cluster_cuts``
+    unless ``clusters`` is given."""
+    clusters = cluster_cuts(pool) if clusters is None else clusters
+    return ClusteredCuts(pool, clusters, np.ones(len(c))).polish(c, y)
+
+
+class TestPolish:
+    """One Gauss-Seidel pass over the clusters on the cut multipliers of
+    ``phi(y) = b'y + sum((c - A'y)_+)``."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_never_raises_phi(self, seed):
+        rng = np.random.default_rng([41, seed])
+        m = int(rng.integers(5, 40))
+        pool = random_pool(rng, m, int(rng.integers(1, 30)))
+        for scale in (0.0, 0.3, 3.0):
+            c = rng.normal(size=m)
+            y = scale * rng.random(len(pool))
+            got = polished(pool, c, y)
+            assert got.shape == y.shape and (got >= 0).all()
+            before = dual_lp_bound(c, pool, y, m)
+            assert dual_lp_bound(c, pool, got, m) <= before + 1e-12 * (1 + abs(before))
+
+    def test_one_cluster_by_hand(self):
+        # cut 0, x0 + x1 - 2 x2 <= 1:
+        #   s + max(3 - s, 0) + max(1 - s, 0) + max(2 s - 1, 0), least at s = 0.5
+        # cut 1, x3 - x4 <= 0:  max(1 - s, 0) + max(s - 1, 0), least at s = 1
+        pool = pool_of([Cut(0, CutFamily.HOLE5, {0: 1.0, 1: 1.0, 2: -2.0}, 1.0),
+                        Cut(1, CutFamily.T1, {3: 1.0, 4: -1.0}, 0.0)])
+        c = np.array([3.0, 1.0, -1.0, 1.0, -1.0])
+        for y in ([0.0, 0.0], [2.0, 3.0], [0.25, 0.9]):
+            got = polished(pool, c, np.array(y), clusters=[[0, 1]])
+            assert got.tolist() == [0.5, 1.0]
+            assert dual_lp_bound(c, pool, got, 5) == 3.5
+
+    def test_keeps_a_multiplier_on_a_tie(self):
+        # s + max(2 - s, 0) is 2 on all of [0, 2]
+        pool = pool_of([Cut(0, CutFamily.T1, {0: 1.0}, 1.0)])
+        for y in (0.0, 0.7, 2.0):
+            assert polished(pool, np.array([2.0]), np.array([y])).tolist() == [y]
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_lp_duals_stay_optimal(self, seed):
+        rng = np.random.default_rng([17, seed])
+        m = int(rng.integers(5, 60))
+        pool = random_pool(rng, m, int(rng.integers(1, 40)))
+        c = rng.normal(size=m)
+        got = polished(pool, c, scipy_linprog_backend(c, pool, m))
+        optimum = dense_linprog_reference(c, cuts_of(pool), m)
+        assert optimum - 1e-12 <= dual_lp_bound(c, pool, got, m) <= optimum + 1e-9
+
+    def test_cut_free_bound_unchanged(self, monkeypatch):
+        # the cut-free run's bound at the earlier default eps_admm, as
+        # measured before the pass existed
+        def fail(*args):
+            raise AssertionError("no clustering, no pass")
+
+        monkeypatch.setattr(ClusteredCuts, "polish", fail)
+        res = cp_admm(queen6_6(), 3, AdmmParams(families=(), eps_admm=1e-4))
+        assert res.ub == 18.000703342615232
+
+
 class TestLpBackend:
     """The bound from the multipliers of the LP over the pool's CSR
     matrix against the LP objective over the dense matrix it replaced."""
@@ -523,7 +586,7 @@ class TestEndingRound:
                   "separate_clique_union", "separate_odd_hole")
 
     @pytest.mark.parametrize("instance,k,records", [
-        ("myciel5", 4, [(1, 2, 52, 52), (2, 2, 0, 52), (2, 2, 0, 52)]),
+        ("myciel5", 4, [(1, 2, 53, 53), (2, 2, 0, 53), (2, 2, 0, 53)]),
         ("one_insertions_4", 3, [(1, 1, 320, 320), (2, 2, 0, 320), (2, 2, 0, 320)]),
     ])
     def test_no_separation_in_the_ending_round(self, monkeypatch, instance, k, records):
@@ -676,6 +739,13 @@ class TestCpAdmm:
             for k in (1, 2):
                 res = cp_admm(g, k, AdmmParams())
                 assert math.floor(res.ub + 1e-6) >= alpha_k_exact(g, k)
+
+    def test_benchmark_run_sweeps_and_bound(self):
+        # the benchmark's queen6_6 k = 6 run took 1,112 sweeps to 34.31122
+        # with eps_admm = 1e-4 and the multipliers beta t alone
+        res = cp_admm(queen6_6(), 6, AdmmParams(max_outer=5))
+        assert res.termination == "max_outer"
+        assert res.inner_iterations <= 700 and res.ub <= 34.3112
 
     def test_std_mode_runs_without_separators(self):
         g = cycle_graph(7)
