@@ -66,10 +66,11 @@ class ClusteredCuts:
     coordinates, so one Dykstra pass applies them simultaneously.  The
     rows are taken once, cluster after cluster, from the pool rows
     ``order``; ``groups[gid]`` holds the ``CutArrays`` of cluster ``gid``,
-    views into the arrays of every cut that the two methods read; a row
-    or cluster without coordinates is a ``ValueError``.  ``corrections``
-    holds Dykstra's corrections from the last projection onto it (None
-    before the first; see :func:`dykstra`).
+    views into the arrays of every cut that ``max_violation`` and
+    ``multipliers`` read, and ``polish`` reads the cluster's cuts padded
+    to equal width; a row or cluster without coordinates is a
+    ``ValueError``.  ``corrections`` holds Dykstra's corrections from the
+    last projection onto it (None before the first; see :func:`dykstra`).
     """
 
     def __init__(self, cuts, clusters, w):
@@ -88,8 +89,8 @@ class ClusteredCuts:
             # np.add.reduceat would read an empty row as the next row's term
             raise ValueError("a cut or a cluster has no coordinates")
         self._all = CutArrays(idx, a, winv_a, starts, lengths, rows.rhs, denom)
-        # each cut's coordinates and coefficients, and the reciprocals of
-        # these, padded with zero coefficients to its cluster's widest cut
+        # each cut's coordinates, coefficients and their reciprocals, one
+        # row per cut, padded with zeros to its cluster's widest cut
         filled = np.arange(lengths.max(initial=0)) < lengths[:, None]
         pad_idx = np.zeros(filled.shape, dtype=np.intp)
         pad_a = np.zeros(filled.shape)
@@ -105,9 +106,9 @@ class ClusteredCuts:
                 idx[lo:hi], a[lo:hi], winv_a[lo:hi], starts[first:last] - lo,
                 lengths[first:last], rows.rhs[first:last], denom[first:last],
             ))
-            width = lengths[first:last].max()
-            self._padded.append((pad_idx[first:last, :width], pad_a[first:last, :width],
-                                 pad_a_inv[first:last, :width]))
+            span, width = slice(first, last), lengths[first:last].max()
+            self._padded.append((span, pad_idx[span, :width], pad_a[span, :width],
+                                 pad_a_inv[span, :width]))
             first, lo = last, hi
 
     def __len__(self):
@@ -149,10 +150,8 @@ class ClusteredCuts:
         _, a, _, _, lengths, _, _ = self._all
         ys = y[self.order]
         a_t_y = np.bincount(self._all.idx, a * ys.repeat(lengths), minlength=len(c))
-        first = 0
-        for grp, (pad_idx, pad_a, pad_a_inv) in zip(self.groups, self._padded):
-            last = first + len(grp.rhs)
-            cur = ys[first:last]
+        for grp, (span, pad_idx, pad_a, pad_a_inv) in zip(self.groups, self._padded):
+            cur = ys[span]
             # a padded entry adds the same max(r, 0) to every candidate of its cut
             r = c[pad_idx] - a_t_y[pad_idx] + pad_a * cur[:, None]
             s = np.concatenate([cur[:, None], np.zeros_like(cur)[:, None],
@@ -161,8 +160,7 @@ class ClusteredCuts:
                 r[:, None, :] - pad_a[:, None, :] * s[:, :, None], 0.0).sum(axis=2)
             best = s[np.arange(len(s)), phi.argmin(axis=1)]
             a_t_y[grp.idx] += grp.a * (best - cur).repeat(grp.lengths)
-            ys[first:last] = best
-            first = last
+            ys[span] = best
         out = np.empty_like(ys)
         out[self.order] = ys
         return out
