@@ -200,13 +200,25 @@ def inner_admm(state, fmap, params, clustered=None, tightened=False,
     return it, stopped
 
 
+# the last (lam, fmap) that _lp_objective saw, and its result
+_objective_memo = (None, None, None)
+
+
 def _lp_objective(lam, fmap):
     """``(Z, C, c)`` of the bound from the dual iterate ``lam`` (see
-    :func:`valid_upper_bound`)."""
+    :func:`valid_upper_bound`).  The last result is kept: a bound that
+    polishes its cut multipliers on ``c`` asks for it again, with the
+    same ``lam``, inside :func:`valid_upper_bound`, and then ``lam`` is
+    eigendecomposed once.  Callers must not write into the result."""
+    global _objective_memo
+    memo_lam, memo_fmap, memo = _objective_memo
+    if memo_fmap is fmap and np.array_equal(memo_lam, lam):
+        return memo
     z = project_nsd(lam)
     c_mat = augmented_identity(fmap.n) - z
     c = np.concatenate([np.diagonal(c_mat)[1:] + 2.0 * c_mat[0, 1:],
                         2.0 * c_mat[fmap.pair_rows, fmap.pair_cols]])
+    _objective_memo = (np.array(lam), fmap, (z, c_mat, c))
     return z, c_mat, c
 
 

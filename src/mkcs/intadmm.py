@@ -25,6 +25,11 @@ EPS_INT = 1e-3              # residual tolerance of a convergence event
 MAX_TRIES_WITHOUT_IMPR = 3  # events in a row that raise no value end the run
 MIN_ITERS_AFTER_RESET = 10  # sweeps without the convergence test after an event
 
+# mkcs's penalty growth while the sphere residual stalls (not the paper's)
+STALL_WINDOW = 50           # sweeps between two stall tests
+STALL_FALL = 0.9            # a window stalls unless res_z falls below this share
+MAX_GROWTH_EXPONENT = 32    # cap of the exponent e in beta_incr ** e per sweep
+
 
 @dataclass
 class IntAdmmParams:
@@ -38,6 +43,15 @@ class IntAdmmParams:
     measured (README, "Integer stage") halving found its best value at
     that first event.  Backing off to 0.85 beta instead shortens each
     later escape's climb back, which roughly halves a run's sweeps.
+
+    The growth departs from the paper too, which multiplies the penalty
+    by ``beta_incr`` every sweep.  mkcs multiplies it by ``beta_incr **
+    e``, where ``e`` doubles while the sphere residual stalls and returns
+    to 1 once it falls and at every convergence event (see
+    :class:`PenaltyGrowth` and its fixed constants ``STALL_WINDOW``,
+    ``STALL_FALL`` and ``MAX_GROWTH_EXPONENT``).  While the residual
+    falls the schedule is the paper's; the runs in README's "Integer
+    stage" take 3.5 to 9 times fewer sweeps.
     """
 
     beta0: float = 0.05
@@ -61,6 +75,46 @@ class IntAdmmParams:
             raise ValueError(
                 f"max_iterations must not be negative; got {self.max_iterations}"
             )
+
+
+class PenaltyGrowth:
+    """Per-sweep growth factor ``beta_incr ** exponent`` of the integer
+    stage's penalty, with ``exponent`` driven by the sphere residual.
+
+    :meth:`step` takes each sweep's sphere residual.  The first residual
+    after a reset opens a window; the ``STALL_WINDOW``-th after it closes
+    the window and opens the next.  A window closes stalled unless its
+    last residual fell below ``STALL_FALL`` times its first: the exponent
+    then doubles, up to ``MAX_GROWTH_EXPONENT``; otherwise it returns to
+    1.  :meth:`reset` (at a convergence event) returns the exponent to 1
+    and drops the open window.
+    """
+
+    def __init__(self, beta_incr):
+        self.beta_incr = beta_incr
+        self.reset()
+
+    def reset(self):
+        self.exponent = 1
+        self.factor = self.beta_incr
+        self._start = None  # the open window's first residual
+        self._sweeps = 0    # sweeps since the window opened
+
+    def step(self, res_z):
+        """Take a sweep's sphere residual; return that sweep's factor."""
+        if self._start is None:
+            self._start = res_z
+            return self.factor
+        self._sweeps += 1
+        if self._sweeps == STALL_WINDOW:
+            if res_z < STALL_FALL * self._start:
+                self.exponent = 1
+            else:
+                self.exponent = min(2 * self.exponent, MAX_GROWTH_EXPONENT)
+            self.factor = self.beta_incr ** self.exponent
+            self._start = res_z
+            self._sweeps = 0
+        return self.factor
 
 
 @dataclass
@@ -190,13 +244,15 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
 
     Alternates projections of three coupled blocks (affine/box, PSD cone,
     integrality sphere with pinned corner) with dual updates, increasing
-    the penalty every sweep.  The PSD step gets the rank of the previous
-    sweep's result as a hint, so that low-rank sweeps, the common case
-    near a coloring, compute only the positive eigenpairs.  Whenever the
-    two primal residuals drop below tolerance the iterate is rounded and
-    verified; improvements are kept, the penalty is multiplied by
-    ``beta_decr`` (never below the floor ``BETA_MIN``) to escape the local
-    optimum, and the convergence check is suppressed for the next
+    the penalty every sweep by a factor that grows while the sphere
+    residual stalls (:class:`PenaltyGrowth`).  The PSD step gets the
+    rank of the previous sweep's result as a hint, so that low-rank
+    sweeps, the common case near a coloring, compute only the positive
+    eigenpairs.  Whenever the two primal residuals drop below tolerance
+    the iterate is rounded and verified; improvements are kept, the
+    penalty is multiplied by ``beta_decr`` (never below the floor
+    ``BETA_MIN``) to escape the local optimum, its growth starts over,
+    and the convergence check is suppressed for the next
     ``MIN_ITERS_AFTER_RESET`` sweeps.  Stops after
     ``MAX_TRIES_WITHOUT_IMPR`` consecutive non-improving convergence
     events, when the best value matches the floor of ``known_ub``, when
@@ -224,6 +280,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
     work = np.empty_like(x)
     diff = np.empty_like(x)
     rank = x.shape[0]  # no rank observed yet: the first sweep solves in full
+    growth = PenaltyGrowth(params.beta_incr)
     best = None
     tries = 0
     suppress = 0
@@ -264,10 +321,10 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
             dist_z = _frobenius_norm(work)
             work *= beta
             mu += work
-            beta *= params.beta_incr
             scale = 1.0 + _frobenius_norm(x)
             res_y = dist_y / scale
             res_z = dist_z / scale
+            beta *= growth.step(res_z)
             if suppress > 0:
                 suppress -= 1
             elif max(res_y, res_z) <= EPS_INT:
@@ -290,6 +347,7 @@ def int_admm(g, k, params=None, warm=None, known_ub=None, deadline=None):
                     termination = "no_improvement"
                     break
                 beta = max(beta * params.beta_decr, BETA_MIN)
+                growth.reset()
                 suppress = MIN_ITERS_AFTER_RESET
             if deadline is not None and time.monotonic() > deadline:
                 termination = "time_limit"

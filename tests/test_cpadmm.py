@@ -216,6 +216,39 @@ class TestValidUpperBound:
         got = valid_upper_bound(np.zeros((4, 4)), fmap, 1, pool_of([cut]))
         assert got == pytest.approx(3.0)
 
+    def test_a_dual_written_in_place_is_projected_again(self, rng):
+        # the bound keeps its last projection of lam, which must not
+        # outlive a write into lam
+        g = random_graph(5, 0.3, 2)
+        fmap = FreeIndexMap(g)
+        lam = rng.normal(size=(6, 6))
+        lam = (lam + lam.T) / 2
+        valid_upper_bound(lam, fmap, 2)
+        lam *= 3.0
+        assert valid_upper_bound(lam, fmap, 2) == valid_upper_bound(lam, FreeIndexMap(g), 2)
+
+    def test_one_eigensolve_per_bound(self, monkeypatch):
+        # a bound with cuts polishes its multipliers on the LP objective,
+        # then valid_upper_bound reads the same NSD projection
+        from bench_instances import myciel5
+
+        counts = {"nsd": 0, "bound": 0}
+        nsd, bound = mkcs.cpadmm.project_nsd, mkcs.cpadmm.valid_upper_bound
+
+        def counted_nsd(lam):
+            counts["nsd"] += 1
+            return nsd(lam)
+
+        def counted_bound(*args):
+            counts["bound"] += 1
+            return bound(*args)
+
+        monkeypatch.setattr(mkcs.cpadmm, "project_nsd", counted_nsd)
+        monkeypatch.setattr(mkcs.cpadmm, "valid_upper_bound", counted_bound)
+        res = cp_admm(myciel5(), 4)
+        assert len(res.cuts) and counts["bound"] >= 2
+        assert counts["nsd"] <= counts["bound"]
+
 
 def lp_objective(lam, fmap):
     """``(C[0,0], c)`` for ``C`` the bordered identity minus the NSD

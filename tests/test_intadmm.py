@@ -17,8 +17,12 @@ from mkcs.cpadmm import AdmmParams, cp_admm
 from mkcs.graph import Graph, write_dimacs
 from mkcs.intadmm import (
     BETA_MIN,
+    MAX_GROWTH_EXPONENT,
+    STALL_FALL,
+    STALL_WINDOW,
     Coloring,
     IntAdmmParams,
+    PenaltyGrowth,
     int_admm,
     project_sphere,
     round_and_verify,
@@ -406,17 +410,27 @@ class TestPenaltyBackoff:
     @pytest.fixture(scope="class")
     def myciel5_runs(self):
         # the benchmark's integer workload: myciel5, k = 4, warm-started
-        # from the default bound, at beta_incr = 1.0005 (a few seconds)
+        # from the default bound, at beta_incr = 1.0005 (about a second);
+        # factors[t - 1] is the growth factor of the default run's sweep t
         g = myciel_graph(5)
         cp = cp_admm(g, 4, AdmmParams())
-        return g, {
-            decr: int_admm(g, 4, IntAdmmParams(beta_incr=1.0005, **kwargs),
-                           warm=cp.matrix, known_ub=cp.ub)
-            for decr, kwargs in ((0.5, {"beta_decr": 0.5}), (0.85, {}))
-        }
+        factors = []
+        step = PenaltyGrowth.step
+
+        def recorded(self, res_z):
+            factors.append(step(self, res_z))
+            return factors[-1]
+
+        runs = {0.5: int_admm(g, 4, IntAdmmParams(beta_incr=1.0005, beta_decr=0.5),
+                              warm=cp.matrix, known_ub=cp.ub)}
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(PenaltyGrowth, "step", recorded)
+            runs[0.85] = int_admm(g, 4, IntAdmmParams(beta_incr=1.0005),
+                                  warm=cp.matrix, known_ub=cp.ub)
+        return g, runs, factors
 
     def test_first_event_and_value_do_not_depend_on_the_backoff(self, myciel5_runs):
-        g, runs = myciel5_runs
+        g, runs, _ = myciel5_runs
         half, backoff = runs[0.5], runs[0.85]
         assert half.records[0] == backoff.records[0]  # every field exactly equal
         assert backoff.records[0].feasible_value == 44
@@ -426,13 +440,104 @@ class TestPenaltyBackoff:
 
     def test_penalty_after_an_event(self, myciel5_runs):
         # an event at sweep t records beta_t; sweep t + 1 starts from
-        # 0.85 beta_t, and each sweep grows it by beta_incr
-        _, runs = myciel5_runs
+        # 0.85 beta_t, and each sweep multiplies it by its growth factor,
+        # beta_incr ** e with e a power of two up to the cap
+        _, runs, factors = myciel5_runs
         records = runs[0.85].records
         assert len(records) >= 2
+        assert len(factors) == runs[0.85].iterations
+        allowed = {1.0005 ** (1 << i) for i in range(MAX_GROWTH_EXPONENT.bit_length())}
+        assert set(factors) <= allowed
         for event, after in zip(records, records[1:]):
-            expected = event.beta * 0.85 * 1.0005 ** (after.t - event.t)
-            assert after.beta == pytest.approx(expected, rel=1e-9)
+            expected = event.beta * 0.85
+            for factor in factors[event.t:after.t]:
+                expected *= factor
+            assert after.beta == pytest.approx(expected, rel=1e-12)
+
+    def test_benchmark_run_takes_at_most_1500_sweeps(self, myciel5_runs):
+        # growing the penalty by beta_incr alone, the run took 3,803
+        # sweeps, its first event at sweep 3,083
+        g, runs, factors = myciel5_runs
+        res = runs[0.85]
+        assert res.value == 44 and res.coloring.check(g, 4)
+        assert res.iterations <= 1500, res.iterations
+        assert max(factors) > 1.0005  # the residual stalled on the way
+
+
+class TestPenaltyGrowth:
+    """The growth exponent doubles after each window in which the sphere
+    residual stalls, up to its cap, and starts over at an event."""
+
+    def feed(self, growth, residuals):
+        return [growth.step(r) for r in residuals]
+
+    def test_stalled_windows_double_the_exponent_up_to_the_cap(self):
+        growth = PenaltyGrowth(1.001)
+        exponents = []
+        for _ in range(10):
+            self.feed(growth, [0.3] * STALL_WINDOW)
+            exponents.append(growth.exponent)
+        # the first residual opens the first window, so the first window
+        # closes at the (STALL_WINDOW + 1)-th sweep
+        assert exponents[:2] == [1, 2]
+        assert exponents == [1, 2, 4, 8, 16, 32, 32, 32, 32, 32]
+        assert MAX_GROWTH_EXPONENT == 32
+        assert growth.step(0.3) == 1.001 ** 32
+
+    def test_factor_of_each_sweep(self):
+        growth = PenaltyGrowth(1.5)
+        factors = self.feed(growth, [1.0] * (2 * STALL_WINDOW + 1))
+        # the closing sweep of a window already grows by the new factor
+        assert factors == [1.5] * STALL_WINDOW + [1.5 ** 2] * STALL_WINDOW + [1.5 ** 4]
+
+    def test_falling_window_returns_to_one(self):
+        growth = PenaltyGrowth(1.001)
+        self.feed(growth, [0.3] * (3 * STALL_WINDOW + 1))
+        assert growth.exponent == 8
+        # the window's last residual below STALL_FALL times its first
+        self.feed(growth, [0.3] * (STALL_WINDOW - 1) + [0.3 * STALL_FALL * 0.999])
+        assert growth.exponent == 1
+        # exactly STALL_FALL times the first is a stall
+        start = 0.3 * STALL_FALL * 0.999
+        self.feed(growth, [0.3] * (STALL_WINDOW - 1) + [start * STALL_FALL])
+        assert growth.exponent == 2
+
+    def test_a_fall_inside_the_window_alone_is_a_stall(self):
+        # only the window's first and last residuals are compared
+        growth = PenaltyGrowth(1.001)
+        self.feed(growth, [0.3] + [0.01] * (STALL_WINDOW - 1) + [0.3])
+        assert growth.exponent == 2
+
+    def test_reset_returns_to_one_and_drops_the_window(self):
+        growth = PenaltyGrowth(1.001)
+        self.feed(growth, [0.3] * (2 * STALL_WINDOW + 1 + STALL_WINDOW // 2))
+        assert growth.exponent == 4
+        growth.reset()
+        assert (growth.exponent, growth.factor) == (1, 1.001)
+        # half a window had passed; a new full window follows the reset
+        self.feed(growth, [0.3] * STALL_WINDOW)
+        assert growth.exponent == 1
+        growth.step(0.3)
+        assert growth.exponent == 2
+
+    def test_an_event_resets_the_growth(self, monkeypatch):
+        # int_admm resets the growth at each convergence event, and at no
+        # other sweep
+        resets = []
+        reset = PenaltyGrowth.reset
+
+        def recorded(self):
+            resets.append(self)
+            reset(self)
+
+        monkeypatch.setattr(PenaltyGrowth, "reset", recorded)
+        g = cycle_graph(5)
+        res = int_admm(g, 2, warm=cp_admm(g, 2, AdmmParams()).matrix)
+        assert res.termination == "no_improvement"
+        assert res.convergence_events >= 2
+        # one reset at construction, then one at each event but the last,
+        # which ended the run
+        assert len(resets) == res.convergence_events
 
 
 def test_coloring_check_catches_conflicts():

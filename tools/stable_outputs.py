@@ -19,8 +19,8 @@ The runs, one subdirectory of OUTDIR each:
   a third graph structure, with four convergence events;
 - ``g12-case14-solve``: ``solve`` on ``random_graph(12, 0.7, 2014)`` with
   ``--k 3 --seed 14 --max-iterations 12000`` (acceptance criterion 5's
-  case 14), an integer run that ends at its sweep cap without a
-  convergence event, so the report carries the greedy colouring;
+  case 14), an integer run whose one convergence event, late in the
+  run, matches the floor of the bound;
 - ``queen6_6-chromatic`` and ``myciel5-chromatic``: ``chromatic``, whose
   bound runs use the search's own ``min_ineq`` and ``min_impr`` and stop
   once a bound probe falls below n;
