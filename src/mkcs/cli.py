@@ -14,7 +14,7 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .cpadmm import AdmmParams, cp_admm, greedy_lower_bound
+from .cpadmm import AdmmParams, SeparationContext, cp_admm, greedy_lower_bound
 # no solve path calls it: the benchmark's tracer wraps it under this name
 from .cpadmm import scipy_linprog_backend  # noqa: F401
 from .cuts import CutFamily
@@ -172,16 +172,16 @@ def _clock(cfg, seconds):
     return 0.0 if cfg.stable_timing else round(seconds, 3)
 
 
-def run_bound(cfg, g, k, deadline):
-    """Greedy lower bound followed by the cutting-plane bound solver,
+def run_bound(cfg, ctx, k, deadline):
+    """Greedy lower bound and the cutting-plane bound solver on ``ctx.g``,
     which stops at ``deadline`` (a ``time.monotonic()`` value).
 
     Returns ``(report, solver_result)``; the report is the stable
     machine-readable summary, the result carries the iterate and traces.
     """
     t0 = time.monotonic()
-    res = cp_admm(g, k, cfg.admm, deadline=deadline)
-    report = _base_report(cfg, g, k, "bound")
+    res = cp_admm(ctx.g, k, cfg.admm, deadline=deadline, ctx=ctx)
+    report = _base_report(cfg, ctx.g, k, "bound")
     report.update(
         {
             "lb_hint": res.lb_hint,
@@ -198,14 +198,14 @@ def run_bound(cfg, g, k, deadline):
     return report, res
 
 
-def run_solve(cfg, g, k, deadline):
+def run_solve(cfg, ctx, k, deadline):
     """Bound phase, then the integer solver warm-started from its iterate
     with the bound as the optimality target, both stopping at ``deadline``
     as in :func:`run_bound`; reports the integer colouring or a larger greedy one."""
-    report, bound_res = run_bound(cfg, g, k, deadline)
+    report, bound_res = run_bound(cfg, ctx, k, deadline)
     t0 = time.monotonic()
     int_res = int_admm(
-        g,
+        ctx.g,
         k,
         cfg.intp,
         warm=bound_res.matrix,
@@ -215,7 +215,7 @@ def run_solve(cfg, g, k, deadline):
     source, coloring = "int_admm", int_res.coloring
     if bound_res.greedy.value > coloring.value:
         source, coloring = "greedy", bound_res.greedy
-    if not coloring.check(g, k):
+    if not coloring.check(ctx.g, k):
         raise RuntimeError(f"the {source} colouring is not a proper {k}-colouring")
     report["mode"] = "solve"
     report.update(
@@ -255,6 +255,7 @@ def chromatic_search(g, cfg=None, deadline=None):
     if deadline is None:
         deadline = time.monotonic() + cfg.time_limit
     params = dataclasses.replace(cfg.admm, min_ineq=1.0, min_impr=-math.inf)
+    ctx = SeparationContext(g)  # every k separates from its pools
     steps = []
     k = 1
     while True:
@@ -263,7 +264,7 @@ def chromatic_search(g, cfg=None, deadline=None):
             k = g.n
             steps.append({"k": k, "ub": float(g.n), "skipped": True})
             break
-        res = cp_admm(g, k, params, ub_stop_below=float(g.n),
+        res = cp_admm(g, k, params, ub_stop_below=float(g.n), ctx=ctx,
                       deadline=min(deadline, time.monotonic() + cfg.per_k_time_limit))
         steps.append(
             {
@@ -498,27 +499,27 @@ def main(argv=None):
         cfg = resolve_config(args)
         ks = _parse_k_values(cfg.k) or [None]
         deadline = time.monotonic() + cfg.time_limit  # one for every k of the run
-        g = _load_instance(cfg)
+        ctx = SeparationContext(_load_instance(cfg))  # its pools serve every k
         # every k is checked before the first run, so none is solved in vain
         for k in ks:
             if k is not None and cfg.mode == "chromatic":
                 raise CliError("chromatic mode picks its own k values", EXIT_INVALID_ARGS)
             if k is None and cfg.mode in ("bound", "solve"):
                 raise CliError("this mode requires --k", EXIT_INVALID_ARGS)
-            if k is not None and not 1 <= k <= g.n:
-                raise CliError(f"k must lie in [1, {g.n}] for this instance; got {k}",
+            if k is not None and not 1 <= k <= ctx.g.n:
+                raise CliError(f"k must lie in [1, {ctx.g.n}] for this instance; got {k}",
                                EXIT_INVALID_ARGS)
         runs = []
         for k in ks:
             bound_res = int_res = None
             if cfg.mode == "bound":
-                report, bound_res = run_bound(cfg, g, k, deadline)
+                report, bound_res = run_bound(cfg, ctx, k, deadline)
             elif cfg.mode == "solve":
-                report, bound_res, int_res = run_solve(cfg, g, k, deadline)
+                report, bound_res, int_res = run_solve(cfg, ctx, k, deadline)
             elif cfg.mode == "oracle":
-                report = run_oracle(cfg, g, k)
+                report = run_oracle(cfg, ctx.g, k)
             else:
-                report = run_chromatic(cfg, g, deadline)
+                report = run_chromatic(cfg, ctx.g, deadline)
             runs.append((k, report, bound_res, int_res))
         _write_outputs(cfg, runs)
     except CliError as exc:

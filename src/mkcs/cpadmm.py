@@ -25,7 +25,7 @@ from .cuts import (
     separate_odd_hole,
     separate_triangle,
 )
-from .graph import CliqueEnumeration, HoleEnumeration, enumerate_5holes, enumerate_cliques
+from .graph import enumerate_5holes, enumerate_cliques
 from .intadmm import Coloring
 from .linalg import (
     FreeIndexMap,
@@ -113,9 +113,11 @@ class AdmmParams:
             ("min_impr", not math.isnan(self.min_impr), "a number"),
             ("seed", self.seed >= 0, "at least 0"),
             ("max_outer", max_outer >= 1, "None or at least 1"),
+            ("families", set(self.families) <= set(CutFamily), "CutFamily values"),
         ):
             if not valid:
                 raise ValueError(f"{name} must be {rule}; got {getattr(self, name)}")
+        self.families = tuple(map(CutFamily, self.families))
 
     def resolved(self, n):
         """Fill the n-dependent ``min_ineq`` for an n-vertex instance."""
@@ -303,30 +305,47 @@ class CpAdmmResult:
     greedy: Coloring | None = None  # the colouring behind lb_hint, if computed here
 
 
-def _separate_families(families, state, g, fmap, k, params, clique_enum,
-                       hole_enum, id_base):
-    """Run the separators of the requested families against the current
-    primal iterate and merge their reports; returns the report and the
-    next free cut id."""
-    report = SeparationReport()
-    next_id = id_base
-    if CutFamily.T1 in families or CutFamily.T2 in families:
-        tri = separate_triangle(state.X, g, fmap, k, params.min_viol, next_id)
-        next_id += len(tri.candidates)
-        report.merge(tri.take(np.isin(tri.candidates.family, families)))
-    for family, separate, pool in (
-        (CutFamily.CLIQUE_EXT, separate_clique_external, clique_enum),
-        (CutFamily.CLIQUE_UNION, separate_clique_union, clique_enum),
-        (CutFamily.HOLE5, separate_odd_hole, hole_enum),
-    ):
-        if family in families:
-            rep = separate(state.X, g, fmap, pool, k, params.min_viol, next_id)
-            next_id += len(rep.candidates)
-            report.merge(rep)
-    return report, next_id
+class SeparationContext:
+    """The graph ``g``, its :class:`FreeIndexMap` and its clique and 5-hole
+    ``pools``, for separation at any k.  A pool is enumerated when a
+    separation first asks for it, within ``ENUMERATION_BUDGET_S`` seconds
+    and that separation's deadline, and kept, complete or not."""
+
+    def __init__(self, g):
+        self.g = g
+        self.fmap = FreeIndexMap(g)
+        self.pools = {}
+
+    def separate(self, X, k, families, min_viol, id_base, deadline):
+        """Run the separators of ``families`` against the primal iterate
+        ``X`` and merge their reports; returns the report and the next free
+        cut id.  No pool is enumerated or scanned past ``deadline``, and the
+        report is truncated when a pool it asked for is."""
+        report, next_id = SeparationReport(), id_base
+        if CutFamily.T1 in families or CutFamily.T2 in families:
+            tri = separate_triangle(X, self.g, self.fmap, k, min_viol, next_id)
+            next_id += len(tri.candidates)
+            report.merge(tri.take(np.isin(tri.candidates.family, families)))
+        for family, separate, name, enumerate_pool in (
+            (CutFamily.CLIQUE_EXT, separate_clique_external, "cliques", enumerate_cliques),
+            (CutFamily.CLIQUE_UNION, separate_clique_union, "cliques", enumerate_cliques),
+            (CutFamily.HOLE5, separate_odd_hole, "holes", enumerate_5holes),
+        ):
+            if family in families and time.monotonic() <= deadline:
+                if name not in self.pools:
+                    self.pools[name] = enumerate_pool(
+                        self.g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
+                pool = self.pools[name]
+                report.truncated = report.truncated or not pool.complete
+                if time.monotonic() <= deadline:
+                    rep = separate(X, self.g, self.fmap, pool, k, min_viol, next_id)
+                    next_id += len(rep.candidates)
+                    report.merge(rep)
+        return report, next_id
 
 
-def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
+def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None,
+            ctx=None):
     """Cutting-plane outer loop around the inner ADMM.
 
     Each round solves the current relaxation, extracts a valid upper
@@ -343,10 +362,11 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     ``ub_stop_below`` aborts the solve as soon as any valid bound drops
     below the given target, which the chromatic-number driver uses to stop
     early; bound probes run every ``UB_PROBE_INTERVAL`` sweeps of the first
-    outer iteration.  ``enumeration_complete`` is False when the clique
-    or 5-hole pool, or the clique pairs of a separation round, stopped
-    with rows left out: at ``MAX_POOL`` rows, the deadline or the
-    enumeration budget.
+    outer iteration.  ``ctx`` is the :class:`SeparationContext` of ``g``,
+    built when None, so runs at several k can share its pools.
+    ``enumeration_complete`` is False when a pool this run separated from,
+    or the clique pairs of a separation round, stopped with rows left
+    out: at ``MAX_POOL`` rows, the deadline or the enumeration budget.
     """
     if params is None:
         params = AdmmParams()
@@ -358,25 +378,15 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
     deadline = math.inf if deadline is None else deadline
     lb_hint, greedy = ((lb_hint, None) if lb_hint is not None
                        else greedy_lower_bound(g, k, params.seed))
-    fmap = FreeIndexMap(g)
-    families = tuple(params.families)
-    need_cliques = CutFamily.CLIQUE_EXT in families or CutFamily.CLIQUE_UNION in families
-    clique_enum = (
-        enumerate_cliques(g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
-        if need_cliques
-        else CliqueEnumeration()
-    )
-    hole_enum = (
-        enumerate_5holes(g, min(deadline, time.monotonic() + ENUMERATION_BUDGET_S))
-        if CutFamily.HOLE5 in families
-        else HoleEnumeration([])
-    )
-    enum_complete = clique_enum.complete and hole_enum.complete
+    ctx = SeparationContext(g) if ctx is None else ctx
+    if ctx.g is not g:
+        raise ValueError("ctx is the separation context of another graph")
+    enum_complete = True
 
     state = initial_state(g, k)
     cut_list = CutPool()
     clustered = None
-    phase = 1 if CutFamily.CLIQUE_EXT in families else 2
+    phase = 1 if CutFamily.CLIQUE_EXT in params.families else 2
     best_ub = math.inf
     records = []
     outer = 0
@@ -388,9 +398,9 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         # which one pass over the clusters improves on
         y = None
         if clustered:
-            y = clustered.polish(_lp_objective(st.L, fmap)[2],
+            y = clustered.polish(_lp_objective(st.L, ctx.fmap)[2],
                                  BETA * clustered.multipliers())
-        return valid_upper_bound(st.L, fmap, k, cut_list, y)
+        return valid_upper_bound(st.L, ctx.fmap, k, cut_list, y)
 
     def probe(st):
         nonlocal best_ub
@@ -398,17 +408,11 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         best_ub = min(best_ub, ub_now)
         return ub_now < ub_stop_below - 1e-9
 
-    def separate(fams):
-        nonlocal id_counter
-        rep, id_counter = _separate_families(
-            fams, state, g, fmap, k, params, clique_enum, hole_enum, id_counter)
-        return rep
-
     termination = None
     while termination is None:
         outer += 1
         iters, _ = inner_admm(
-            state, fmap, params, clustered,
+            state, ctx.fmap, params, clustered,
             ub_probe=probe if outer == 1 and ub_stop_below is not None else None,
             deadline=deadline,
         )
@@ -433,28 +437,31 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None):
         if termination is None:
             report = SeparationReport()
             if phase == 2 and not ending:
-                report = separate(families)
+                report, id_counter = ctx.separate(
+                    state.X, k, params.families, params.min_viol, id_counter, deadline)
             elif phase == 1 and not (ending and improvement < MIN_IMPR_PHASE1):
-                report = separate([CutFamily.CLIQUE_EXT])
+                report, id_counter = ctx.separate(state.X, k, [CutFamily.CLIQUE_EXT],
+                                                  params.min_viol, id_counter, deadline)
             fresh = cut_list.novel(report.candidates)
             if phase == 1 and (improvement < MIN_IMPR_PHASE1
                                or fresh.sum() < min_ineq_phase1):
                 phase = 2
                 if not ending:
-                    report.merge(separate(
-                        [f for f in families if f != CutFamily.CLIQUE_EXT]))
-                    fresh = cut_list.novel(report.candidates)
+                    rest, id_counter = ctx.separate(
+                        state.X, k, [f for f in params.families if f != CutFamily.CLIQUE_EXT],
+                        params.min_viol, id_counter, deadline)
+                    fresh = cut_list.novel(report.merge(rest).candidates)
             enum_complete = enum_complete and not report.truncated
             if not ending and fresh.sum() >= params.min_ineq:
                 accepted = select_cuts(report.take(fresh), max_ineq, MAX_CUTS_PER_VAR)
             if len(accepted):
                 cut_list.append(accepted)
-                clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), fmap.weights)
+                clustered = ClusteredCuts(cut_list, cluster_cuts(cut_list), ctx.fmap.weights)
         records.append(OuterRecord(outer, iters, ub, len(accepted), len(cut_list),
                                    phase, time.monotonic() - t0))
         if termination is None and not len(accepted):
             # the plateau rules end the run after one tightened pass
-            tightened_total, _ = inner_admm(state, fmap, params, clustered,
+            tightened_total, _ = inner_admm(state, ctx.fmap, params, clustered,
                                             tightened=True, deadline=deadline)
             ub = bound(state)
             best_ub = min(best_ub, ub)

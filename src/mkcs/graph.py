@@ -276,14 +276,6 @@ def enumerate_5holes(g, deadline=None):
     False if a hole was left out, at that cap or at ``deadline``.
     """
     flat = []  # five vertex ids per hole
-    complete = _walk_5holes(g, deadline, flat)
-    return HoleEnumeration(np.array(flat, dtype=np.intp), complete)
-
-
-def _walk_5holes(g, deadline, flat):
-    """Append the vertices of each canonical 5-hole of ``g`` to ``flat``
-    until ``MAX_POOL`` holes or ``deadline``; False if either cut the
-    search short."""
     adj = g.adj
     cap = 5 * MAX_POOL
     counter = 0
@@ -295,7 +287,7 @@ def _walk_5holes(g, deadline, flat):
             for v2 in sorted(adj[v1]):
                 counter += 1
                 if counter % 512 == 0 and deadline is not None and time.monotonic() > deadline:
-                    return False
+                    return HoleEnumeration(flat, complete=False)
                 if v2 <= a or v2 in na:
                     continue
                 for v3 in sorted(adj[v2]):
@@ -307,9 +299,9 @@ def _walk_5holes(g, deadline, flat):
                         if v4 <= v1 or v4 == v2 or v4 in adj[v1] or v4 in adj[v2]:
                             continue
                         if len(flat) == cap:
-                            return False
+                            return HoleEnumeration(flat, complete=False)
                         flat.extend((a, v1, v2, v3, v4))
-    return True
+    return HoleEnumeration(flat)
 
 
 def pair_pool_size(count):

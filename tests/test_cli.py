@@ -26,6 +26,7 @@ from mkcs.cli import (
     run_report,
     run_solve,
 )
+from mkcs.cpadmm import SeparationContext
 from mkcs.cuts import CutFamily
 from mkcs.graph import write_dimacs
 from reference_helpers import random_graph
@@ -384,7 +385,7 @@ class TestConfigResolution:
 class TestRunModes:
     def test_run_bound_report_fields(self, c5_file):
         cfg = RunConfig(instance=str(c5_file), stable_timing=True)
-        report, res = run_bound(cfg, cycle_graph(5), 2, math.inf)
+        report, res = run_bound(cfg, SeparationContext(cycle_graph(5)), 2, math.inf)
         assert report["schema"] == 1
         assert report["n"] == 5 and report["k"] == 2
         assert report["ub"] >= report["lb_hint"]
@@ -393,7 +394,7 @@ class TestRunModes:
 
     def test_run_solve_adds_lower_bound(self, c5_file):
         cfg = RunConfig(instance=str(c5_file), stable_timing=True)
-        report, _, int_res = run_solve(cfg, cycle_graph(5), 2, math.inf)
+        report, _, int_res = run_solve(cfg, SeparationContext(cycle_graph(5)), 2, math.inf)
         assert report["mode"] == "solve"
         assert report["lb"] == 4
         assert report["lb"] <= int(report["ub"] + 1e-9)
@@ -403,7 +404,7 @@ class TestRunModes:
 
     def test_solve_k5_optimal(self, k5_file):
         cfg = RunConfig(instance=str(k5_file))
-        report, _, _ = run_solve(cfg, complete_graph(5), 2, math.inf)
+        report, _, _ = run_solve(cfg, SeparationContext(complete_graph(5)), 2, math.inf)
         assert report["lb"] == 2
         assert report["optimal"] is True
 
@@ -460,7 +461,7 @@ class TestRunModes:
 
     def test_bound_k5_value(self, k5_file):
         cfg = RunConfig(instance=str(k5_file))
-        report, _ = run_bound(cfg, complete_graph(5), 2, math.inf)
+        report, _ = run_bound(cfg, SeparationContext(complete_graph(5)), 2, math.inf)
         assert 1.95 <= report["ub"] <= 2.1
 
     def test_oracle_alpha(self, k5_file, capsys):
@@ -570,7 +571,7 @@ class TestRunReport:
 
     def test_bound_report_uses_lb_hint(self, c5_file):
         cfg = RunConfig(instance=str(c5_file), stable_timing=True)
-        report, _ = run_bound(cfg, cycle_graph(5), 2, math.inf)
+        report, _ = run_bound(cfg, SeparationContext(cycle_graph(5)), 2, math.inf)
         rows = report_rows([report])
         assert rows[0]["lb"] == report["lb_hint"]
 

@@ -7,7 +7,7 @@ import time
 import numpy as np
 import pytest
 
-from bench_instances import complete_graph, cycle_graph, petersen, queen6_6
+from bench_instances import complete_graph, cycle_graph, myciel5, petersen, queen6_6
 from reference_helpers import (
     Cut,
     admm_objective,
@@ -19,6 +19,7 @@ from reference_helpers import (
 )
 from mkcs.cpadmm import (
     AdmmParams,
+    SeparationContext,
     cp_admm,
     greedy_lower_bound,
     initial_state,
@@ -36,7 +37,7 @@ from mkcs.cuts import (
     separate_clique_external,
     separate_triangle,
 )
-from mkcs.cli import main
+from mkcs.cli import chromatic_search, main
 from mkcs.graph import Graph, enumerate_5holes, enumerate_cliques, write_dimacs
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
@@ -153,11 +154,18 @@ class TestInnerAdmm:
         {"min_viol": -1.0}, {"min_viol": math.nan}, {"min_viol": math.inf},
         {"min_ineq": -1.0}, {"min_ineq": math.nan}, {"min_ineq": math.inf},
         {"min_impr": math.nan}, {"max_inner_iter": -1}, {"max_outer": -1},
-        {"seed": -1},
+        {"seed": -1}, {"families": ("CLIQUE_EXT", "HOLE5")}, {"families": (5,)},
     ])
     def test_out_of_range_settings_rejected(self, setting):
         with pytest.raises(ValueError, match=f"{next(iter(setting))} must"):
             AdmmParams(**setting)
+
+    def test_families_become_cut_families(self):
+        # a family given by its name used to pass and select no cut: on
+        # myciel5 at k = 4 the run ended on min_ineq with none
+        params = AdmmParams(families=[1, 3])
+        assert params.families == (CutFamily.CLIQUE_EXT, CutFamily.HOLE5)
+        assert cp_admm(myciel5(), 4, params).family_counts["HOLE5"] > 0
 
     def test_smallest_valid_settings_accepted(self):
         params = AdmmParams(max_inner_iter=1, max_outer=1, eps_admm=1e-300, min_viol=0.0,
@@ -881,18 +889,20 @@ class TestCpAdmm:
         assert [r.ub > g.n for r in res.records] == [True]  # the trace keeps it
 
     def test_deadline_bounds_enumeration_and_sweeps(self):
-        # without a deadline this run spends about 2 s enumerating cliques
-        # and 6 s enumerating 5-holes before its first sweep (2 vCPUs)
+        # five sweeps end the first round at once, and its separation asks
+        # for the clique pool, which takes 0.7-0.9 s to enumerate (2 vCPUs)
         g = random_graph(125, 0.5, 1)
+        ctx = SeparationContext(g)
         t0 = time.monotonic()
-        res = cp_admm(g, 8, AdmmParams(), deadline=t0 + 0.5)
+        res = cp_admm(g, 8, AdmmParams(max_inner_iter=5), deadline=t0 + 0.25, ctx=ctx)
         assert time.monotonic() - t0 < 1.5
         assert res.termination == "time_limit"
-        assert not res.enumeration_complete
+        assert not ctx.pools["cliques"].complete and not res.enumeration_complete
 
     def test_passed_deadline_enumerates_no_clique(self, monkeypatch):
         # the member array is built once, as the enumeration ends, and a
-        # run whose deadline has passed enumerates no clique into it
+        # run whose deadline has passed ends before its first separation,
+        # so it reads no pool and enumerates none
         g = random_graph(30, 0.5, 1)
         pool = len(enumerate_cliques(g).members)
         pad = mkcs.graph.pad_rows
@@ -905,10 +915,10 @@ class TestCpAdmm:
         monkeypatch.setattr(mkcs.graph, "pad_rows", spy)
         res = cp_admm(g, 3, AdmmParams(), deadline=time.monotonic() - 1.0)
         assert (res.termination, res.inner_iterations) == ("time_limit", 1)
-        assert calls == [0] and not res.enumeration_complete
+        assert calls == [] and res.enumeration_complete
         res = cp_admm(g, 3, AdmmParams(max_outer=3))
         assert res.outer_iterations == 3 and len(res.cuts) > 0
-        assert calls == [0, pool] and pool > 0
+        assert calls == [pool] and pool > 0
 
     def test_tightened_pass_cut_by_the_deadline(self, monkeypatch):
         # petersen at k = 2 ends on min_ineq within milliseconds; the spy
@@ -981,6 +991,89 @@ class TestCpAdmm:
                 "phase", "elapsed_s",
             }
             assert rec["elapsed_s"] == 0.0
+
+
+def spy_on_enumerations(monkeypatch):
+    """The vertex counts of the graphs that ``mkcs.cpadmm``'s two pool
+    enumerations are called on, by function name, in call order."""
+    calls = {"enumerate_cliques": [], "enumerate_5holes": []}
+    for name, seen in calls.items():
+        def spy(g, *args, _enumerate=getattr(mkcs.cpadmm, name), _seen=seen):
+            _seen.append(g.n)
+            return _enumerate(g, *args)
+
+        monkeypatch.setattr(mkcs.cpadmm, name, spy)
+    return calls
+
+
+class TestSeparationContext:
+    @pytest.mark.parametrize("flags, holes", [
+        (["--k", "2,3"], []),
+        (["--k", "5,6", "--max-outer", "5"], [36]),
+    ], ids=["cliques-only", "both-pools"])
+    def test_a_k_list_enumerates_each_pool_once(self, tmp_path, monkeypatch, flags,
+                                                 holes):
+        # both k of a list separate from the clique pool.  Neither k = 2 nor
+        # k = 3 reaches a phase-2 separation, so neither asks for the hole
+        # pool; k = 5 and k = 6 both do, and add clique-union cuts there
+        path = tmp_path / "queen6_6.col"
+        path.write_text(write_dimacs(queen6_6()))
+        out = tmp_path / "report.json"
+        calls = spy_on_enumerations(monkeypatch)
+        assert main(["bound", str(path), *flags, "--out", str(out)]) == 0
+        assert calls == {"enumerate_cliques": [36], "enumerate_5holes": holes}
+        runs = json.loads(out.read_text())["runs"]
+        assert [("CLIQUE_UNION" in run["cuts"]) for run in runs] == [bool(holes)] * 2
+
+    def test_chromatic_search_enumerates_each_pool_once(self, monkeypatch):
+        # k = 3 and k = 4 separate from the clique pool, k = 4 from both
+        calls = spy_on_enumerations(monkeypatch)
+        value, steps = chromatic_search(myciel5())
+        assert value == 4 and [step["k"] for step in steps] == [1, 3, 4]
+        assert calls == {"enumerate_cliques": [47], "enumerate_5holes": [47]}
+
+    def test_a_run_that_ends_in_phase_1_enumerates_no_hole(self, monkeypatch):
+        calls = spy_on_enumerations(monkeypatch)
+        res = cp_admm(queen6_6(), 6, AdmmParams(max_outer=2))
+        assert [r.phase for r in res.records] == [1, 1] and len(res.cuts) > 0
+        assert calls == {"enumerate_cliques": [36], "enumerate_5holes": []}
+
+    def test_each_run_that_reads_a_truncated_pool_reports_it(self, monkeypatch):
+        # the second run reads the pool that the first one enumerated, and
+        # clique-external cuts have no other source of truncation
+        monkeypatch.setattr(mkcs.graph, "MAX_POOL", 3)
+        calls = spy_on_enumerations(monkeypatch)
+        g = petersen()
+        ctx = SeparationContext(g)
+        params = AdmmParams(families=(CutFamily.CLIQUE_EXT,), max_outer=2)
+        for k in (2, 3):
+            assert not cp_admm(g, k, params, lb_hint=-1, ctx=ctx).enumeration_complete
+        assert calls == {"enumerate_cliques": [10], "enumerate_5holes": []}
+
+    def test_no_pool_is_enumerated_or_scanned_past_the_deadline(self, monkeypatch):
+        # the clique enumeration ends past the deadline with a whole pool
+        enumerate_cliques = mkcs.cpadmm.enumerate_cliques
+
+        def slow(g, deadline):
+            while time.monotonic() <= deadline:
+                time.sleep(0.01)
+            return enumerate_cliques(g)
+
+        scans = []
+        monkeypatch.setattr(mkcs.cpadmm, "enumerate_cliques", slow)
+        monkeypatch.setattr(mkcs.cpadmm, "separate_clique_external",
+                            lambda *args: scans.append(args))
+        g = petersen()
+        ctx = SeparationContext(g)
+        report, next_id = ctx.separate(
+            initial_state(g, 2).X, 2, [CutFamily.CLIQUE_EXT, CutFamily.HOLE5], 0.0, 0,
+            time.monotonic() + 0.05)
+        assert scans == [] and next_id == 0 and not report.truncated
+        assert list(ctx.pools) == ["cliques"]
+
+    def test_a_context_serves_its_own_graph_only(self):
+        with pytest.raises(ValueError, match="another graph"):
+            cp_admm(petersen(), 2, ctx=SeparationContext(cycle_graph(5)))
 
 
 class TestRelaxationProperties:

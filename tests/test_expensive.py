@@ -49,6 +49,27 @@ def test_dsjc125_chromatic_lower_bounds(name, target):
     assert value >= target
 
 
+# chromatic_search on G(n, 0.5) seed 1 with the default settings, as
+# recorded when every k enumerated its own pools: the chi bound and the
+# (k, ub) of each step
+GNP_CHROMATIC = {
+    70: (11, [(1, 8.612497337134759), (9, 69.98400682822383),
+              (10, 69.7122157486085), (11, 70.0)]),
+    125: (13, [(1, 11.666106840124), (12, 124.68194355781607), (13, 125.0)]),
+}
+
+
+@pytest.mark.parametrize("n", sorted(GNP_CHROMATIC))
+@expensive
+def test_gnp_chromatic_steps_with_shared_pools(n):
+    chi, expected = GNP_CHROMATIC[n]
+    value, steps = chromatic_search(random_graph(n, 0.5, 1))
+    assert value == chi
+    assert [step["k"] for step in steps] == [k for k, _ in expected]
+    for step, (_, ub) in zip(steps, expected):
+        assert step["ub"] == pytest.approx(ub, abs=1e-6)
+
+
 @expensive
 def test_g125_separators_match_reference():
     # the first relaxation iterate of G(125, 0.5) at k = 8, against one

@@ -29,7 +29,9 @@ The runs, one subdirectory of OUTDIR each:
   stop at ``MAX_POOL`` (its report's ``enumeration_complete`` is false);
 - ``gnp125-k8-capped``: ``bound`` on ``random_graph(125, 0.5, 1)`` at
   ``--k 8`` with config ``{"max_outer": 2}``, the one run whose clique
-  pool (113,536 cliques) is large enough for its memory to matter;
+  pool (113,536 cliques) is large enough for its memory to matter; it
+  stops after two phase-1 rounds, so it never builds the 5-hole pool and
+  its report's ``enumeration_complete`` is true;
 - one directory per benchmark workload of ``perfbench/workloads.py``: its
   mode, k and config on the seed-1 DIMACS text, with the benchmark's
   solver seed.
