@@ -319,10 +319,12 @@ class SeparationContext:
     def separate(self, X, k, families, min_viol, id_base, deadline):
         """Run the separators of ``families`` against the primal iterate
         ``X`` and merge their reports; returns the report and the next free
-        cut id.  No pool is enumerated or scanned past ``deadline``, and the
-        report is truncated when a pool it asked for is."""
+        cut id.  No separator starts and no pool is enumerated past
+        ``deadline``, and the report is truncated when a pool it asked for
+        is."""
         report, next_id = SeparationReport(), id_base
-        if CutFamily.T1 in families or CutFamily.T2 in families:
+        if ((CutFamily.T1 in families or CutFamily.T2 in families)
+                and time.monotonic() <= deadline):
             tri = separate_triangle(X, self.g, self.fmap, k, min_viol, next_id)
             next_id += len(tri.candidates)
             report.merge(tri.take(np.isin(tri.candidates.family, families)))

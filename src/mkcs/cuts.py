@@ -215,9 +215,9 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
 _CHUNK_BYTES = 1 << 19
 
 
-def _chunk_rows(width, per_row=1):
-    """Rows per chunk for temporaries of ``width * per_row`` floats a row."""
-    return max(1, _CHUNK_BYTES // (8 * width * per_row))
+def _chunk_rows(width):
+    """Rows per chunk for temporaries of ``width`` floats a row."""
+    return max(1, _CHUNK_BYTES // (8 * width))
 
 
 def _padded(a, pad):
@@ -310,10 +310,11 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     many as have at most ``graph.MAX_POOL`` pairs; the report is
     truncated when that leaves a maximal clique out.
 
-    A chunk of pairs is screened at once with sums that may round
-    differently from the per-pair expression.  The screen keeps every
-    pair within a margin far wider than that rounding, and the per-pair
-    expression then decides and gives the violation.
+    The pairs are taken a chunk of equal clique sizes at a time, each
+    pair's cross block and diagonals summed as one contiguous row: bit
+    for bit the per-pair ``Xs[np.ix_(va, vb)].sum()`` and
+    ``diag[va].sum()``.  As in a loop that skips ``v < min_viol``, a NaN
+    is a hit.
     """
     Xs = _sanitize(X, fmap, k)
     members = cliques.members[cliques.maximal]
@@ -325,39 +326,34 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     first, second = np.triu_indices(npool, 1)
     large = sizes[first] + sizes[second] > k
     first, second = first[large], second[large]
-    Xp = _padded(Xs, -0.0)
-    diag_sums = np.diagonal(Xp)[members].sum(axis=1)
-    # screen margin: the two sums differ by far less than 1e-9 * max|term|
-    margin = 1e-9 * max(1.0, float(k), float(np.abs(Xs).max()))
+    # the pairs grouped by their two sizes
     width = members.shape[1]
-    step = _chunk_rows(width, width)
-    hits_a, hits_b, viols = [], [], []
-    for start in range(0, len(first), step):
-        ca = first[start:start + step]
-        cb = second[start:start + step]
-        ma = members[ca][:, :, None]
-        mb = members[cb][:, None, :]
-        shared = ((ma == mb) & (ma >= 0)).any(axis=(1, 2))
-        cross = Xp[ma, mb].sum(axis=(1, 2))
-        approx = diag_sums[ca] + diag_sums[cb] - cross - k
-        keep = ~shared & ~(approx < min_viol - margin)
-        for a, b in zip(ca[keep].tolist(), cb[keep].tolist()):
-            va = members[a, :sizes[a]]
-            vb = members[b, :sizes[b]]
-            cross = Xs[np.ix_(va, vb)].sum()
-            v = diag[va].sum() + diag[vb].sum() - cross - k
-            if not v < min_viol:
-                hits_a.append(a)
-                hits_b.append(b)
-                viols.append(v)
-    qa = members[hits_a]
-    qb = members[hits_b]
+    group = sizes[first] * (width + 1) + sizes[second]
+    order = np.argsort(group)
+    starts = np.flatnonzero(np.diff(group[order], prepend=-1)).tolist()
+    hit = np.zeros(len(order), dtype=bool)
+    viol = np.empty(len(order))
+    for lo, hi in zip(starts, starts[1:] + [len(order)]):
+        sa, sb = divmod(int(group[order[lo]]), width + 1)
+        step = _chunk_rows(sa * sb)
+        for start in range(lo, hi, step):
+            pairs = order[start:min(hi, start + step)]
+            va = members[first[pairs], :sa]
+            vb = members[second[pairs], :sb]
+            shared = (va[:, :, None] == vb[:, None, :]).reshape(len(pairs), -1).any(axis=1)
+            cross = Xs[va[:, :, None], vb[:, None, :]].reshape(len(pairs), -1).sum(axis=1)
+            v = diag[va].sum(axis=1) + diag[vb].sum(axis=1) - cross - k
+            viol[pairs] = v
+            hit[pairs] = ~shared & ~(v < min_viol)
+    hits = np.flatnonzero(hit)
+    qa = members[first[hits]]
+    qb = members[second[hits]]
     coord = _padded(fmap.coord, -1)
     between = coord[qa[:, :, None], qb[:, None, :]].reshape(len(qa), width * width)
     return _report(
         np.concatenate([coord[qa, qa], coord[qb, qb], between], axis=1),
         np.r_[np.ones(2 * width), -np.ones(width * width)], float(k),
-        CutFamily.CLIQUE_UNION, viols, id_base, truncated,
+        CutFamily.CLIQUE_UNION, viol[hits], id_base, truncated,
     )
 
 

@@ -47,13 +47,13 @@ def _excess(cuts, z):
 def _project_cluster(grp, z):
     """Simultaneous weighted projection of ``z``, the values at a cluster's
     coordinates, onto each of its halfspaces (their supports are
-    disjoint).  Returns the projected values as a new array, or None when
-    no cut is violated and ``z`` is its own projection."""
+    disjoint).  Returns the projected values as a new array, or ``z``
+    itself when no cut is violated."""
     _, _, winv_a, _, lengths, _, denom = grp
     viol = _excess(grp, z)
     np.maximum(viol, 0.0, out=viol)
     if not np.count_nonzero(viol):
-        return None
+        return z
     viol /= denom
     return z - viol.repeat(lengths) * winv_a
 
@@ -69,8 +69,11 @@ class ClusteredCuts:
     views into the arrays of every cut that ``max_violation`` and
     ``multipliers`` read, and ``polish`` reads the cluster's cuts padded
     to equal width; a row or cluster without coordinates is a
-    ``ValueError``.  ``corrections`` holds Dykstra's corrections from the
-    last projection onto it (None before the first; see :func:`dykstra`).
+    ``ValueError``.  ``spans[gid]`` is the slice of cluster ``gid`` in
+    the flat arrays of every cut, and so in the cut corrections of
+    :func:`dykstra`, one value per coordinate of each cut.
+    ``corrections`` holds Dykstra's corrections from the last projection
+    onto it (None before the first).
     """
 
     def __init__(self, cuts, clusters, w):
@@ -97,6 +100,7 @@ class ClusteredCuts:
         pad_a_inv = np.zeros(filled.shape)
         pad_idx[filled], pad_a[filled], pad_a_inv[filled] = idx, a, 1.0 / a
         self.groups = []
+        self.spans = []
         self._padded = []
         first = lo = 0
         for members in clusters:
@@ -106,6 +110,7 @@ class ClusteredCuts:
                 idx[lo:hi], a[lo:hi], winv_a[lo:hi], starts[first:last] - lo,
                 lengths[first:last], rows.rhs[first:last], denom[first:last],
             ))
+            self.spans.append(slice(lo, hi))
             span, width = slice(first, last), lengths[first:last].max()
             self._padded.append((span, pad_idx[span, :width], pad_a[span, :width],
                                  pad_a_inv[span, :width]))
@@ -121,16 +126,15 @@ class ClusteredCuts:
 
     def multipliers(self):
         """The scalar ``t_i``, clipped at 0, of each pool row ``i`` in the
-        Dykstra ``corrections`` on this clustering (zeros for None): a
-        cluster's correction is ``-t_i W^-1 a_i`` on row ``i``'s coordinates."""
+        Dykstra ``corrections`` on this clustering (zeros before the
+        first): the correction of row ``i`` is ``-t_i W^-1 a_i`` on its
+        coordinates."""
         t = np.zeros(len(self))
         if self.corrections is not None and len(self):
-            pairs = zip(self.groups, self.corrections[1], strict=True)
-            flat = np.concatenate([np.zeros(len(grp.idx)) if c is None else c
-                                   for grp, c in pairs])
             # a . correction = -t a' W^-1 a = -t denom
             _, a, _, starts, _, _, denom = self._all
-            t[self.order] = np.maximum(-np.add.reduceat(a * flat, starts) / denom, 0.0)
+            t[self.order] = np.maximum(
+                -np.add.reduceat(a * self.corrections[1], starts) / denom, 0.0)
         return t
 
     def polish(self, c, y):
@@ -172,7 +176,8 @@ class DykstraResult:
     feasible: bool
     cycles: int
     raw: np.ndarray = None  # final iterate before any cap-out clamp
-    # (box, per-cluster) corrections at ``raw``: raw - their sum = x0
+    # (box, cut) corrections at ``raw``, the cut ones aligned with the
+    # clustering's flat coordinates: raw - their sum = x0
     corrections: tuple = None
 
 
@@ -189,57 +194,49 @@ def dykstra(x0, w, clustered, eps=EPS_DYK, max_cycles=DYK_MAX_CYCLES, correction
     returns the box-projected iterate flagged infeasible so downstream
     bounds stay meaningful.
 
-    ``corrections`` warm-starts the method from the ``(box, per-cluster)``
-    corrections that an earlier call on the same ``clustered`` returned
-    (a per-cluster entry is None for a zero correction).  The iterate
-    then starts at ``x0`` plus their sum, so ``x - sum(corrections) = x0``
-    holds as in a cold start and the limit is still the projection of
-    ``x0``: Dykstra's method is block-coordinate ascent on the dual of the
-    projection, and only the dual start moves.  Without them the
+    ``corrections`` warm-starts the method from the ``(box, cut)``
+    corrections that an earlier call on the same ``clustered`` returned;
+    the cut corrections are one array over the clustering's flat
+    coordinates, cluster ``gid`` owning ``clustered.spans[gid]``.  The
+    iterate then starts at ``x0`` plus their sum, so ``x - sum(corrections)
+    = x0`` holds as in a cold start and the limit is still the projection
+    of ``x0``: Dykstra's method is block-coordinate ascent on the dual of
+    the projection, and only the dual start moves.  Without them the
     corrections start at zero.
 
     Every iterate is bitwise the one of the textbook sequence that
     projects onto the box and then onto each halfspace in turn, each with
-    its own correction.  The cycle only skips work that cannot change a
-    bit: a cluster's values are gathered once and scattered at most once,
-    and a zero correction is not stored, so a cluster that had none and
-    is not violated is not written at all.
+    its own correction: a cluster's values are gathered once and
+    scattered once per cycle.
     """
     x = np.array(x0, dtype=np.float64)
     y = np.empty_like(x)
     step = np.empty_like(x)
-    groups = clustered.groups
+    flat_idx = clustered._all.idx
     if corrections is None:
         corr_box = np.zeros_like(x)
-        corr = [None] * len(groups)  # None: a zero correction
+        corr = np.zeros(len(flat_idx))
     else:
         corr_box = np.array(corrections[0], dtype=np.float64)
-        corr = list(corrections[1])
-        if len(corr) != len(groups):
-            raise ValueError(f"{len(corr)} cluster corrections for {len(groups)} "
-                             "clusters: they belong to another clustering")
+        corr = np.array(corrections[1], dtype=np.float64)
+        if len(corr) != len(flat_idx):
+            raise ValueError(f"{len(corr)} cut corrections for {len(flat_idx)} "
+                             "coordinates: they belong to another clustering")
         x += corr_box
-        for grp, c in zip(groups, corr):
-            if c is not None:
-                x[grp.idx] += c  # a cluster's coordinates are distinct
+        # cluster after cluster, as the textbook sequence adds them
+        np.add.at(x, flat_idx, corr)
     for cycle in range(1, max_cycles + 1):
         np.subtract(x, corr_box, out=y)
         np.copyto(step, x)
         project_box(y, out=x)
         np.subtract(x, y, out=corr_box)
-        for gid, grp in enumerate(groups):
-            idx = grp.idx
+        for grp, span in zip(clustered.groups, clustered.spans):
+            idx, c = grp.idx, corr[span]
             z = x[idx]
-            c = corr[gid]
-            if c is not None:
-                z -= c
+            z -= c
             z2 = _project_cluster(grp, z)
-            if z2 is not None:
-                x[idx] = z2
-                corr[gid] = z2 - z
-            elif c is not None:
-                x[idx] = z
-                corr[gid] = None
+            x[idx] = z2
+            np.subtract(z2, z, out=c)
         np.subtract(x, step, out=step)
         if float(np.abs(step, out=step).max()) <= eps:
             box_viol = max(float(x.max()) - 1.0, -float(x.min()), 0.0)

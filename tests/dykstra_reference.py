@@ -1,7 +1,8 @@
 """Reference Dykstra implementation: one correction array per cut cluster,
 a full gather, copy and scatter per cluster visit, and ``np.clip`` for
-every clamp.  It is kept verbatim as the bitwise yardstick for the fused
-kernel in ``mkcs.projection``, which must reproduce its every iterate.
+every clamp.  It is kept as the bitwise yardstick for the fused kernel
+in ``mkcs.projection``, which must reproduce its every iterate, cold or
+warm-started from earlier corrections.
 """
 
 from __future__ import annotations
@@ -92,12 +93,23 @@ class ReferenceClusteredCuts:
         x[idx] -= scale * grp["winv_a"]
 
 
-def reference_dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
-    """``dykstra`` over a ``ReferenceClusteredCuts``, as first written."""
+def reference_dykstra(x0, w, clustered, eps=1e-2, max_cycles=100, corrections=None):
+    """``dykstra`` over a ``ReferenceClusteredCuts``, as first written.
+
+    ``corrections``, ``(box, per-cluster arrays)``, warm-starts it as the
+    textbook sequence does: the iterate starts at ``x0`` plus the box
+    correction and then each cluster's, in cluster order.  The result
+    carries the final corrections in that form."""
     x = np.asarray(x0, dtype=np.float64).copy()
     corr_box = np.zeros_like(x)
     ngroups = len(clustered.groups)
     corr = [np.zeros(len(g["idx"])) for g in clustered.groups]
+    if corrections is not None:
+        corr_box = np.array(corrections[0], dtype=np.float64)
+        corr = [np.array(c, dtype=np.float64) for c in corrections[1]]
+        x += corr_box
+        for grp, c in zip(clustered.groups, corr, strict=True):
+            x[grp["idx"]] += c
     for cycle in range(1, max_cycles + 1):
         prev = x.copy()
         y = x - corr_box
@@ -115,5 +127,5 @@ def reference_dykstra(x0, w, clustered, eps=1e-2, max_cycles=100):
         box_viol = max(float(x.max()) - 1.0, -float(x.min()), 0.0)
         drift = float(np.max(np.abs(x - prev)))
         if max(clustered.max_violation(x), box_viol) <= eps and drift <= eps:
-            return DykstraResult(x, True, cycle, x)
-    return DykstraResult(project_box(x), False, max_cycles, x)
+            return DykstraResult(x, True, cycle, x, (corr_box, corr))
+    return DykstraResult(project_box(x), False, max_cycles, x, (corr_box, corr))

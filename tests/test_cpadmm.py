@@ -32,6 +32,7 @@ import mkcs.graph
 from mkcs.cuts import (
     CutFamily,
     CutPool,
+    SeparationReport,
     cluster_cuts,
     select_cuts,
     separate_clique_external,
@@ -494,7 +495,7 @@ class TestProjectionMultipliers:
         pool = random_pool(np.random.default_rng(0), fmap.m, 4)
         clustered = ClusteredCuts(pool, cluster_cuts(pool), fmap.weights)
         assert np.array_equal(clustered.multipliers(), np.zeros(4))
-        extra = [None] * (len(clustered.groups) + 1)
+        extra = np.zeros(len(pool.indices) + 1)
         clustered.corrections = (np.zeros(fmap.m), extra)
         with pytest.raises(ValueError):
             clustered.multipliers()
@@ -1070,6 +1071,26 @@ class TestSeparationContext:
             time.monotonic() + 0.05)
         assert scans == [] and next_id == 0 and not report.truncated
         assert list(ctx.pools) == ["cliques"]
+
+    def test_no_separator_starts_past_the_deadline(self, monkeypatch):
+        # round 1's clique-external scan passes the deadline and finds
+        # nothing, so the round moves to phase 2 and asks for the other
+        # families, whose triangle scan must not start
+        scans, triangles = [], []
+
+        def slow_scan(*args):
+            while time.monotonic() <= deadline:
+                time.sleep(0.01)
+            scans.append(args)
+            return SeparationReport()
+
+        monkeypatch.setattr(mkcs.cpadmm, "separate_clique_external", slow_scan)
+        monkeypatch.setattr(mkcs.cpadmm, "separate_triangle",
+                            lambda *args: triangles.append(args) or SeparationReport())
+        deadline = time.monotonic() + 0.3
+        res = cp_admm(petersen(), 2, AdmmParams(), deadline=deadline)
+        assert len(scans) == 1 and triangles == []
+        assert res.termination == "time_limit"
 
     def test_a_context_serves_its_own_graph_only(self):
         with pytest.raises(ValueError, match="another graph"):

@@ -227,6 +227,73 @@ class TestSeparateCliqueUnion:
         assert not len(rep.candidates)
 
 
+def planted_cliques(seed):
+    """Disjoint cliques of 2 to 6 vertices joined by a few random edges:
+    maximal cliques of every size from 2 to 6."""
+    rng = np.random.default_rng([21, seed])
+    edges, blocks, first = [], [], 1
+    for size in range(2, 7):
+        blocks.append(list(range(first, first + size)))
+        edges += [(u, v) for u in blocks[-1] for v in blocks[-1] if u < v]
+        first += size
+    for _ in range(6):
+        a, b = rng.choice(len(blocks), 2, replace=False)
+        edges.append((int(rng.choice(blocks[a])), int(rng.choice(blocks[b]))))
+    return Graph(first - 1, edges), blocks
+
+
+class TestCliquePairPass:
+    """Every group of clique sizes of the pair pass against the per-pair
+    loop of ``tests/separation_reference.py``: the same candidates and
+    violation bytes."""
+
+    @staticmethod
+    def compare(X, g, fmap, ce, k, min_viol):
+        got = separate_clique_union(X, g, fmap, ce, k, min_viol, 5)
+        ref.assert_same_candidates(got, ref.separate_clique_union(
+            X, g, fmap, ref.clique_objects(ce), k, min_viol, 5))
+        return got
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_every_size_pair(self, seed):
+        g, _ = planted_cliques(seed)
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        sizes = (ce.members[ce.maximal] >= 0).sum(axis=1)
+        assert set(sizes.tolist()) == {2, 3, 4, 5, 6}
+        rng = np.random.default_rng([22, seed])
+        for k in range(1, 6):
+            for X in reference_iterates(g, fmap, k, rng):
+                for min_viol in (1e-2, 0.0):
+                    self.compare(X, g, fmap, ce, k, min_viol)
+            # above k = 1 the size filter drops some pairs, never all
+            X = fmap.vec_to_mat(np.ones(fmap.m), k)
+            assert 0 < len(self.compare(X, g, fmap, ce, k, -np.inf).candidates)
+
+    @pytest.mark.parametrize("seed", range(2))
+    def test_violation_equal_to_min_viol(self, seed):
+        g, _ = planted_cliques(seed)
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        rng = np.random.default_rng([23, seed])
+        X = fmap.vec_to_mat(rng.uniform(0, 1, fmap.m), 2)
+        values = sorted(set(self.compare(X, g, fmap, ce, 2, -np.inf).violation.tolist()))
+        assert len(values) > 10
+        for min_viol in values[:: len(values) // 10]:
+            assert min_viol in self.compare(X, g, fmap, ce, 2, min_viol).violation
+
+    def test_nan_entry_stays_a_hit(self):
+        g, blocks = planted_cliques(0)
+        fmap = FreeIndexMap(g)
+        ce = enumerate_cliques(g)
+        X = fmap.vec_to_mat(np.full(fmap.m, 0.5), 3)
+        u, v = blocks[3][0], blocks[4][0]  # a non-edge between the 5- and 6-cliques
+        assert v not in g.adj[u]
+        X[u, v] = X[v, u] = np.nan
+        got = self.compare(X, g, fmap, ce, 3, 1e-2)
+        assert np.isnan(got.violation).any()
+
+
 class TestSeparateOddHole:
     def test_hole_with_external_apex(self):
         g = Graph(6, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 1)])

@@ -39,9 +39,7 @@ def project_cluster(clustered, x, gid):
     """In-place simultaneous weighted projection of ``x`` onto every
     halfspace of one cluster, by the kernel of the Dykstra cycle."""
     grp = clustered.groups[gid]
-    z = _project_cluster(grp, x[grp.idx])
-    if z is not None:
-        x[grp.idx] = z
+    x[grp.idx] = _project_cluster(grp, x[grp.idx])
 
 
 def clustered_of(cuts, w, clusters=None):
@@ -327,16 +325,28 @@ class TestProjectAffineSet:
         assert dist < 1e-3, dist
 
 
-def correction_sum(clustered, corrections):
-    """The sum of Dykstra's ``(box, per-cluster)`` corrections as one
-    vector over the free entries."""
-    box, per_cluster = corrections
+def cluster_corrections(clustered, corrections):
+    """Dykstra's cut corrections on ``clustered`` as one array per
+    cluster."""
+    _, cut = corrections
+    assert len(cut) == sum(len(grp.idx) for grp in clustered.groups)
+    return [cut[span] for span in clustered.spans]
+
+
+def summed_corrections(box, cluster_idx, per_cluster):
+    """The box correction plus each cluster's correction on its
+    coordinates ``cluster_idx``, cluster after cluster."""
     total = box.copy()
-    assert len(per_cluster) == len(clustered.groups)
-    for grp, c in zip(clustered.groups, per_cluster):
-        if c is not None:
-            total[grp.idx] += c
+    for idx, c in zip(cluster_idx, per_cluster, strict=True):
+        total[idx] += c
     return total
+
+
+def correction_sum(clustered, corrections):
+    """The sum of Dykstra's ``(box, cut)`` corrections as one vector over
+    the free entries."""
+    return summed_corrections(corrections[0], [grp.idx for grp in clustered.groups],
+                              cluster_corrections(clustered, corrections))
 
 
 class TestWarmStart:
@@ -412,14 +422,11 @@ class TestWarmStart:
         clustered = clustered_of(cuts, w)
         first = dykstra(rng.uniform(-0.5, 1.5, fmap.m), w, clustered, eps=1e-9,
                         max_cycles=200000)
-        box = first.corrections[0].copy()
-        per_cluster = [None if c is None else c.copy() for c in first.corrections[1]]
+        box, cut = (c.copy() for c in first.corrections)
         dykstra(rng.uniform(-0.5, 1.5, fmap.m), w, clustered, eps=1e-9,
                 max_cycles=200000, corrections=first.corrections)
         assert np.array_equal(first.corrections[0], box)
-        for got, want in zip(first.corrections[1], per_cluster):
-            assert (got is None) == (want is None)
-            assert want is None or np.array_equal(got, want)
+        assert np.array_equal(first.corrections[1], cut)
 
 
 def assert_same_bits(a, b):
@@ -471,12 +478,43 @@ class TestFusedKernelMatchesReference:
             assert_same_bits(got.raw, want.raw)
             assert (got.cycles, got.feasible) == (want.cycles, want.feasible)
 
+    def _assert_warm_chain_match(self, x0, w, cuts, clusters, rng):
+        # three calls on one clustering, each warm-started from the
+        # corrections of the one before, on drifting targets; the
+        # reference starts from the same corrections, per cluster
+        new = clustered_of(cuts, w, clusters)
+        ref = ReferenceClusteredCuts(cuts, clusters, w)
+        ref_idx = [grp["idx"] for grp in ref.groups]
+        for eps, cap in self.SETTINGS:
+            target, corrections = x0, None
+            for _ in range(3):
+                got = dykstra(target, w, new, eps=eps, max_cycles=cap,
+                              corrections=corrections)
+                want = reference_dykstra(
+                    target, w, ref, eps=eps, max_cycles=cap,
+                    corrections=None if corrections is None else
+                    (corrections[0], cluster_corrections(new, corrections)))
+                assert_same_bits(got.x, want.x)
+                assert_same_bits(got.raw, want.raw)
+                assert (got.cycles, got.feasible) == (want.cycles, want.feasible)
+                assert_same_bits(correction_sum(new, got.corrections),
+                                 summed_corrections(*want.corrections[:1], ref_idx,
+                                                    want.corrections[1]))
+                corrections = got.corrections
+                target = target + rng.normal(scale=0.05, size=len(target))
+
     @pytest.mark.parametrize("seed", range(12))
     def test_separator_pools(self, seed):
         fmap, cuts, rng = self._separated_cuts(seed)
         assert cuts
         self._assert_match(self._start(fmap, rng), fmap.weights, cuts,
                            cluster_cuts(pool_of(cuts)))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_warm_started_chains(self, seed):
+        fmap, cuts, rng = self._separated_cuts(seed)
+        self._assert_warm_chain_match(self._start(fmap, rng), fmap.weights, cuts,
+                                      cluster_cuts(pool_of(cuts)), rng)
 
     @pytest.mark.parametrize("seed", range(6))
     def test_all_inactive_clusters(self, seed):
@@ -491,6 +529,7 @@ class TestFusedKernelMatchesReference:
         clusters = inactive[:3] + clusters + inactive[3:]
         x0 = self._start(fmap, rng)
         self._assert_match(x0, fmap.weights, pool, clusters)
+        self._assert_warm_chain_match(x0, fmap.weights, pool, clusters, rng)
         self._assert_match(np.clip(x0, 0.0, 1.0), fmap.weights, slack,
                            cluster_cuts(pool_of(slack)))
 
@@ -511,7 +550,7 @@ class TestFusedKernelMatchesReference:
     def test_cluster_turning_inactive_drops_its_correction(self):
         # the first cut is violated in cycle 1 only: the second one pulls
         # x1 down, so in cycle 2 the first cluster has a correction but no
-        # violation, and the correction must be written back and dropped
+        # violation, and the correction must be written back and zeroed
         cuts = [make_cut(0, {0: 1.0, 1: 1.0}, 0.8),
                 make_cut(1, {1: 1.0, 2: 1.0}, 0.5)]
         self._assert_match(np.array([-0.2, 0.9, 0.1]), np.full(3, 3.0), cuts,
