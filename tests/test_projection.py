@@ -479,15 +479,15 @@ class TestFusedKernelMatchesReference:
             assert (got.cycles, got.feasible) == (want.cycles, want.feasible)
 
     def _assert_warm_chain_match(self, x0, w, cuts, clusters, rng):
-        # three calls on one clustering, each warm-started from the
-        # corrections of the one before, on drifting targets; the
+        # a cold call on one clustering, then three, each warm-started
+        # from the corrections of the one before, on drifting targets; the
         # reference starts from the same corrections, per cluster
         new = clustered_of(cuts, w, clusters)
         ref = ReferenceClusteredCuts(cuts, clusters, w)
         ref_idx = [grp["idx"] for grp in ref.groups]
         for eps, cap in self.SETTINGS:
             target, corrections = x0, None
-            for _ in range(3):
+            for _ in range(4):
                 got = dykstra(target, w, new, eps=eps, max_cycles=cap,
                               corrections=corrections)
                 want = reference_dykstra(
@@ -498,7 +498,7 @@ class TestFusedKernelMatchesReference:
                 assert_same_bits(got.raw, want.raw)
                 assert (got.cycles, got.feasible) == (want.cycles, want.feasible)
                 assert_same_bits(correction_sum(new, got.corrections),
-                                 summed_corrections(*want.corrections[:1], ref_idx,
+                                 summed_corrections(want.corrections[0], ref_idx,
                                                     want.corrections[1]))
                 corrections = got.corrections
                 target = target + rng.normal(scale=0.05, size=len(target))
