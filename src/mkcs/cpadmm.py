@@ -320,12 +320,13 @@ class SeparationContext:
         """Run the separators of ``families`` against the primal iterate
         ``X`` and merge their reports; returns the report and the next free
         cut id.  No separator starts and no pool is enumerated past
-        ``deadline``, and the report is truncated when a pool it asked for
-        is."""
+        ``deadline``, and a separator's scan stops between chunks once it
+        has passed it; the report is truncated when a pool it asked for
+        is, or when a scan stopped."""
         report, next_id = SeparationReport(), id_base
         if ((CutFamily.T1 in families or CutFamily.T2 in families)
                 and time.monotonic() <= deadline):
-            tri = separate_triangle(X, self.g, self.fmap, k, min_viol, next_id)
+            tri = separate_triangle(X, self.g, self.fmap, k, min_viol, next_id, deadline)
             next_id += len(tri.candidates)
             report.merge(tri.take(np.isin(tri.candidates.family, families)))
         for family, separate, name, enumerate_pool in (
@@ -340,7 +341,7 @@ class SeparationContext:
                 pool = self.pools[name]
                 report.truncated = report.truncated or not pool.complete
                 if time.monotonic() <= deadline:
-                    rep = separate(X, self.g, self.fmap, pool, k, min_viol, next_id)
+                    rep = separate(X, self.g, self.fmap, pool, k, min_viol, next_id, deadline)
                     next_id += len(rep.candidates)
                     report.merge(rep)
         return report, next_id
@@ -368,7 +369,8 @@ def cp_admm(g, k, params=None, lb_hint=None, ub_stop_below=None, deadline=None,
     built when None, so runs at several k can share its pools.
     ``enumeration_complete`` is False when a pool this run separated from,
     or the clique pairs of a separation round, stopped with rows left
-    out: at ``MAX_POOL`` rows, the deadline or the enumeration budget.
+    out: at ``MAX_POOL`` rows, the deadline or the enumeration budget; or
+    when a separator's scan stopped at the deadline.
     """
     if params is None:
         params = AdmmParams()

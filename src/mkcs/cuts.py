@@ -4,11 +4,13 @@ array-backed cut pool, separation, selection, and clustering."""
 from __future__ import annotations
 
 import enum
+import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graph import extend_clique_greedy, pad_rows, pair_pool_size
+from .graph import pair_pool_size
 
 
 class CutFamily(enum.IntEnum):
@@ -149,7 +151,7 @@ def _report(coords, coeffs, rhs, family, violation, id_base, truncated=False):
     )
 
 
-def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
+def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0, deadline=math.inf):
     """Separate the three-vertex inequalities.
 
     For every unordered vertex triple, the three role assignments of the
@@ -158,7 +160,10 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     for k <= 2 (it is implied by the bound constraints otherwise) and
     never for triangles, where it is implied by the relaxation itself.
     Cuts come apex by apex, each apex's pairs (i, j) in lexicographic
-    order, then the second family by lexicographic triple.
+    order, then the second family by lexicographic triple.  A scan that
+    passes ``deadline``, a ``time.monotonic()`` value, stops before its
+    next apex (or first vertex of a triple) and marks its report
+    truncated.
     """
     Xs = _sanitize(X, fmap, k)
     n = g.n
@@ -168,7 +173,11 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     pairs[0] = False  # the pairs 1 <= i < j <= n
     t1 = [np.empty((0, 4), dtype=np.intp)]
     t1_viol = [np.empty(0)]
+    stopped = False
     for ell in range(1, n + 1):
+        if ell > 1 and time.monotonic() > deadline:
+            stopped = True
+            break
         col = Xs[:, ell]
         # violation of the apex-ell cut for every pair (i, j)
         viol = col[:, None] + col[None, :] - diag[ell] - Xs
@@ -181,13 +190,16 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
                             np.full(len(ii), fmap.diag_coord(ell))], axis=1))
         t1_viol.append(viol[ii, jj])
     report = _report(np.concatenate(t1), (1.0, 1.0, -1.0, -1.0), 0.0,
-                     CutFamily.T1, np.concatenate(t1_viol), id_base)
-    if k > 2:
+                     CutFamily.T1, np.concatenate(t1_viol), id_base, stopped)
+    if k > 2 or stopped:
         return report
     t2 = [np.empty((0, 6), dtype=np.intp)]
     t2_viol = [np.empty(0)]
     adj = coord < 0  # edges, and the border, which no triple uses
     for i in range(1, n - 1):
+        if time.monotonic() > deadline:
+            stopped = True
+            break
         # v[j, l] for the triple (i, j, l), summed left to right
         row = Xs[i]
         v = (diag[i] + diag[:, None]) + diag[None, :]
@@ -207,6 +219,7 @@ def separate_triangle(X, g, fmap, k, min_viol=1e-2, id_base=0):
     return report.merge(_report(
         np.concatenate(t2), (1.0, 1.0, 1.0, -1.0, -1.0, -1.0), float(k),
         CutFamily.T2, np.concatenate(t2_viol), id_base + len(report.candidates),
+        stopped,
     ))
 
 
@@ -227,11 +240,12 @@ def _padded(a, pad):
     return np.pad(a, (0, 1), constant_values=pad)
 
 
-def _apex_hits(Xp, members, subtract, min_viol):
+def _apex_hits(Xp, members, subtract, min_viol, deadline):
     """The pool rows and apexes whose violation
     ``Xp[members[r]].sum(axis=0)[l] - subtract[l]`` is not below
     ``min_viol``, for each apex l in 1..n outside the row, in row-major
-    order, with those violations.
+    order, with those violations, and whether the scan passed
+    ``deadline`` and stopped before its next chunk of rows.
 
     The member rows are added left to right, which is what numpy's
     axis-0 sum does, so each violation is bit for bit that expression.
@@ -241,8 +255,12 @@ def _apex_hits(Xp, members, subtract, min_viol):
     step = _chunk_rows(width)
     acc = np.empty((min(step, len(members)), width))
     buf = np.empty_like(acc)
-    rows, apexes, viols = [], [], []
+    rows, apexes, viols = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    stopped = False
     for start in range(0, len(members), step):
+        if start and time.monotonic() > deadline:
+            stopped = True
+            break
         block = members[start:start + step]
         s = acc[: len(block)]
         t = buf[: len(block)]
@@ -259,56 +277,54 @@ def _apex_hits(Xp, members, subtract, min_viol):
         rows.append(r + start)
         apexes.append(c)
         viols.append(s[r, c])
-    if not rows:
-        return np.empty(0, np.intp), np.empty(0, np.intp), np.empty(0)
-    return np.concatenate(rows), np.concatenate(apexes), np.concatenate(viols)
+    return np.concatenate(rows), np.concatenate(apexes), np.concatenate(viols), stopped
 
 
-def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
-    """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the cliques of the
-    :class:`CliqueEnumeration` ``cliques`` and every external vertex.
+def _apex_cuts(X, fmap, k, pool, weight, family, min_viol, id_base, deadline):
+    """The cuts ``sum_{i in Q} X[i,l] <= weight X[l,l]`` over the rows Q
+    of ``pool`` (vertex ids, padded with -1) and every apex l outside Q
+    that is not adjacent to all of Q, violated by at least ``min_viol``.
 
-    A violated cut on a non-maximal size-6 clique is first strengthened
-    by greedy extension before being reported.  The violations of a
-    chunk of cliques are computed at once; cuts come clique by clique,
-    apex by apex.
+    The violations of a chunk of rows are computed at once; cuts come
+    row by row, apex by apex.  A scan that passes ``deadline``, a
+    ``time.monotonic()`` value, stops before its next chunk and marks its
+    report truncated.
     """
-    Xs = _sanitize(X, fmap, k)
-    xvec = fmap.mat_to_vec(Xs)
-    Xp = _padded(Xs, -0.0)
-    rows, apexes, _ = _apex_hits(Xp, cliques.members, np.diagonal(Xp), min_viol)
-    hits = cliques.members[rows]
-    sizes = (hits >= 0).sum(axis=1)
-    targets = []
-    for row, size, maximal, ell in zip(hits.tolist(), sizes.tolist(),
-                                       cliques.maximal[rows].tolist(), apexes.tolist()):
-        clique = frozenset(row[:size])
-        if size == 6 and not maximal:
-            clique = extend_clique_greedy(g, clique, ell, Xs)
-        targets.append(list(clique))
-    coords = _padded(fmap.coord, -1)[pad_rows(targets), apexes[:, None]]
-    # the violation summed term by term in each clique's own (frozenset)
-    # vertex order, bit for bit the per-cut sum the selection order was
-    # first ranked by; -0.0 leaves a sum as it is
-    viol = np.zeros(len(coords))
-    for col in coords.T:
-        viol += np.where(col >= 0, xvec[col], -0.0)
-    diag = fmap.diag_coord(apexes)
-    viol -= xvec[diag]
-    viol -= 0.0  # the right-hand side
-    keep = (coords >= 0).any(axis=1) & (viol >= min_viol)
-    return _report(np.column_stack([coords, diag])[keep],
-                   np.r_[np.ones(coords.shape[1]), -1.0], 0.0,
-                   CutFamily.CLIQUE_EXT, viol[keep], id_base)
+    Xp = _padded(_sanitize(X, fmap, k), -0.0)
+    rows, apexes, viols, stopped = _apex_hits(
+        Xp, pool, weight * np.diagonal(Xp), min_viol, deadline)
+    coords = _padded(fmap.coord, -1)[pool[rows], apexes[:, None]]
+    keep = (coords >= 0).any(axis=1)
+    return _report(np.column_stack([coords, fmap.diag_coord(apexes)])[keep],
+                   np.r_[np.ones(pool.shape[1]), -weight], 0.0, family,
+                   viols[keep], id_base, stopped)
 
 
-def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
+def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0,
+                             deadline=math.inf):
+    """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the maximal cliques
+    Q of the :class:`CliqueEnumeration` ``cliques`` and every external
+    vertex l (see ``_apex_cuts``).
+
+    ``X[i,l]`` is 0 on an edge, so for an iterate in the unit box the
+    best cut at l over every clique of G - N[l] is the best over the
+    maximal cliques of G that miss l, each at least as violated as any
+    clique it contains: the separation is exact where the pool is
+    complete.
+    """
+    return _apex_cuts(X, fmap, k, cliques.members, 1.0, CutFamily.CLIQUE_EXT,
+                      min_viol, id_base, deadline)
+
+
+def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0,
+                          deadline=math.inf):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
-    pairs of maximal cliques of ``cliques`` whose sizes sum to more
-    than k.  The pairs are those among the first maximal cliques, as
-    many as have at most ``graph.MAX_POOL`` pairs; the report is
-    truncated when that leaves a maximal clique out.
+    pairs of the maximal cliques of ``cliques`` whose sizes sum to more
+    than k.  The pairs are those among the first cliques, as many as
+    have at most ``graph.MAX_POOL`` pairs; the report is truncated when
+    that leaves a clique out, or when the scan passes ``deadline`` and
+    stops before its next chunk of pairs.
 
     The pairs are taken a chunk of equal clique sizes at a time, each
     pair's cross block and diagonals summed as one contiguous row: bit
@@ -317,7 +333,7 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     is a hit.
     """
     Xs = _sanitize(X, fmap, k)
-    members = cliques.members[cliques.maximal]
+    members = cliques.members
     npool = pair_pool_size(len(members))
     truncated = npool < len(members)
     members = members[:npool]
@@ -331,20 +347,25 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     group = sizes[first] * (width + 1) + sizes[second]
     order = np.argsort(group)
     starts = np.flatnonzero(np.diff(group[order], prepend=-1)).tolist()
-    hit = np.zeros(len(order), dtype=bool)
-    viol = np.empty(len(order))
+    chunks = []
     for lo, hi in zip(starts, starts[1:] + [len(order)]):
         sa, sb = divmod(int(group[order[lo]]), width + 1)
         step = _chunk_rows(sa * sb)
-        for start in range(lo, hi, step):
-            pairs = order[start:min(hi, start + step)]
-            va = members[first[pairs], :sa]
-            vb = members[second[pairs], :sb]
-            shared = (va[:, :, None] == vb[:, None, :]).reshape(len(pairs), -1).any(axis=1)
-            cross = Xs[va[:, :, None], vb[:, None, :]].reshape(len(pairs), -1).sum(axis=1)
-            v = diag[va].sum(axis=1) + diag[vb].sum(axis=1) - cross - k
-            viol[pairs] = v
-            hit[pairs] = ~shared & ~(v < min_viol)
+        chunks += [(order[start:min(hi, start + step)], sa, sb)
+                   for start in range(lo, hi, step)]
+    hit = np.zeros(len(order), dtype=bool)
+    viol = np.empty(len(order))
+    for c, (pairs, sa, sb) in enumerate(chunks):
+        if c and time.monotonic() > deadline:
+            truncated = True
+            break
+        va = members[first[pairs], :sa]
+        vb = members[second[pairs], :sb]
+        shared = (va[:, :, None] == vb[:, None, :]).reshape(len(pairs), -1).any(axis=1)
+        cross = Xs[va[:, :, None], vb[:, None, :]].reshape(len(pairs), -1).sum(axis=1)
+        v = diag[va].sum(axis=1) + diag[vb].sum(axis=1) - cross - k
+        viol[pairs] = v
+        hit[pairs] = ~shared & ~(v < min_viol)
     hits = np.flatnonzero(hit)
     qa = members[first[hits]]
     qb = members[second[hits]]
@@ -357,22 +378,13 @@ def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     )
 
 
-def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2, id_base=0):
-    """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over the 5-holes of the
-    :class:`HoleEnumeration` ``holes`` and external vertices.
-
-    The violations of a chunk of holes are computed at once; cuts come
-    hole by hole, apex by apex.
-    """
-    Xs = _sanitize(X, fmap, k)
-    pool = holes.holes
-    Xp = _padded(Xs, -0.0)
-    rows, apexes, viols = _apex_hits(Xp, pool, 2.0 * np.diagonal(Xp), min_viol)
-    coords = fmap.coord[pool[rows], apexes[:, None]]
-    keep = (coords >= 0).any(axis=1)
-    return _report(np.column_stack([coords, fmap.diag_coord(apexes)])[keep],
-                   (1.0, 1.0, 1.0, 1.0, 1.0, -2.0), 0.0, CutFamily.HOLE5,
-                   viols[keep], id_base)
+def separate_odd_hole(X, g, fmap, holes, k, min_viol=1e-2, id_base=0,
+                      deadline=math.inf):
+    """Separate ``sum_{i in C} X[i,l] <= 2 X[l,l]`` over the 5-holes C of
+    the :class:`HoleEnumeration` ``holes`` and every external vertex l
+    (see ``_apex_cuts``)."""
+    return _apex_cuts(X, fmap, k, holes.holes, 2.0, CutFamily.HOLE5,
+                      min_viol, id_base, deadline)
 
 
 def select_cuts(report, max_ineq, max_cuts_per_var):

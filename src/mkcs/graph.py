@@ -13,7 +13,7 @@ import numpy as np
 logger = logging.getLogger(__name__)
 
 # every pool a separator scans stops at this many rows, in the order
-# found: cliques, 5-holes, and pairs of maximal cliques
+# found: maximal cliques, 5-holes, and pairs of maximal cliques
 MAX_POOL = 200_000
 
 
@@ -82,14 +82,11 @@ class Graph:
 
 @dataclass
 class CliqueEnumeration:
-    """The enumerated cliques, the maximal ones of size 2..5 and then
-    every 6-clique, each in the order found: ``members`` holds the
-    ascending vertices of each as the rows of one intp array, padded with
-    -1 to the largest size, and ``maximal`` marks the rows of maximal
-    cliques, 6-cliques included."""
+    """The maximal cliques of at least two vertices, in the order found:
+    ``members`` holds the ascending vertices of each as the rows of one
+    intp array, padded with -1 to the largest size."""
 
     members: np.ndarray = field(default_factory=lambda: np.empty((0, 1), np.intp))
-    maximal: np.ndarray = field(default_factory=lambda: np.empty(0, bool))
     complete: bool = True  # False when the search stopped with cliques left
 
     def all_cliques(self):
@@ -190,79 +187,65 @@ def write_dimacs(g, name=None):
 
 
 def enumerate_cliques(g, deadline=None):
-    """Enumerate maximal cliques of size 2..5 and every clique of size 6.
+    """Enumerate the maximal cliques of at least two vertices.
 
-    Runs a Bron-Kerbosch recursion without pivoting so that each clique
-    of size at most 6 is visited exactly once: branches that reach six
-    vertices record the clique (with its maximality status) and do not
-    recurse further.  Pivoting is deliberately not used because it skips
-    the non-maximal six-vertex cliques that the caller needs.
+    Bron-Kerbosch search (*CACM* 16, 1973) with the pivot of Tomita,
+    Tanaka & Takahashi (*TCS* 363, 2006): a node branches only on the
+    candidates outside the neighbourhood of its pivot, the vertex of
+    candidates and excluded vertices with the most neighbours among the
+    candidates (the least id on ties), taken in ascending order.  Vertex
+    sets are Python ints used as bitsets, and the search keeps its own
+    stack, so a clique of any size is found without recursion.
 
     Returns a :class:`CliqueEnumeration` of the first ``MAX_POOL``
-    cliques found; ``complete`` is False when a clique was left out,
-    at that cap or at ``deadline``, a ``time.monotonic()`` value.  Each
-    row is the branch's vertex list, ascending as ``visit`` takes the
-    vertices of ``p`` in order.
+    cliques found; ``complete`` is False when the search stopped with
+    cliques left, at that cap or at ``deadline``, a ``time.monotonic()``
+    value.
     """
-    small = []    # maximal cliques of 2..5 vertices
-    six = []      # every 6-clique
-    six_maximal = []
+    nbr = [sum(1 << u for u in g.adj[v]) for v in range(g.n + 1)]
+
+    def branches(p, x):
+        best, pivot, rest = -1, 0, p | x
+        while rest:
+            low = rest & -rest
+            u = low.bit_length() - 1
+            count = (p & nbr[u]).bit_count()
+            if count > best:
+                best, pivot = count, u
+            rest ^= low
+        return p & ~nbr[pivot]
+
+    rows = []
     complete = True
-    adj = g.adj
-
-    def visit(r, p, x):
-        nonlocal complete
-        if deadline is not None and time.monotonic() > deadline:
-            complete = False
-            return
-        if len(r) == 6 or not p and not x:
-            if len(r) >= 2:
-                if len(small) + len(six) == MAX_POOL:
+    p = sum(1 << v for v in g.vertices)
+    # each node: its clique r, candidates p, excluded x, branches left
+    stack = [([], p, 0, branches(p, 0))]
+    while stack and complete:
+        r, p, x, cand = stack.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            v = low.bit_length() - 1
+            pv, xv = p & nbr[v], x & nbr[v]
+            p ^= low
+            x |= low
+            if pv:
+                if deadline is not None and time.monotonic() > deadline:
                     complete = False
-                    return
-                if len(r) == 6:
-                    six.append(r)
-                    six_maximal.append(not p and not x)
-                else:
-                    small.append(r)
-            return
-        for v in sorted(p):
-            if not complete:
-                return
-            nv = adj[v]
-            visit(r + [v], p & nv, x & nv)
-            p.remove(v)
-            x.add(v)
-
-    visit([], set(g.vertices), set())
-    maximal = np.array([True] * len(small) + six_maximal, dtype=bool)
-    return CliqueEnumeration(pad_rows(small + six), maximal, complete)
-
-
-def extend_clique_greedy(g, clique, ell, X):
-    """Greedily grow the vertex set ``clique`` (which must exclude
-    ``ell``) to a larger clique, returned as a frozenset.
-
-    At each step the vertex with the highest value of ``X[i, ell]`` among
-    the common neighbors of the current clique is added, ties broken by
-    the smallest vertex id, until no common neighbor other than ``ell``
-    remains.  ``X`` is the bordered matrix, so vertex ids index it
-    directly.
-    """
-    members = set(clique)
-    if ell in members:
-        raise ValueError("external vertex must not belong to the clique")
-    common = None
-    for v in members:
-        common = set(g.adj[v]) if common is None else common & g.adj[v]
-    common = common if common is not None else set()
-    common.discard(ell)
-    while common:
-        best = min(common, key=lambda i: (-X[i, ell], i))
-        members.add(best)
-        common &= g.adj[best]
-        common.discard(ell)
-    return frozenset(members)
+                    break
+                stack.append((r, p, x, cand))
+                r, p, x = r + [v], pv, xv
+                cand = branches(p, x)
+            elif not xv and r:
+                if len(rows) == MAX_POOL:
+                    complete = False
+                    break
+                rows.append(r + [v])
+    members = pad_rows(rows)
+    members[members < 0] = g.n + 1  # sort the padding last
+    members.sort(axis=1)
+    members[members > g.n] = -1
+    return CliqueEnumeration(members, complete)
 
 
 def enumerate_5holes(g, deadline=None):

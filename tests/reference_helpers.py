@@ -1,8 +1,8 @@
 """Reference code that only the tests use: the seeded random graphs of
 the suite and of ``tools/stable_outputs.py``, the exhaustive enumeration
 of the integer feasible matrices, the ``Clique`` object that once held
-each enumerated clique and the enumeration that built them, the
-``Hole5`` object that once held each enumerated 5-hole, the ``Cut``
+each enumerated clique, the maximal cliques of a small graph by brute
+force, the ``Hole5`` object that once held each enumerated 5-hole, the ``Cut``
 object that once held each cut (with its list of candidates and
 conversions to and from a ``CutPool``), the LP bound over a dense
 constraint matrix, the rank of a clique or odd hole under a colour
@@ -15,15 +15,14 @@ code against them."""
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
-import time
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from mkcs.cuts import CutFamily, CutPool
-import mkcs.graph
 from mkcs.graph import Graph
 from mkcs.intadmm import Coloring, RoundingResult
 from mkcs.linalg import augmented_identity
@@ -82,62 +81,29 @@ def enumerate_Dnk(n, k, g=None, limit=2**20):
 
 @dataclass(frozen=True)
 class Clique:
-    """A set of pairwise-adjacent vertices; ``maximal`` marks that no
-    vertex of the host graph is adjacent to all members.  The enumeration
-    now returns cliques as the rows of one padded array."""
+    """A set of pairwise-adjacent vertices.  The enumeration now returns
+    cliques as the rows of one padded array."""
 
     vertices: frozenset
-    maximal: bool = False
 
     def __len__(self):
         return len(self.vertices)
 
 
-@dataclass
-class CliqueLists:
-    """The enumerated ``Clique``s as the enumeration once returned them:
-    the maximal ones of size 2..5, then every 6-clique."""
-
-    maximal: list
-    size6: list
-    complete: bool = True
-
-    def all_cliques(self):
-        return self.maximal + self.size6
-
-
-def enumerate_cliques(g, deadline=None):
-    """``mkcs.graph.enumerate_cliques`` as it was written, one ``Clique``
-    object per clique: the same Bron-Kerbosch search without pivoting,
-    stopping at ``mkcs.graph.MAX_POOL`` cliques or at ``deadline``."""
-    maximal = []
-    size6 = []
-    complete = True
-    adj = g.adj
-
-    def visit(r, p, x):
-        nonlocal complete
-        if deadline is not None and time.monotonic() > deadline:
-            complete = False
-            return
-        if len(r) == 6 or not p and not x:
-            if len(r) >= 2:
-                if len(maximal) + len(size6) == mkcs.graph.MAX_POOL:
-                    complete = False
-                    return
-                clique = Clique(frozenset(r), maximal=not p and not x)
-                (size6 if len(r) == 6 else maximal).append(clique)
-            return
-        for v in sorted(p):
-            if not complete:
-                return
-            nv = adj[v]
-            visit(r + [v], p & nv, x & nv)
-            p.remove(v)
-            x.add(v)
-
-    visit([], set(g.vertices), set())
-    return CliqueLists(maximal, size6, complete)
+def maximal_cliques(g):
+    """The maximal cliques of at least two vertices of ``g``, as sorted
+    vertex tuples in lexicographic order, by a scan of every vertex
+    subset (so only for small graphs)."""
+    vertices = list(g.vertices)
+    cliques = [
+        q for size in range(2, g.n + 1)
+        for q in itertools.combinations(vertices, size)
+        if all(g.has_edge(u, v) for u, v in itertools.combinations(q, 2))
+    ]
+    return sorted(
+        q for q in cliques
+        if not any(all(g.has_edge(u, v) for v in q) for u in vertices if u not in q)
+    )
 
 
 @dataclass(frozen=True)

@@ -11,11 +11,14 @@ are the reference-side forms kept in ``reference_helpers``.
 separators iterate ``Clique`` objects and the reference hole separator
 ``Hole5`` objects; ``clique_objects`` turns a padded clique pool and
 ``hole_objects`` an ``(H, 5)`` hole pool into them.
-``extend_clique_greedy`` is the greedy clique extension as it was, with
-its maximality test over every vertex.
+``best_clique_external`` is the yardstick of exactness: the most
+violated clique-external cut at each apex over every clique, found by
+listing them all.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -41,11 +44,8 @@ def assert_same_candidates(new, old):
 
 
 def clique_objects(cliques):
-    """``Clique`` objects of the rows of a :class:`CliqueEnumeration`, each
-    built from its ascending vertex list as the old enumeration built it,
-    so that each frozenset iterates in the same order."""
-    return [Clique(frozenset(v for v in row if v >= 0), maximal)
-            for row, maximal in zip(cliques.members.tolist(), cliques.maximal.tolist())]
+    """``Clique`` objects of the rows of a :class:`CliqueEnumeration`."""
+    return [Clique(frozenset(v for v in row if v >= 0)) for row in cliques.members.tolist()]
 
 
 def hole_objects(holes):
@@ -54,32 +54,24 @@ def hole_objects(holes):
     return [Hole5(tuple(row)) for row in np.asarray(holes).tolist()]
 
 
-def extend_clique_greedy(g, clique, ell, X):
-    """Greedily grow ``clique`` (which must exclude ``ell``) to a larger one.
+def best_clique_external(X, g, fmap, k):
+    """For each apex l, the largest ``sum_{i in Q} X[i,l] - X[l,l]`` over
+    the nonempty cliques Q of G - N[l], -inf when there is none: every
+    clique, grown one larger vertex at a time, summed in full."""
+    Xs = _sanitize(X, fmap, k)
 
-    At each step the vertex with the highest value of ``X[i, ell]`` among
-    the common neighbors of the current clique is added, ties broken by
-    the smallest vertex id, until no common neighbor other than ``ell``
-    remains.  ``X`` is the bordered matrix, so vertex ids index it
-    directly.
-    """
-    members = set(clique.vertices if isinstance(clique, Clique) else clique)
-    if ell in members:
-        raise ValueError("external vertex must not belong to the clique")
-    common = None
-    for v in members:
-        common = set(g.adj[v]) if common is None else common & g.adj[v]
-    common = common if common is not None else set()
-    common.discard(ell)
-    while common:
-        best = min(common, key=lambda i: (-X[i, ell], i))
-        members.add(best)
-        common &= g.adj[best]
-        common.discard(ell)
-    still_extendable = any(
-        all(u in g.adj[v] for v in members) for u in g.vertices if u not in members
-    )
-    return Clique(frozenset(members), maximal=not still_extendable)
+    def cliques(clique, candidates):
+        for pos, v in enumerate(candidates):
+            yield clique + [v]
+            yield from cliques(clique + [v],
+                               [u for u in candidates[pos + 1:] if g.has_edge(u, v)])
+
+    best = {}
+    for ell in g.vertices:
+        outside = [v for v in g.vertices if v != ell and not g.has_edge(v, ell)]
+        best[ell] = max((sum(Xs[i, ell] for i in q) - Xs[ell, ell]
+                         for q in cliques([], outside)), default=-math.inf)
+    return best
 
 
 def _sanitize(X, fmap, k):
@@ -171,33 +163,22 @@ def _clique_external_cut(fmap, g, clique_vertices, ell, cut_id):
 
 def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     """Separate ``sum_{i in Q} X[i,l] <= X[l,l]`` over the enumerated
-    cliques and every external vertex.
-
-    A violated cut on a non-maximal size-6 clique is first strengthened
-    by greedy extension before being reported.
-    """
+    cliques and every external vertex, each cut summed over its clique's
+    ascending vertices."""
     Xs = _sanitize(X, fmap, k)
-    xvec = fmap.mat_to_vec(Xs)
     report = SeparationReport()
-    pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
     next_id = id_base
     diag = np.diagonal(Xs)
-    for clique in pool:
+    for clique in cliques:
         members = sorted(clique.vertices)
         colsum = Xs[members, :].sum(axis=0)
         viol = colsum - diag
         for ell in range(1, g.n + 1):
             if ell in clique.vertices or viol[ell] < min_viol:
                 continue
-            target = clique
-            if len(clique) == 6 and not clique.maximal:
-                target = extend_clique_greedy(g, clique, ell, Xs)
-            cut = _clique_external_cut(fmap, g, target.vertices, ell, next_id)
-            if cut is None:
-                continue
-            v = cut.violation(xvec)
-            if v >= min_viol:
-                report.add(cut, v)
+            cut = _clique_external_cut(fmap, g, members, ell, next_id)
+            if cut is not None:
+                report.add(cut, viol[ell])
                 next_id += 1
     return report
 
@@ -205,13 +186,12 @@ def separate_clique_external(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
 def separate_clique_union(X, g, fmap, cliques, k, min_viol=1e-2, id_base=0):
     """Separate the pairwise clique inequality
     ``sum_Q X[ii] + sum_Q' X[jj] <= sum cross X[ij] + k`` over disjoint
-    pairs of maximal cliques whose sizes sum to more than k: the pairs
-    among the leading maximal cliques, as many as have at most
+    pairs of the enumerated (maximal) cliques whose sizes sum to more
+    than k: the pairs among the leading cliques, as many as have at most
     ``MAX_POOL`` pairs."""
     Xs = _sanitize(X, fmap, k)
     report = SeparationReport()
-    pool = cliques.all_cliques() if hasattr(cliques, "all_cliques") else list(cliques)
-    pool = [c for c in pool if c.maximal]
+    pool = list(cliques)
     next_id = id_base
     diag = np.diagonal(Xs)
     npool = 0

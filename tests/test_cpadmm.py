@@ -857,7 +857,6 @@ class TestCpAdmm:
         assert not res.enumeration_complete
         capped = pools["separate_clique_external"]
         assert capped.members.tolist() == full_cliques.members[:3].tolist()
-        assert capped.maximal.tolist() == full_cliques.maximal[:3].tolist()
         assert pools["separate_odd_hole"].holes.tolist() == full_holes[:3].tolist()
         monkeypatch.setattr(mkcs.graph, "MAX_POOL", 105)  # pools and pairs whole
         assert cp_admm(petersen(), 2, AdmmParams(max_outer=2)).enumeration_complete
@@ -891,8 +890,9 @@ class TestCpAdmm:
 
     def test_deadline_bounds_enumeration_and_sweeps(self):
         # five sweeps end the first round at once, and its separation asks
-        # for the clique pool, which takes 0.7-0.9 s to enumerate (2 vCPUs)
-        g = random_graph(125, 0.5, 1)
+        # for the clique pool, which takes about 1 s to reach MAX_POOL
+        # rows (2 vCPUs)
+        g = random_graph(125, 0.7, 1)
         ctx = SeparationContext(g)
         t0 = time.monotonic()
         res = cp_admm(g, 8, AdmmParams(max_inner_iter=5), deadline=t0 + 0.25, ctx=ctx)

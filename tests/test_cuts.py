@@ -1,4 +1,7 @@
+import itertools
 import json
+import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -15,7 +18,6 @@ from reference_helpers import (
     pool_of,
     random_graph,
 )
-from reference_helpers import enumerate_cliques as reference_cliques
 from mkcs.cli import _cut_rows, _jsonl
 from mkcs.cuts import (
     CutFamily,
@@ -34,9 +36,11 @@ from mkcs.graph import (
     HoleEnumeration,
     enumerate_5holes,
     enumerate_cliques,
-    extend_clique_greedy,
 )
+import mkcs.cpadmm
+import mkcs.cuts
 import mkcs.graph
+from mkcs.cpadmm import SeparationContext
 from mkcs.linalg import FreeIndexMap
 from mkcs.projection import ClusteredCuts, dykstra
 
@@ -187,8 +191,8 @@ class TestSeparateCliqueExternal:
         assert not len(rep.candidates)
 
     def test_six_clique_extension_strengthens(self):
-        # K7: the non-maximal 6-cliques extend to the full K7 minus the
-        # external vertex, so every reported cut has 6 support pairs
+        # K7 plus an isolated vertex: the pool holds the 7-clique itself,
+        # so the cut at the external vertex has all 7 support pairs
         g = complete_graph(7)
         # add an external vertex 8 joined to nothing
         g = Graph(8, list(g.edges))
@@ -199,6 +203,77 @@ class TestSeparateCliqueExternal:
         assert len(rep.candidates)
         # 7 clique pairs + the apex diagonal
         assert (np.diff(rep.candidates.indptr) == 8).all()
+
+
+def assert_exact_clique_external(g, rng, draw=None, iterates=4):
+    """On random iterates in the unit box (coordinates from ``draw(rng,
+    m)``, uniform by default), each apex's largest violation from
+    ``separate_clique_external`` at ``min_viol`` 0 is, within 1e-12, the
+    largest over every clique of G - N[l]; no apex without a violated
+    clique gets a cut."""
+    assert min(map(len, g.adj[1:])) > 0  # a lone vertex is no pool row
+    fmap = FreeIndexMap(g)
+    ce = enumerate_cliques(g)
+    draw = draw or (lambda rng, m: rng.uniform(0, 1, m))
+    for k in (1, 3):
+        for _ in range(iterates):
+            X = fmap.vec_to_mat(draw(rng, fmap.m), k)
+            rep = separate_clique_external(X, g, fmap, ce, k, 0.0)
+            got = {}
+            for (coords, coeffs), v in zip(rep.candidates.rows(), rep.violation):
+                ell = coords[coeffs.index(-1.0)] + 1  # the apex's diagonal
+                got[ell] = max(got.get(ell, -np.inf), v)
+            for ell, best in ref.best_clique_external(X, g, fmap, k).items():
+                if best >= 1e-12:
+                    assert got[ell] == pytest.approx(best, abs=1e-12, rel=0)
+                elif best < -1e-12:
+                    assert ell not in got
+
+
+def greedy_trap():
+    """A maximal 8-clique Q = {1..8}, one trap vertex per pair {u, w} of
+    Q adjacent to Q - {u, w} (and to no other trap), and an apex 37 that
+    sees none of them, with a partner 38.  Each 6-clique Q - {u, w}
+    extends by its trap or by {u, w}."""
+    edges = [(u, v) for u, v in itertools.combinations(range(1, 9), 2)]
+    for t, pair in enumerate(itertools.combinations(range(1, 9), 2), start=9):
+        edges += [(v, t) for v in range(1, 9) if v not in pair]
+    return Graph(38, edges + [(37, 38)])
+
+
+class TestCliqueExternalExact:
+    """Clique-external separation over the maximal-clique pool finds the
+    most violated cut at every apex."""
+
+    def test_where_greedy_growth_picks_the_lighter_extension(self):
+        # X[t, 37] in [0.4, 0.5] for a trap t outweighs X[u, 37] and
+        # X[w, 37] in [0.28, 0.34] but not their sum, so growing a 6-clique
+        # by its heaviest common neighbour ends at a trap, short of Q
+        g = greedy_trap()
+        fmap = FreeIndexMap(g)
+        apex = fmap.coord[1:, 37]
+
+        def draw(rng, m):
+            x = rng.uniform(0, 1, m)
+            x[apex[:8]] = rng.uniform(0.28, 0.34, 8)
+            x[apex[8:36]] = rng.uniform(0.4, 0.5, 28)
+            return x
+
+        assert_exact_clique_external(g, np.random.default_rng(11), draw)
+
+    @pytest.mark.parametrize("size", [7, 8, 9])
+    def test_graphs_with_large_cliques(self, size):
+        # a clique of 7 or more vertices, each vertex with a pendant of its
+        # own, a second clique sharing three vertices, and random chords
+        rng = np.random.default_rng([12, size])
+        core = list(range(1, size + 1))
+        other = list(range(size + 1, size + 5)) + core[:3]
+        edges = list(itertools.combinations(core, 2)) + list(itertools.combinations(other, 2))
+        edges += [(v, v + size + 4) for v in core]
+        n = 2 * size + 4
+        edges += [tuple(map(int, rng.choice(np.arange(1, n + 1), 2, replace=False)))
+                  for _ in range(size)]
+        assert_exact_clique_external(Graph(n, edges), rng)
 
 
 class TestSeparateCliqueUnion:
@@ -259,7 +334,7 @@ class TestCliquePairPass:
         g, _ = planted_cliques(seed)
         fmap = FreeIndexMap(g)
         ce = enumerate_cliques(g)
-        sizes = (ce.members[ce.maximal] >= 0).sum(axis=1)
+        sizes = (ce.members >= 0).sum(axis=1)
         assert set(sizes.tolist()) == {2, 3, 4, 5, 6}
         rng = np.random.default_rng([22, seed])
         for k in range(1, 6):
@@ -388,17 +463,14 @@ class TestSeparatorsMatchReference:
         # pairs), the reference's own count
         g = random_graph(14, 0.5, 900 + seed)
         fmap = FreeIndexMap(g)
-        full_ce = reference_cliques(g)
+        full_ce = enumerate_cliques(g)
         full_he = enumerate_5holes(g)
         monkeypatch.setattr(mkcs.graph, "MAX_POOL", 6)
         ce = enumerate_cliques(g)
         he = enumerate_5holes(g)
         assert not ce.complete and not he.complete
-        assert len(ce.members) == len(ce.maximal) == len(he.holes) == 6
-        capped = reference_cliques(g)
-        assert ref.clique_objects(ce) == capped.all_cliques()
-        assert capped.maximal == full_ce.maximal[: len(capped.maximal)]
-        assert capped.size6 == full_ce.size6[: len(capped.size6)]
+        assert len(ce.members) == len(he.holes) == 6
+        assert ce.members.tolist() == full_ce.members[:6, :ce.members.shape[1]].tolist()
         assert he.holes.tolist() == full_he.holes[:6].tolist()
         rng = np.random.default_rng([8, seed])
         for k in (2, 3):
@@ -471,14 +543,77 @@ class TestSeparatorsMatchReference:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_greedy_extension(self, seed):
-        g = random_graph(12, 0.6, 300 + seed)
-        rng = np.random.default_rng(seed)
-        X = rng.uniform(0, 1, (13, 13))
-        for clique in ref.clique_objects(enumerate_cliques(g)):
-            for ell in g.vertices:
-                if ell not in clique.vertices:
-                    assert extend_clique_greedy(g, clique.vertices, ell, X) == \
-                        ref.extend_clique_greedy(g, clique, ell, X).vertices
+        # no clique needs growing: at each apex the pool's best cut is the
+        # best over every clique, which no extension of a pool clique beats
+        g = random_graph(12, [0.7, 0.9][seed % 2], 300 + seed)
+        assert_exact_clique_external(g, np.random.default_rng([10, seed]))
+
+
+class TestSeparatorDeadline:
+    """A scan that passes its deadline stops before its next chunk (one
+    pool row, clique pair or triangle apex here) and marks its report
+    truncated."""
+
+    @pytest.fixture
+    def late(self, monkeypatch):
+        # one row per chunk, and a clock past the deadline at every check
+        monkeypatch.setattr(mkcs.cuts, "_CHUNK_BYTES", 1)
+        monkeypatch.setattr(mkcs.cuts, "time", SimpleNamespace(monotonic=lambda: 1.0))
+        return 0.5
+
+    def test_pool_scans_keep_the_first_row(self, late):
+        g = random_graph(12, 0.5, 3)
+        fmap = FreeIndexMap(g)
+        X = fmap.vec_to_mat(np.random.default_rng(5).uniform(0, 1, fmap.m), 2)
+        ce = enumerate_cliques(g)
+        he = enumerate_5holes(g)
+        assert len(ce.members) > 1 and len(he.holes) > 1
+        for separate, pool, first in (
+            (separate_clique_external, ce, CliqueEnumeration(ce.members[:1])),
+            (separate_odd_hole, he, HoleEnumeration(he.holes[:1])),
+        ):
+            stopped = separate(X, g, fmap, pool, 2, 0.0, 4, late)
+            assert stopped.truncated and len(stopped.candidates)
+            assert not separate(X, g, fmap, pool, 2, 0.0, 4).truncated
+            assert candidate_pairs(stopped) == candidate_pairs(
+                separate(X, g, fmap, first, 2, 0.0, 4))
+
+    def test_clique_pairs_keep_the_first_pair(self, late):
+        # six disjoint edges, every pair violated
+        g = Graph(12, [(2 * i + 1, 2 * i + 2) for i in range(6)])
+        fmap = FreeIndexMap(g)
+        x = np.zeros(fmap.m)
+        x[: g.n] = 1.0
+        X = fmap.vec_to_mat(x, 1)
+        ce = enumerate_cliques(g)
+        full = separate_clique_union(X, g, fmap, ce, 1, 0.0)
+        stopped = separate_clique_union(X, g, fmap, ce, 1, 0.0, 0, late)
+        assert len(full.candidates) == 15 and not full.truncated
+        assert stopped.truncated and len(stopped.candidates) == 1
+        (cut, viol), = candidate_pairs(stopped)
+        assert any(c.coeffs == cut.coeffs and v == viol for c, v in candidate_pairs(full))
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_triangle_scan_keeps_the_first_apex(self, late, k):
+        g = random_graph(9, 0.3, 4)
+        fmap = FreeIndexMap(g)
+        X = fmap.vec_to_mat(np.random.default_rng(6).uniform(0, 1, fmap.m), k)
+        full = candidate_pairs(separate_triangle(X, g, fmap, k, 0.0, 2))
+        stopped = separate_triangle(X, g, fmap, k, 0.0, 2, late)
+        first = [(c, v) for c, v in full if c.coeffs.get(fmap.diag_coord(1)) == -1.0]
+        assert stopped.truncated and first
+        assert candidate_pairs(stopped) == first == full[: len(first)]
+
+    def test_the_context_passes_its_deadline(self, monkeypatch):
+        seen = []
+        for name in ("separate_triangle", "separate_clique_external",
+                     "separate_clique_union", "separate_odd_hole"):
+            monkeypatch.setattr(mkcs.cpadmm, name,
+                                lambda *args: seen.append(args[-1]) or SeparationReport())
+        g = cycle_graph(5)
+        deadline = time.monotonic() + 60.0
+        SeparationContext(g).separate(np.zeros((6, 6)), 2, list(CutFamily), 0.0, 0, deadline)
+        assert seen == [deadline] * 4
 
 
 class TestCutValidity:

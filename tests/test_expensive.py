@@ -7,6 +7,7 @@ shipped with the repository (see README for where to fetch them), and
 the loop separators that the scale check compares against take about
 20 s on a G(125, 0.5) pool."""
 
+import json
 import os
 from pathlib import Path
 
@@ -14,10 +15,10 @@ import pytest
 
 import separation_reference as ref
 from bench_instances import queen6_6
-from mkcs.cli import RunConfig, chromatic_search
+from mkcs.cli import RunConfig, chromatic_search, main
 from mkcs.cpadmm import AdmmParams, greedy_lower_bound, initial_state, inner_admm
 from mkcs.cuts import separate_clique_external, separate_odd_hole
-from mkcs.graph import enumerate_5holes, enumerate_cliques, parse_dimacs
+from mkcs.graph import enumerate_5holes, enumerate_cliques, parse_dimacs, write_dimacs
 from mkcs.linalg import FreeIndexMap
 from mkcs.oracle import alpha_k_exact
 from reference_helpers import random_graph
@@ -49,13 +50,13 @@ def test_dsjc125_chromatic_lower_bounds(name, target):
     assert value >= target
 
 
-# chromatic_search on G(n, 0.5) seed 1 with the default settings, as
-# recorded when every k enumerated its own pools: the chi bound and the
+# chromatic_search on G(n, 0.5) seed 1 with the default settings, the k
+# values sharing one pool of maximal cliques: the chi bound and the
 # (k, ub) of each step
 GNP_CHROMATIC = {
     70: (11, [(1, 8.612497337134759), (9, 69.98400682822383),
-              (10, 69.7122157486085), (11, 70.0)]),
-    125: (13, [(1, 11.666106840124), (12, 124.68194355781607), (13, 125.0)]),
+              (10, 69.70883695454407), (11, 70.0)]),
+    125: (13, [(1, 11.666106840124), (12, 124.67785017500331), (13, 125.0)]),
 }
 
 
@@ -73,8 +74,8 @@ def test_gnp_chromatic_steps_with_shared_pools(n):
 @expensive
 def test_g125_separators_match_reference():
     # the first relaxation iterate of G(125, 0.5) at k = 8, against one
-    # enumerated pool: 113 k cliques, and the first 200,000 holes (of 2.8
-    # million), where the hole pool stops at MAX_POOL
+    # enumerated pool: 38,842 maximal cliques, and the first 200,000 holes
+    # (of 2.8 million), where the hole pool stops at MAX_POOL
     g = random_graph(125, 0.5, 1)
     k = 8
     fmap = FreeIndexMap(g)
@@ -91,3 +92,15 @@ def test_g125_separators_match_reference():
         separate_clique_external(state.X, g, fmap, cliques, k),
         ref.separate_clique_external(state.X, g, fmap, ref.clique_objects(cliques), k),
     )
+
+
+@expensive
+def test_g125_bound_keeps_a_one_second_limit(tmp_path):
+    # every separator stops between chunks at the deadline, so a round
+    # that ends just before it no longer scans a whole pool
+    path = tmp_path / "gnp125.col"
+    path.write_text(write_dimacs(random_graph(125, 0.5, 1)))
+    out = tmp_path / "report.json"
+    assert main(["bound", str(path), "--k", "8", "--time-limit", "1", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["termination"] == "time_limit" and report["time_ub"] <= 1.3

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import logging
+import sys
 import time
 
 import pytest
@@ -12,7 +13,6 @@ from mkcs.graph import (
     HoleEnumeration,
     enumerate_5holes,
     enumerate_cliques,
-    extend_clique_greedy,
     pair_pool_size,
     parse_dimacs,
     write_dimacs,
@@ -20,8 +20,7 @@ from mkcs.graph import (
 
 import mkcs.graph
 import numpy as np
-from reference_helpers import enumerate_cliques as reference_cliques
-from reference_helpers import random_graph
+from reference_helpers import maximal_cliques, random_graph
 
 
 def vertex_rows(cliques):
@@ -93,28 +92,25 @@ class TestEnumerateCliques:
     def test_k4(self):
         enum = enumerate_cliques(complete_graph(4))
         assert enum.members.tolist() == [[1, 2, 3, 4]]
-        assert enum.maximal.tolist() == [True]
         assert enum.complete
 
     def test_c5_edges_are_the_maximal_cliques(self):
         enum = enumerate_cliques(cycle_graph(5))
         got = sorted(map(tuple, enum.members.tolist()))
         assert got == [(1, 2), (1, 5), (2, 3), (3, 4), (4, 5)]
-        assert enum.maximal.all()
 
-    def test_k7_has_all_six_subsets(self):
-        enum = enumerate_cliques(complete_graph(7))
-        assert enum.members.shape == (7, 6)
-        assert not enum.maximal.any()
-        subsets = set(map(tuple, enum.members.tolist()))
-        assert subsets == {
-            tuple(sorted(set(range(1, 8)) - {v})) for v in range(1, 8)
-        }
+    def test_k7_is_one_clique(self):
+        assert enumerate_cliques(complete_graph(7)).members.tolist() == [list(range(1, 8))]
 
     def test_k6_six_clique_is_maximal(self):
         enum = enumerate_cliques(complete_graph(6))
         assert enum.members.tolist() == [[1, 2, 3, 4, 5, 6]]
-        assert enum.maximal.tolist() == [True]
+
+    def test_a_clique_beyond_the_recursion_limit(self):
+        # the search keeps its own stack
+        n = sys.getrecursionlimit() + 1
+        enum = enumerate_cliques(complete_graph(n))
+        assert enum.members.tolist() == [list(range(1, n + 1))] and enum.complete
 
     @pytest.mark.parametrize("seed", range(6))
     def test_members_pairwise_adjacent(self, seed):
@@ -128,12 +124,11 @@ class TestEnumerateCliques:
     @pytest.mark.parametrize("seed", range(6))
     def test_reported_maximal_cliques_have_no_common_neighbor(self, seed):
         g = random_graph(11, 0.5, seed)
-        enum = enumerate_cliques(g)
-        for row, maximal in zip(vertex_rows(enum), enum.maximal.tolist()):
+        for row in vertex_rows(enumerate_cliques(g)):
             common = set(g.vertices) - set(row)
             for v in row:
                 common &= g.adj[v]
-            assert maximal == (not common), (row, sorted(common))
+            assert not common, (row, sorted(common))
 
     def test_time_limit_sets_flag(self):
         g = random_graph(60, 0.9, 1)
@@ -142,55 +137,29 @@ class TestEnumerateCliques:
 
     @pytest.mark.parametrize("seed", range(9))
     def test_rows_are_the_reference_cliques(self, monkeypatch, seed):
-        # row for row the sorted vertices, padded with -1, and the flags of
-        # the object-based enumeration, whole and at caps that cut each list
+        # every maximal clique once, each row its ascending vertices padded
+        # with -1, in an order that depends on the graph alone (not on the
+        # order of its edges); a cap keeps the first rows found
         g = random_graph(13, [0.5, 0.7, 0.8][seed % 3], 40 + seed)
-        full = reference_cliques(g)
-        total = len(full.all_cliques())
-        for cap in (total, total - 1, total // 2, len(full.maximal), 1):
+        full = enumerate_cliques(g)
+        rows = vertex_rows(full)
+        assert sorted(map(tuple, rows)) == maximal_cliques(g)
+        assert full.members.dtype == np.intp
+        assert full.members.shape[1] == max(map(len, rows))
+        assert all(row == sorted(row) for row in rows)
+        edges = sorted(g.edges, key=lambda e: hash((seed, e)))
+        assert np.array_equal(enumerate_cliques(Graph(g.n, edges[::-1])).members,
+                              full.members)
+        total = len(rows)
+        for cap in (total, total - 1, total // 2, 1):
             monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
             got = enumerate_cliques(g)
-            want = reference_cliques(g).all_cliques()
-            width = max(map(len, want), default=1)
-            assert got.members.dtype == np.intp and got.maximal.dtype == bool
-            assert got.members.tolist() == [
-                sorted(c.vertices) + [-1] * (width - len(c)) for c in want]
-            assert got.maximal.tolist() == [c.maximal for c in want]
+            assert vertex_rows(got) == rows[:cap]
             assert got.complete == (cap == total)
 
     def test_empty_pool(self):
         for enum in (enumerate_cliques(Graph(3)), mkcs.graph.CliqueEnumeration()):
-            assert enum.members.shape == (0, 1) and enum.maximal.shape == (0,)
-            assert enum.members.dtype == np.intp and enum.maximal.dtype == bool
-
-
-class TestExtendCliqueGreedy:
-    def setup_method(self):
-        # triangle 1-2-3 plus isolated vertex 4
-        self.g = Graph(4, [(1, 2), (2, 3), (1, 3)])
-        self.X = np.zeros((5, 5))
-
-    def test_already_maximal(self):
-        out = extend_clique_greedy(self.g, frozenset({1, 2, 3}), 4, self.X)
-        assert out == {1, 2, 3}
-
-    def test_unique_extension(self):
-        out = extend_clique_greedy(self.g, frozenset({1, 2}), 4, self.X)
-        assert isinstance(out, frozenset) and out == {1, 2, 3}
-
-    def test_tie_broken_by_smaller_id(self):
-        # two disjoint candidate extensions 3 and 4 of the edge {1, 2}
-        g = Graph(4, [(1, 2), (1, 3), (2, 3), (1, 4), (2, 4)])
-        X = np.zeros((5, 5))
-        out = extend_clique_greedy(g, frozenset({1, 2}), 5 - 1, X)
-        assert 3 in out and 4 not in out
-
-    def test_never_adds_external_vertex(self):
-        g = complete_graph(5)
-        X = np.ones((6, 6))
-        out = extend_clique_greedy(g, frozenset({1, 2}), 5, X)
-        assert 5 not in out
-        assert out == {1, 2, 3, 4}
+            assert enum.members.shape == (0, 1) and enum.members.dtype == np.intp
 
 
 def naive_5holes(g):
@@ -275,19 +244,11 @@ class TestMaxPool:
     def test_capped_cliques_are_the_first_found(self, monkeypatch):
         # each cap takes one more clique, in the order the search finds them
         g = random_graph(12, 0.8, 0)
-        full = reference_cliques(g)
-        assert len(full.size6) == 10 and len(full.maximal) == 9
-        last = (0, 0)
-        for cap in range(1, len(full.all_cliques()) + 1):
+        full = vertex_rows(enumerate_cliques(g))
+        assert len(full) == 19 and max(map(len, full)) == 6
+        for cap in range(1, len(full) + 1):
             monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
-            ce = enumerate_cliques(g)
-            six = (ce.members >= 0).sum(axis=1) == 6
-            sizes = (int((~six).sum()), int(six.sum()))
-            assert sum(sizes) == cap and min(np.subtract(sizes, last)) == 0
-            want = full.maximal[:sizes[0]] + full.size6[:sizes[1]]
-            assert vertex_rows(ce) == [sorted(c.vertices) for c in want]
-            assert ce.maximal.tolist() == [c.maximal for c in want]
-            last = sizes
+            assert vertex_rows(enumerate_cliques(g)) == full[:cap]
 
     @pytest.mark.parametrize("pool, pairs", [(0, 1), (1, 2), (2, 2), (3, 3), (5, 3),
                                              (6, 4), (200_000, 632)])
