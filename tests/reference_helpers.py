@@ -2,8 +2,8 @@
 the suite and of ``tools/stable_outputs.py``, the exhaustive enumeration
 of the integer feasible matrices, the ``Clique`` object that once held
 each enumerated clique, the maximal cliques of a small graph by brute
-force, the ``Hole5`` object that once held each enumerated 5-hole, the ``Cut``
-object that once held each cut (with its list of candidates and
+force, the ``Hole5`` object that once held each enumerated 5-hole, the
+``Cut`` object that once held each cut (with its list of candidates and
 conversions to and from a ``CutPool``), the LP bound over a dense
 constraint matrix, the rank of a clique or odd hole under a colour
 budget, the weighted projection onto one cut's halfspace, the objective

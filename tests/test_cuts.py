@@ -205,7 +205,7 @@ class TestSeparateCliqueExternal:
         assert (np.diff(rep.candidates.indptr) == 8).all()
 
 
-def assert_exact_clique_external(g, rng, draw=None, iterates=4):
+def assert_exact_clique_external(g, rng, draw=None):
     """On random iterates in the unit box (coordinates from ``draw(rng,
     m)``, uniform by default), each apex's largest violation from
     ``separate_clique_external`` at ``min_viol`` 0 is, within 1e-12, the
@@ -216,7 +216,7 @@ def assert_exact_clique_external(g, rng, draw=None, iterates=4):
     ce = enumerate_cliques(g)
     draw = draw or (lambda rng, m: rng.uniform(0, 1, m))
     for k in (1, 3):
-        for _ in range(iterates):
+        for _ in range(4):
             X = fmap.vec_to_mat(draw(rng, fmap.m), k)
             rep = separate_clique_external(X, g, fmap, ce, k, 0.0)
             got = {}

@@ -147,9 +147,9 @@ class TestEnumerateCliques:
         assert full.members.dtype == np.intp
         assert full.members.shape[1] == max(map(len, rows))
         assert all(row == sorted(row) for row in rows)
-        edges = sorted(g.edges, key=lambda e: hash((seed, e)))
-        assert np.array_equal(enumerate_cliques(Graph(g.n, edges[::-1])).members,
-                              full.members)
+        assert np.array_equal(
+            enumerate_cliques(Graph(g.n, sorted(g.edges, reverse=True))).members,
+            full.members)
         total = len(rows)
         for cap in (total, total - 1, total // 2, 1):
             monkeypatch.setattr(mkcs.graph, "MAX_POOL", cap)
